@@ -12,8 +12,8 @@ from .cells import (MackeyQ, SphereComplex, bredon_row, cellular_chart_hz,
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart, find_candidates,
                       page_from_presentation, set_differential, turn_page)
-from .tate import (TateSquareData, assemble_genuine, geometric_fixed_points,
-                   homotopy_orbits, invert_a, run_tate_square)
+from .tate import (TateSquareData, assemble_genuine, homotopy_orbits,
+                   run_tate_square)
 from .theories import (TheorySeed, connectivity_check, gap_check, hz_seed,
                        kr_seed, run_bockstein, run_hfpss, run_tate_pipeline,
                        sss_entry_e1, sss_entry_einf, theta_apply)

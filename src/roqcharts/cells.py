@@ -120,16 +120,14 @@ def sphere_complex(n: int, variance: str, coeffs: MackeyQ) -> SphereComplex:
     return SphereComplex(n, variance, cx)
 
 
-def bredon_row(b: int, window_x: tuple[int, int] | None = None,
-               coeffs: MackeyQ | None = None) -> dict[Degree, FgAbelian]:
+def bredon_row(b: int) -> dict[Degree, FgAbelian]:
     """The row at sigma-degree b, as a map from degree to group.
 
     Rows below the axis are sphere homology, rows above are sphere
     cohomology placed at negative x; the axis row is a single Z at the
-    origin.  window_x, when given, clips the row to an x-range.
+    origin.  Coefficients are the constant integral Mackey functor.
     """
-    if coeffs is None:
-        coeffs = constant_integers()
+    coeffs = constant_integers()
     out: dict[Degree, FgAbelian] = {}
     if b == 0:
         out[(0, 0)] = FgAbelian.free(1)
@@ -145,8 +143,6 @@ def bredon_row(b: int, window_x: tuple[int, int] | None = None,
             g = homology_at(sc.complex, -k)
             if not g.is_zero():
                 out[(-k, b)] = g
-    if window_x is not None:
-        out = {d: g for d, g in out.items() if window_x[0] <= d[0] <= window_x[1]}
     return out
 
 

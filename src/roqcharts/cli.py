@@ -20,6 +20,10 @@ from .theories import (connectivity_check, gap_check, hz_seed, kr_seed,
 from .chartio import diff as chart_diff
 
 
+class CandidatesRemainError(Exception):
+    """A pipeline left differential candidates it cannot rule out."""
+
+
 VALID_PIPELINES = {
     "hz": ("cells", "tate", "closed"),
     "kr": ("tate", "bockstein", "closed"),
@@ -59,8 +63,8 @@ def _compute(theory: str, pipeline: str, window: Window, padding: int,
     if pipeline == "bockstein":
         res = run_bockstein(window, padding=padding)
         if res.candidates:
-            raise RuntimeError(f"surviving higher differential candidates: "
-                               f"{res.candidates[:3]}")
+            raise CandidatesRemainError(f"surviving higher differential candidates: "
+                                        f"{res.candidates[:3]}")
         return res.chart
     raise ValueError(pipeline)
 
@@ -72,10 +76,16 @@ def cmd_compute(args) -> int:
               file=sys.stderr)
         return 2
     window = _parse_window(args.window)
-    chart = _compute(args.theory, args.pipeline, window, args.padding, args.threads)
-    if args.paranoid and args.pipeline in ("tate", "bockstein"):
-        again = _compute(args.theory, args.pipeline, window, 2 * args.padding,
-                         args.threads)
+    try:
+        chart = _compute(args.theory, args.pipeline, window, args.padding, args.threads)
+        again = None
+        if args.paranoid and args.pipeline in ("tate", "bockstein"):
+            again = _compute(args.theory, args.pipeline, window, 2 * args.padding,
+                             args.threads)
+    except CandidatesRemainError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    if again is not None:
         rep = chart_diff(chart, again)
         if not rep.clean:
             print("paranoid check failed: doubled padding changed the chart",

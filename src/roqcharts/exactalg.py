@@ -84,11 +84,6 @@ class IntMatrix:
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -122,11 +117,6 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
-    def pretty(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"[{self.rows}x{self.cols}]"
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -136,15 +126,14 @@ class IntMatrix:
 class SmithForm:
     """left * matrix * right == diag, with left/right unimodular.
 
-    left_inv and right_inv are the exact inverses, tracked during the
-    reduction so no separate inversion step is needed.
+    left_inv is the exact inverse of left, tracked during the reduction
+    so no separate inversion step is needed.
     """
 
     diag: IntMatrix
     left: IntMatrix
     right: IntMatrix
     left_inv: IntMatrix
-    right_inv: IntMatrix
     rank: int
 
     def diagonal(self) -> list[int]:
@@ -182,7 +171,6 @@ def _smith_normal_form(m: IntMatrix) -> SmithForm:
     left = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     left_inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     right = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    right_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_add(i, j, q):
         # row i += q * row j; inverse op applied to left_inv on the right
@@ -199,8 +187,6 @@ def _smith_normal_form(m: IntMatrix) -> SmithForm:
             d[i][j] += q * d[i][k]
         for i in range(c):
             right[i][j] += q * right[i][k]
-        for t in range(c):
-            right_inv[k][t] -= q * right_inv[j][t]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -213,7 +199,6 @@ def _smith_normal_form(m: IntMatrix) -> SmithForm:
             d[t][i], d[t][j] = d[t][j], d[t][i]
         for t in range(c):
             right[t][i], right[t][j] = right[t][j], right[t][i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
@@ -278,7 +263,6 @@ def _smith_normal_form(m: IntMatrix) -> SmithForm:
         left=IntMatrix.from_rows(left),
         right=IntMatrix.from_rows(right),
         left_inv=IntMatrix.from_rows(left_inv),
-        right_inv=IntMatrix.from_rows(right_inv),
         rank=rank,
     )
 
@@ -535,30 +519,6 @@ class PresentedGroup:
         for i, o in enumerate(self.orders):
             out.append(x[i] % o if o else x[i])
         return out
-
-    def reduce_coords(self, coords: list[int]) -> list[int]:
-        return [c % o if o else c for c, o in zip(coords, self.orders)]
-
-
-def hom_matrix(src: PresentedGroup, dst: PresentedGroup,
-               ambient_map: "callable") -> IntMatrix:
-    """Matrix (in generator coordinates) of a map induced on presentations.
-
-    ambient_map takes an ambient vector of src and returns one of dst.
-    Well-definedness (relations map to relations) is checked.
-    """
-    cols = []
-    for j in range(src.gens.cols):
-        img = ambient_map(src.gens.column(j))
-        cols.append(dst.express(img))
-    mat = IntMatrix.from_columns(cols, len(dst.orders))
-    for j, o in enumerate(src.orders):
-        if o:
-            scaled = [o * mat[i, j] for i in range(mat.rows)]
-            if any(x % (dst.orders[i] or 0) if dst.orders[i] else x
-                   for i, x in enumerate(scaled)):
-                raise ExactAlgebraError("map is not well defined on torsion")
-    return mat
 
 
 def _rel_columns(orders: tuple[int, ...]) -> IntMatrix:

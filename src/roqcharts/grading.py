@@ -61,9 +61,6 @@ class Window:
             for y in range(self.ymin, self.ymax + 1):
                 yield (x, y)
 
-    def pad(self, n: int) -> "Window":
-        return Window(self.xmin - n, self.xmax + n, self.ymin - n, self.ymax + n)
-
     def intersect(self, other: "Window") -> "Window":
         return Window(max(self.xmin, other.xmin), min(self.xmax, other.xmax),
                       max(self.ymin, other.ymin), min(self.ymax, other.ymax))

@@ -456,10 +456,8 @@ def set_differential(page: Page, rule: DifferentialRule,
         raise DifferentialError("a differential is already pending; turn the page first")
     rule_shift(page.pres, rule)
     out = Page(page.pres, page.rounds, pending=rule)
-    out._mono_memo = page._mono_memo
     if check_window is not None:
         probe = Page(page.pres, page.rounds + (rule,))
-        probe._mono_memo = page._mono_memo
         for d in check_window.degrees():
             for tri in shadow_tridegrees(probe, d, depth=8):
                 probe.state(tri)
@@ -471,9 +469,7 @@ def turn_page(page: Page) -> Page:
     homology of the old page there."""
     if page.pending is None:
         raise DifferentialError("no differential to turn; set one first")
-    out = Page(page.pres, page.rounds + (page.pending,))
-    out._mono_memo = page._mono_memo
-    return out
+    return Page(page.pres, page.rounds + (page.pending,))
 
 
 def _scan_floor(d: Degree, depth: int) -> int:
@@ -522,10 +518,13 @@ def find_candidates(page: Page, window: Window, depth: int = 16,
     return found
 
 
+# how many filtrations at the bottom of each scan must vanish
+_ZERO_BAND = 4
+
+
 def collapse_to_chart(page: Page, window: Window, name: str,
                       label_of=None, map_monos: dict[str, dict[str, int]] | None = None,
-                      depth: int = 16, band: int = 4,
-                      r_cap: int = 16) -> Chart:
+                      depth: int = 16, r_cap: int = 16) -> Chart:
     """Read the page off as an RO(Q)-graded chart.
 
     Requires: no pending differential, no remaining differential
@@ -549,10 +548,10 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     for d in window.degrees():
         tris = shadow_tridegrees(page, d, depth)
         live = [t for t in tris if not page.state(t).group.is_zero()]
-        # zero-band certificate: the bottom `band` filtrations of the scan
-        # must be zero, so the cutoff provably lost nothing nearby
+        # zero-band certificate: the bottom _ZERO_BAND filtrations of the
+        # scan must be zero, so the cutoff provably lost nothing nearby
         floor = _scan_floor(d, depth)
-        for s in range(floor, min(floor + band, 1)):
+        for s in range(floor, min(floor + _ZERO_BAND, 1)):
             tri = (s, d[0] - s, d[1])
             if page.monomials_at(tri) and not page.state(tri).group.is_zero():
                 raise CollapseError(

@@ -16,7 +16,9 @@ is reported up to extension and flagged on the entry.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .exactalg import (IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
@@ -51,12 +53,16 @@ class TateSquareData:
 # inverting a
 # ---------------------------------------------------------------------------
 
-def invert_a_with_maps(chart: Chart, stab_band: int = 2) -> tuple[Chart, dict[Degree, IntMatrix]]:
+# how many a-maps at the bottom of each column must be isomorphisms
+_STAB_BAND = 2
+
+
+def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
     """The a-localized chart and the per-degree localization maps.
 
     Within each column the colimit along downward a-multiplication is
     taken to be the group at the bottom of the window; that is only
-    legitimate if the last stab_band maps are isomorphisms, which is
+    legitimate if the last _STAB_BAND maps are isomorphisms, which is
     checked and otherwise raised as an instability error.
     """
     w = chart.window
@@ -65,7 +71,7 @@ def invert_a_with_maps(chart: Chart, stab_band: int = 2) -> tuple[Chart, dict[De
     entries: dict[Degree, ChartEntry] = {}
     amaps: dict[Degree, IntMatrix] = {}
     for x in range(w.xmin, w.xmax + 1):
-        for k in range(stab_band):
+        for k in range(_STAB_BAND):
             src = (x, w.ymin + k + 1)
             mat = mult_map(chart, "a", src)
             if chart.group(src) != chart.group((x, w.ymin + k)) or not map_is_iso(
@@ -99,12 +105,8 @@ def invert_a_with_maps(chart: Chart, stab_band: int = 2) -> tuple[Chart, dict[De
     return out, loc
 
 
-def invert_a(chart: Chart, stab_band: int = 2) -> Chart:
-    return invert_a_with_maps(chart, stab_band)[0]
-
-
 # ---------------------------------------------------------------------------
-# long-exact-sequence entries
+# long-exact-sequence charts
 # ---------------------------------------------------------------------------
 
 def _support_label(vec: list[int], labels: list[str], fallback: str) -> tuple[str, bool]:
@@ -136,28 +138,20 @@ def _les_entry(coker: PresentedGroup, coker_tag: str, ker: PresentedGroup,
     return ChartEntry(tuple(gens), exact=exact)
 
 
-def _blockwise_a(chart_list: list[Chart], d: Degree) -> IntMatrix:
+def _blockwise_a(charts: list[Chart], d: Degree) -> IntMatrix:
     """Direct-sum a-multiplication matrix out of degree d."""
+    mats = [mult_map(c, "a", d) for c in charts]
+    total_rows = sum(m.rows for m in mats)
     cols: list[list[int]] = []
-    row_offsets = []
     off = 0
-    mats = []
-    for c in chart_list:
-        m = mult_map(c, "a", d)
-        mats.append(m)
-        row_offsets.append(off)
+    for m in mats:
+        for col in m.columns():
+            cols.append([0] * off + col + [0] * (total_rows - off - m.rows))
         off += m.rows
-    total_rows = off
-    for ci, m in enumerate(mats):
-        for j in range(m.cols):
-            col = [0] * total_rows
-            for i in range(m.rows):
-                col[row_offsets[ci] + i] = m[i, j]
-            cols.append(col)
     return IntMatrix.from_columns(cols, total_rows)
 
 
-def _torsion_covered_by_a(charts: list[Chart], to_tate: dict[Degree, list[IntMatrix]],
+def _torsion_covered_by_a(sources: list[Chart], to_tate: Callable[[Degree], IntMatrix],
                           tate: Chart, ker: PresentedGroup, d: Degree) -> bool:
     """Do the order-2 kernel generators at d come from a-multiplication?
 
@@ -171,23 +165,12 @@ def _torsion_covered_by_a(charts: list[Chart], to_tate: dict[Degree, list[IntMat
     if any(ker.orders[j] != 2 for j in torsion_idx):
         return False
     up = (d[0], d[1] + 1)
-    for c in charts:
-        if not c.window.contains(up):
-            return False
-    mats = to_tate.get(up)
-    if mats is None:
+    if not all(c.window.contains(up) for c in sources):
         return False
-    combined = mats[0]
-    for m in mats[1:]:
-        combined = combined.hstack(m)
-    ker_up = presented_kernel(combined, _orders_concat(charts, up), tate.orders(up))
-    try:
-        amat = _blockwise_a([c for c in charts], up)
-        induced_cols = [ker.express(amat.apply(ker_up.gens.column(j)))
-                        for j in range(ker_up.gens.cols)]
-    except Exception:
-        return False
-    induced = IntMatrix.from_columns(induced_cols, len(ker.orders))
+    ker_up = presented_kernel(to_tate(up), _orders_concat(sources, up), tate.orders(up))
+    amat = _blockwise_a(sources, up)
+    induced = IntMatrix.from_columns([ker.express(amat.apply(col))
+                                      for col in ker_up.gens.columns()], len(ker.orders))
     for j in torsion_idx:
         target = [1 if i == j else 0 for i in range(len(ker.orders))]
         if not image_contains(induced, ker.orders, target):
@@ -211,81 +194,65 @@ def _labels_concat(charts: list[Chart], d: Degree) -> list[str]:
     return out
 
 
+def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix]],
+               tate: Chart, window: Window, name: str) -> Chart:
+    """Chart of the long exact sequence through the sum of sources -> tate.
+
+    At each degree of window the group sits between the cokernel of the
+    map one step to the right (integer direction) and its kernel at the
+    degree itself; a missing map is zero.  The attached a-multiplications
+    are blockwise along that filtration (the associated-graded action),
+    which is what the local-cohomology vanishing test consumes.
+    """
+    def to_tate(d: Degree) -> IntMatrix:
+        nt = len(tate.orders(d))
+        return reduce(IntMatrix.hstack,
+                      [maps.get(d, IntMatrix.zero(nt, len(c.orders(d))))
+                       for c, maps in zip(sources, maps_into_tate)])
+
+    entries: dict[Degree, ChartEntry] = {}
+    kers: dict[Degree, PresentedGroup] = {}
+    cokers: dict[Degree, PresentedGroup] = {}
+    for d in window.degrees():
+        right = (d[0] + 1, d[1])
+        ker = presented_kernel(to_tate(d), _orders_concat(sources, d), tate.orders(d))
+        coker = presented_cokernel(to_tate(right), tate.orders(right))
+        covered = False
+        if not coker.is_zero() and not ker.group.is_free():
+            covered = _torsion_covered_by_a(sources, to_tate, tate, ker, d)
+        entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,
+                           _labels_concat(sources, d), covered)
+        if entry:
+            entries[d] = entry
+            kers[d] = ker
+            cokers[d] = coker
+
+    amaps: dict[Degree, IntMatrix] = {}
+    for d, entry in entries.items():
+        down = (d[0], d[1] - 1)
+        if down not in entries:
+            continue
+        tker, tcoker = kers[down], cokers[down]
+        a_tate = mult_map(tate, "a", (d[0] + 1, d[1]))
+        a_src = _blockwise_a(sources, d)
+        cols = [tcoker.express(a_tate.apply(col)) + [0] * len(tker.orders)
+                for col in cokers[d].gens.columns()]
+        cols += [[0] * len(tcoker.orders) + tker.express(a_src.apply(col))
+                 for col in kers[d].gens.columns()]
+        amaps[d] = IntMatrix.from_columns(cols, len(entries[down].gens))
+    return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
+
+
 # ---------------------------------------------------------------------------
 # homotopy orbits
 # ---------------------------------------------------------------------------
 
 def homotopy_orbits(hfp: Chart, tate: Chart,
                     loc_maps: dict[Degree, IntMatrix]) -> Chart:
-    """Orbits from the long exact sequence through the localization map.
-
-    At each degree the group sits between the cokernel one step to the
-    right (integer direction) and the kernel at the degree itself.
-    The attached a-multiplications are blockwise along that filtration
-    (the associated-graded action), which is what the local-cohomology
-    vanishing test consumes.
-    """
+    """Orbits from the long exact sequence through the localization map."""
     w = hfp.window
     out_w = Window(w.xmin, w.xmax - 1, w.ymin, w.ymax - 1)
-    entries: dict[Degree, ChartEntry] = {}
-    to_tate = {d: [loc_maps.get(d, IntMatrix.zero(len(tate.orders(d)),
-                                                  len(hfp.orders(d))))]
-               for d in w.degrees()}
-    kers: dict[Degree, "object"] = {}
-    cokers: dict[Degree, "object"] = {}
-    for d in out_w.degrees():
-        right = (d[0] + 1, d[1])
-        ker = presented_kernel(to_tate[d][0], hfp.orders(d), tate.orders(d))
-        coker = presented_cokernel(to_tate[right][0], tate.orders(right))
-        covered = False
-        if not coker.is_zero() and not ker.group.is_free():
-            covered = _torsion_covered_by_a([hfp], to_tate, tate, ker, d)
-        entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,
-                           _labels_concat([hfp], d), covered)
-        if entry:
-            entries[d] = entry
-            kers[d] = ker
-            cokers[d] = coker
-    amaps = _filtration_a_maps(out_w, entries, kers, cokers,
-                               lambda d: _blockwise_a([hfp], d),
-                               lambda d: mult_map(tate, "a", (d[0] + 1, d[1])))
-    return Chart(name=hfp.name + "-orbits", window=out_w, entries=entries,
-                 maps={"a": amaps})
-
-
-def _filtration_a_maps(window: Window, entries, kers, cokers,
-                       a_on_sources, a_on_tate) -> dict[Degree, IntMatrix]:
-    """Blockwise a-multiplication on entries built as coker-then-kernel."""
-    amaps: dict[Degree, IntMatrix] = {}
-    for d, entry in entries.items():
-        down = (d[0], d[1] - 1)
-        if not window.contains(down):
-            continue
-        target = entries.get(down)
-        nt = len(target.gens) if target else 0
-        if nt == 0 or not entry.gens:
-            continue
-        ker, coker = kers[d], cokers[d]
-        tker = kers[down]
-        tcoker = cokers[down]
-        cols: list[list[int]] = []
-        ok = True
-        try:
-            at = a_on_tate(d)
-            for j in range(coker.gens.cols):
-                img = at.apply(coker.gens.column(j))
-                cc = tcoker.express(img)
-                cols.append(cc + [0] * len(tker.orders))
-            asrc = a_on_sources(d)
-            for j in range(ker.gens.cols):
-                img = asrc.apply(ker.gens.column(j))
-                kk = tker.express(img)
-                cols.append([0] * len(tcoker.orders) + kk)
-        except Exception:
-            ok = False
-        if ok:
-            amaps[d] = IntMatrix.from_columns(cols, nt)
-    return amaps
+    return _les_chart([hfp], [loc_maps], tate, out_w, hfp.name + "-orbits")
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +301,6 @@ def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
     return chart, phi_maps
 
 
-def geometric_fixed_points(tate: Chart, connective_certificate: bool) -> Chart:
-    return geometric_fixed_points_with_maps(tate, connective_certificate)[0]
-
-
 # ---------------------------------------------------------------------------
 # the genuine chart
 # ---------------------------------------------------------------------------
@@ -345,57 +308,22 @@ def geometric_fixed_points(tate: Chart, connective_certificate: bool) -> Chart:
 def assemble_genuine(hfp: Chart, tate: Chart, phi: Chart,
                      loc_maps: dict[Degree, IntMatrix],
                      phi_maps: dict[Degree, IntMatrix],
-                     window: Window, name: str,
-                     on_ambiguous: str = "flag") -> Chart:
+                     window: Window, name: str) -> Chart:
     """Mayer-Vietoris assembly over the pullback square.
 
-    Degreewise: the kernel of (hfp + phi -> tate) plus the cokernel one
-    step to the right.  Wherever both contribute, the entry is exact if
-    the kernel part is free or its order-2 generators are a-multiples;
-    otherwise it is flagged (or raised, with on_ambiguous="raise").
+    Degreewise: the kernel of (hfp + phi -> tate, by loc - phi) plus the
+    cokernel one step to the right.  Wherever both contribute, the entry
+    is exact if the kernel part is free or its order-2 generators are
+    a-multiples; otherwise it is flagged.
     """
     w = hfp.window
     if not (w.contains((window.xmin, window.ymin))
             and w.contains((window.xmax + 1, window.ymax + 1))):
         raise TatePipelineError("input charts need one degree of margin around the window")
-    entries: dict[Degree, ChartEntry] = {}
-
-    def combined_at(d: Degree) -> IntMatrix:
-        nt = len(tate.orders(d))
-        lm = loc_maps.get(d, IntMatrix.zero(nt, len(hfp.orders(d))))
-        pm = phi_maps.get(d, IntMatrix.zero(nt, len(phi.orders(d))))
-        neg = IntMatrix.from_rows([[-x for x in pm.row(i)] for i in range(pm.rows)]) \
-            if pm.rows else pm
-        return lm.hstack(neg)
-
-    to_tate = {d: [loc_maps.get(d, IntMatrix.zero(len(tate.orders(d)), len(hfp.orders(d)))),
-                   phi_maps.get(d, IntMatrix.zero(len(tate.orders(d)), len(phi.orders(d))))]
-               for d in w.degrees()}
-
-    kers: dict[Degree, PresentedGroup] = {}
-    cokers: dict[Degree, PresentedGroup] = {}
-    for d in window.degrees():
-        right = (d[0] + 1, d[1])
-        ker = presented_kernel(combined_at(d), _orders_concat([hfp, phi], d),
-                               tate.orders(d))
-        coker = presented_cokernel(combined_at(right), tate.orders(right))
-        covered = False
-        if not coker.is_zero() and not ker.group.is_free():
-            covered = _torsion_covered_by_a([hfp, phi], to_tate, tate, ker, d)
-        entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,
-                           _labels_concat([hfp, phi], d), covered)
-        if entry:
-            if not entry.exact and on_ambiguous == "raise":
-                raise TatePipelineError(
-                    f"extension ambiguity at {d}: kernel {ker.group} under "
-                    f"cokernel {coker.group}")
-            entries[d] = entry
-            kers[d] = ker
-            cokers[d] = coker
-    amaps = _filtration_a_maps(window, entries, kers, cokers,
-                               lambda d: _blockwise_a([hfp, phi], d),
-                               lambda d: mult_map(tate, "a", (d[0] + 1, d[1])))
-    return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
+    neg_phi_maps = {d: IntMatrix(m.rows, m.cols,
+                                 tuple(tuple(-x for x in row) for row in m.entries))
+                    for d, m in phi_maps.items()}
+    return _les_chart([hfp, phi], [loc_maps, neg_phi_maps], tate, window, name)
 
 
 def run_tate_square(hfp: Chart, connective: bool, window: Window,

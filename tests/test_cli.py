@@ -105,3 +105,14 @@ def test_paranoid_compute(tmp_path):
     out = tmp_path / "kr.chart"
     assert main(["compute", "--theory", "kr", "--pipeline", "bockstein",
                  "--window=-4..4", "--paranoid", "--output", str(out)]) == 0
+
+
+def test_bockstein_surviving_candidates_exit_1_without_traceback():
+    # windows reaching row 16 keep d_5 candidates between dual towers
+    code, out, err = run_cli("compute", "--theory", "kr", "--pipeline", "bockstein",
+                             "--window=-16..16")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: surviving higher differential candidates: ")
+    assert len(err.splitlines()) == 1

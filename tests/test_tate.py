@@ -2,11 +2,13 @@
 
 import pytest
 
-from roqcharts.exactalg import FgAbelian, IntMatrix
-from roqcharts.grading import Chart, ChartEntry, Generator, Window, SQUARE
+from roqcharts.exactalg import (FgAbelian, IntMatrix, presented_cokernel,
+                                presented_kernel)
+from roqcharts.grading import (Chart, ChartEntry, Generator, Window, SQUARE,
+                               mult_map)
 from roqcharts.tate import (StabilizationError, TatePipelineError,
-                            assemble_genuine, geometric_fixed_points,
-                            invert_a, _les_entry)
+                            assemble_genuine, geometric_fixed_points_with_maps,
+                            invert_a_with_maps, _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
 from roqcharts.chartio import diff
@@ -23,7 +25,7 @@ def single_class_chart(window=Window(-3, 3, -3, 3)):
 
 def test_invert_a_kills_nilpotent_chart():
     # one Z at the origin with zero a-multiplication inverts to nothing
-    tate = invert_a(single_class_chart())
+    tate = invert_a_with_maps(single_class_chart())[0]
     assert not tate.entries
 
 
@@ -34,7 +36,7 @@ def test_invert_a_is_a_periodic_and_idempotent():
         base = t.group((x, t.window.ymin))
         for y in range(t.window.ymin, t.window.ymax + 1):
             assert t.group((x, y)) == base
-    again = invert_a(t)
+    again = invert_a_with_maps(t)[0]
     assert all(again.group(d) == t.group(d) for d in again.window.degrees())
 
 
@@ -46,7 +48,7 @@ def test_invert_a_instability_error():
     amaps = {(0, y): IntMatrix.from_rows([[2]]) for y in range(-2, 1)}
     chart = Chart(name="bad", window=w, entries=entries, maps={"a": amaps})
     with pytest.raises(StabilizationError):
-        invert_a(chart)
+        invert_a_with_maps(chart)
 
 
 def test_localization_maps_hit_the_colimit():
@@ -83,13 +85,13 @@ def test_orbits_trivial_when_tate_vanishes():
 def test_geometric_fixed_points_requires_certificate():
     data = run_tate_pipeline(hz_seed(), Window.square(4), padding=2)
     with pytest.raises(TatePipelineError):
-        geometric_fixed_points(data.tate, False)
+        geometric_fixed_points_with_maps(data.tate, False)
 
 
 def test_geometric_fixed_points_requires_periodicity():
     from roqcharts.tate import NotPeriodicError
     with pytest.raises(NotPeriodicError):
-        geometric_fixed_points(single_class_chart(), True)
+        geometric_fixed_points_with_maps(single_class_chart(), True)
 
 
 def test_phi_integer_line_connective():
@@ -137,4 +139,49 @@ def test_round_trip_both_theories():
 def test_local_cohomology_vanishing():
     for seed in (hz_seed(), kr_seed()):
         data = run_tate_pipeline(seed, Window.square(6), padding=2)
-        assert not invert_a(data.orbits).entries
+        assert not invert_a_with_maps(data.orbits)[0].entries
+
+
+def a_map_mismatches(chart, reference):
+    """Degrees where ker(a) or coker(a) differ as groups between two charts.
+
+    Basis-free: the two charts may choose different generators, so only
+    the groups the a-multiplication cuts out are compared.
+    """
+    bad = []
+    for d in chart.window.degrees():
+        down = (d[0], d[1] - 1)
+        if not chart.window.contains(down):
+            continue
+        groups = []
+        for c in (chart, reference):
+            m = mult_map(c, "a", d)
+            groups.append((presented_kernel(m, c.orders(d), c.orders(down)).group,
+                           presented_cokernel(m, c.orders(down)).group))
+        if groups[0] != groups[1]:
+            bad.append(d)
+    return bad
+
+
+@pytest.fixture(scope="module")
+def genuine_and_closed_8():
+    w = Window.square(8)
+    return {"hz": (run_tate_pipeline(hz_seed(), w, padding=2).genuine, closed_form_hz(w)),
+            "kr": (run_tate_pipeline(kr_seed(), w, padding=2).genuine, closed_form_kr(w))}
+
+
+@pytest.mark.parametrize("theory", ["hz", "kr"])
+def test_genuine_a_maps_match_closed_form(genuine_and_closed_8, theory):
+    genuine, closed = genuine_and_closed_8[theory]
+    assert genuine.maps["a"]
+    assert a_map_mismatches(genuine, closed) == []
+
+
+def test_genuine_a_map_check_reports_corrupted_degree(genuine_and_closed_8):
+    genuine, closed = genuine_and_closed_8["hz"]
+    d = (0, 0)
+    good = mult_map(genuine, "a", d)
+    assert not good.is_zero()
+    corrupted = Chart(name=genuine.name, window=genuine.window, entries=genuine.entries,
+                      maps={"a": {**genuine.maps["a"], d: IntMatrix.zero(good.rows, good.cols)}})
+    assert a_map_mismatches(corrupted, closed) == [d]
