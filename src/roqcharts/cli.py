@@ -39,13 +39,18 @@ def _parse_window(spec: str) -> Window:
         return int(lo), int(hi)
 
     parts = spec.split(",")
-    if len(parts) == 1:
-        lo, hi = span(parts[0])
-        return Window(lo, hi, lo, hi)
-    if len(parts) == 2:
-        (xlo, xhi), (ylo, yhi) = span(parts[0]), span(parts[1])
-        return Window(xlo, xhi, ylo, yhi)
-    raise ValueError(f"bad window {spec!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"bad window {spec!r}")
+    (xlo, xhi), (ylo, yhi) = span(parts[0]), span(parts[-1])
+    if xlo > xhi or ylo > yhi:
+        raise ValueError(f"empty window {spec!r}")
+    return Window(xlo, xhi, ylo, yhi)
+
+
+def _padding(s: str) -> int:
+    if not s.lstrip("-").isdigit() or int(s) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {s!r}")
+    return int(s)
 
 
 def _seed(theory: str):
@@ -101,90 +106,62 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _verify_gap(window: Window, report) -> bool:
-    ok = True
+def _verify_closed(title: str, check, window: Window, report) -> None:
     for name, chart in (("hz", closed_form_hz(window)),
                         ("kr", closed_form_kr(window))):
-        rep = gap_check(chart)
-        report(f"gap {name}", rep.passed,
+        rep = check(chart)
+        report(f"{title} {name}", rep.passed,
                "" if rep.passed else f"violations {rep.violations[:3]}")
-        ok = ok and rep.passed
-    return ok
 
 
-def _verify_connectivity(window: Window, report) -> bool:
-    ok = True
-    for name, chart in (("hz", closed_form_hz(window)),
-                        ("kr", closed_form_kr(window))):
-        rep = connectivity_check(chart)
-        report(f"connectivity {name}", rep.passed,
-               "" if rep.passed else f"violations {rep.violations[:3]}")
-        ok = ok and rep.passed
+def _verify_connectivity(window: Window, report) -> None:
+    _verify_closed("connectivity", connectivity_check, window, report)
     # negative control: an a-periodic chart must fail the first clause
     tate = run_tate_pipeline(hz_seed(), Window(-4, 4, -4, 4), padding=2).tate
     rep = connectivity_check(tate)
     report("connectivity negative control (tate chart fails)", not rep.passed, "")
-    return ok and not rep.passed
 
 
-def _verify_cross(window: Window, padding: int, report) -> bool:
-    ok = True
+def _verify_cross(window: Window, padding: int, report) -> None:
+    def compare(name: str, chart, closed, candidates: list) -> None:
+        rep = chart_diff(chart, closed)
+        clean = rep.clean and not candidates
+        report(name, clean, "" if clean else rep.summary().splitlines()[0])
+
     closed_hz = closed_form_hz(window)
-    cells = cellular_chart_hz(window)
-    rep = chart_diff(cells, closed_hz)
-    report("hz cells == closed", rep.clean,
-           "" if rep.clean else rep.summary().splitlines()[0])
-    ok = ok and rep.clean
-    tate_hz = run_tate_pipeline(hz_seed(), window, padding=padding).genuine
-    rep = chart_diff(tate_hz, closed_hz)
-    report("hz tate == closed", rep.clean,
-           "" if rep.clean else rep.summary().splitlines()[0])
-    ok = ok and rep.clean
+    compare("hz cells == closed", cellular_chart_hz(window), closed_hz, [])
+    compare("hz tate == closed",
+            run_tate_pipeline(hz_seed(), window, padding=padding).genuine, closed_hz, [])
     closed_kr = closed_form_kr(window)
-    tate_kr = run_tate_pipeline(kr_seed(), window, padding=padding).genuine
-    rep = chart_diff(tate_kr, closed_kr)
-    report("kr tate == closed", rep.clean,
-           "" if rep.clean else rep.summary().splitlines()[0])
-    ok = ok and rep.clean
+    compare("kr tate == closed",
+            run_tate_pipeline(kr_seed(), window, padding=padding).genuine, closed_kr, [])
     bss = run_bockstein(window, padding=padding)
-    rep = chart_diff(bss.chart, closed_kr)
-    clean = rep.clean and not bss.candidates
-    report("kr bockstein == closed", clean,
-           "" if clean else rep.summary().splitlines()[0])
-    ok = ok and clean
+    compare("kr bockstein == closed", bss.chart, closed_kr, bss.candidates)
     rows = all(quotient_row_check(n) for n in range(1, max(2, window.ymax)))
     report("hz quotient rows", rows, "")
-    return ok and rows
 
 
-def _verify_axes(window: Window, padding: int, report) -> bool:
-    ok = True
+def _verify_axes(window: Window, padding: int, report) -> None:
     hz = run_tate_pipeline(hz_seed(), window, padding=padding)
     neg = [str(hz.hfp.group((x, 0))) for x in range(0, -7, -1)]
     want = ["Z", "0", "Z/2", "0", "Z/2", "0", "Z/2"]
     report("hz fixed-point negative axis Z,0,Z/2,...", neg == want, str(neg))
-    ok = ok and neg == want
     kr = run_tate_pipeline(kr_seed(), window, padding=padding)
     pos = [str(kr.hfp.group((x, 0))) for x in range(0, 9)]
     want_ko = ["Z", "Z/2", "Z/2", "0", "Z", "0", "0", "0", "Z"]
     report("kr fixed-point positive axis = ko", pos == want_ko, str(pos))
-    ok = ok and pos == want_ko
     negk = [str(kr.hfp.group((x, 0))) for x in range(0, -9, -1)]
     want_y = ["Z", "0", "0", "0", "Z/2", "0", "0", "0", "Z/2"]
     report("kr fixed-point negative axis, codegree 4", negk == want_y, str(negk))
-    ok = ok and negk == want_y
     for name, data, step in (("hz", hz, 2), ("kr", kr, 4)):
         t = data.tate
         good = all((t.group(d) == t.group((0, 0)) if d[0] % step == 0
                     else t.group(d).is_zero()) for d in t.window.degrees())
         report(f"{name} tate periodic pattern", good, "")
-        ok = ok and good
         p = data.phi
         goodp = all((not p.group(d).is_zero()) == (d[0] >= 0 and d[0] % step == 0)
                     for d in p.window.degrees())
         report(f"{name} geometric fixed points pattern", goodp, "")
-        ok = ok and goodp
-    return ok
 
 
 def cmd_verify(args) -> int:
@@ -202,7 +179,7 @@ def cmd_verify(args) -> int:
 
     scope = args.scope
     if scope in ("all", "gap"):
-        _verify_gap(window, report)
+        _verify_closed("gap", gap_check, window, report)
     if scope in ("all", "connectivity"):
         _verify_connectivity(window, report)
     if scope in ("all", "cross"):
@@ -255,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pipeline", choices=("cells", "tate", "bockstein", "closed"),
                    required=True)
     c.add_argument("--window", default="-12..12")
-    c.add_argument("--padding", type=int, default=4)
+    c.add_argument("--padding", type=_padding, default=4)
     c.add_argument("--threads", type=int, default=1)
     c.add_argument("--paranoid", action="store_true",
                    help="recompute with doubled padding and require identity")
@@ -265,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("scope", choices=("all", "gap", "connectivity", "cross", "axes"))
     v.add_argument("--window", default="-12..12")
-    v.add_argument("--padding", type=int, default=4)
+    v.add_argument("--padding", type=_padding, default=4)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="render a chart document")

@@ -140,9 +140,6 @@ class SmithForm:
         n = min(self.diag.rows, self.diag.cols)
         return [self.diag[i, i] for i in range(n)]
 
-    def invariant_factors(self) -> list[int]:
-        return [d for d in self.diagonal() if d != 0]
-
 
 _SNF_CACHE: dict[tuple, SmithForm] = {}
 

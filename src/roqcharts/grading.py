@@ -103,9 +103,6 @@ class ChartEntry:
     def orders(self) -> tuple[int, ...]:
         return tuple(g.order for g in self.gens)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.gens)
-
 
 @dataclass
 class Chart:
@@ -130,12 +127,6 @@ class Chart:
     def is_exact(self, d: Degree) -> bool:
         e = self.entries.get(d)
         return e.exact if e is not None else True
-
-    def nonzero_degrees(self) -> list[Degree]:
-        return sorted(self.entries)
-
-    def map_names(self) -> list[str]:
-        return sorted(self.maps)
 
 
 def mult_map(chart: Chart, name: str, d: Degree) -> IntMatrix:

@@ -101,10 +101,6 @@ class Presentation:
             b += e * g.tridegree[2]
         return (s, t, b)
 
-    def shadow_of(self, mono: Mono) -> Degree:
-        s, t, b = self.tridegree_of(mono)
-        return (s + t, b)
-
     def mono_str(self, mono: Mono, coeff: int = 1) -> str:
         parts = []
         if coeff not in (1,):

@@ -10,8 +10,9 @@ Extension handling: an entry assembled from a nonzero kernel and a
 nonzero cokernel is determined exactly when the kernel part is free
 (free quotients split) or when each order-2 kernel generator is a
 multiple of a; in the latter case a lift of the form a*x satisfies
-2(a*x) = (2a)x = 0, so the extension splits there too.  Anything else
-is reported up to extension and flagged on the entry.
+2(a*x) = (2a)x = 0, so the extension splits there too
+(`torsion_split_by_a`, which the Bockstein run uses as well).  Anything
+else is reported up to extension and flagged on the entry.
 """
 
 from __future__ import annotations
@@ -151,31 +152,24 @@ def _blockwise_a(charts: list[Chart], d: Degree) -> IntMatrix:
     return IntMatrix.from_columns(cols, total_rows)
 
 
-def _torsion_covered_by_a(sources: list[Chart], to_tate: Callable[[Degree], IntMatrix],
-                          tate: Chart, ker: PresentedGroup, d: Degree) -> bool:
-    """Do the order-2 kernel generators at d come from a-multiplication?
+def torsion_split_by_a(orders: tuple[int, ...],
+                       induced_a: Callable[[], IntMatrix | None]) -> bool:
+    """Is every torsion generator of order 2 and in the image of a?
 
-    A kernel class that is a times something lifts to a class a*x with
-    2(a*x) = 0, which is what splits the extension; only order-2 torsion
-    can be certified this way.
+    The one extension-splitting rule of the Tate square and the Bockstein
+    run (see the module docstring).  induced_a gives the a-map into the
+    group with the given generator orders, or None when its source is out
+    of reach; it is only called when there is torsion to cover.
     """
-    torsion_idx = [j for j, o in enumerate(ker.orders) if o]
-    if not torsion_idx:
+    torsion = [j for j, o in enumerate(orders) if o]
+    if any(orders[j] != 2 for j in torsion):
+        return False
+    if not torsion:
         return True
-    if any(ker.orders[j] != 2 for j in torsion_idx):
-        return False
-    up = (d[0], d[1] + 1)
-    if not all(c.window.contains(up) for c in sources):
-        return False
-    ker_up = presented_kernel(to_tate(up), _orders_concat(sources, up), tate.orders(up))
-    amat = _blockwise_a(sources, up)
-    induced = IntMatrix.from_columns([ker.express(amat.apply(col))
-                                      for col in ker_up.gens.columns()], len(ker.orders))
-    for j in torsion_idx:
-        target = [1 if i == j else 0 for i in range(len(ker.orders))]
-        if not image_contains(induced, ker.orders, target):
-            return False
-    return True
+    induced = induced_a()
+    return induced is not None and all(
+        image_contains(induced, orders, [int(i == j) for i in range(len(orders))])
+        for j in torsion)
 
 
 def _orders_concat(charts: list[Chart], d: Degree) -> tuple[int, ...]:
@@ -210,6 +204,16 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
                       [maps.get(d, IntMatrix.zero(nt, len(c.orders(d))))
                        for c, maps in zip(sources, maps_into_tate)])
 
+    def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
+        """a from the kernel one step up into ker, in its generators."""
+        up = (d[0], d[1] + 1)
+        if not all(c.window.contains(up) for c in sources):
+            return None
+        ker_up = presented_kernel(to_tate(up), _orders_concat(sources, up), tate.orders(up))
+        amat = _blockwise_a(sources, up)
+        return IntMatrix.from_columns([ker.express(amat.apply(col))
+                                       for col in ker_up.gens.columns()], len(ker.orders))
+
     entries: dict[Degree, ChartEntry] = {}
     kers: dict[Degree, PresentedGroup] = {}
     cokers: dict[Degree, PresentedGroup] = {}
@@ -217,9 +221,8 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
         right = (d[0] + 1, d[1])
         ker = presented_kernel(to_tate(d), _orders_concat(sources, d), tate.orders(d))
         coker = presented_cokernel(to_tate(right), tate.orders(right))
-        covered = False
-        if not coker.is_zero() and not ker.group.is_free():
-            covered = _torsion_covered_by_a(sources, to_tate, tate, ker, d)
+        covered = not coker.is_zero() and torsion_split_by_a(
+            ker.orders, lambda: a_into_kernel(d, ker))
         entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,
                            _labels_concat(sources, d), covered)
         if entry:

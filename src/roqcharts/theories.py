@@ -11,17 +11,19 @@ chart checkers (gap and connectivity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import chartio
-from .exactalg import FgAbelian, has_nonzero_hom
+from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
+                       map_is_iso, presented_cokernel, presented_kernel)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, SQUARE, ChartError, hz_summands, mult_map)
+                      DOT, MAP_DEGREES, SQUARE, ChartError, hz_degree,
+                      hz_generator, hz_map_image, hz_summands, mult_map)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart, find_candidates,
-                      page_from_presentation, set_differential, turn_page)
-from .tate import TateSquareData, run_tate_square
-from .exactalg import map_is_iso
+                      page_from_presentation, rule_shift, set_differential,
+                      turn_page)
+from .tate import TateSquareData, run_tate_square, torsion_split_by_a
 
 
 class TheoryError(Exception):
@@ -159,7 +161,6 @@ def hfpss_collapse_certificates(seed: TheorySeed, window: Window,
     the final page for every later shape up to r_cap.  All lists must
     come back empty; nothing is assumed collapsed without this search.
     """
-    from .specseq import rule_shift
     shapes = [rule_shift(seed.presentation, rule)[0] for rule in seed.rules]
     if shapes != sorted(shapes):
         raise TheoryError("differential rounds must come in increasing shape")
@@ -223,29 +224,75 @@ def theta_apply(desc: tuple) -> tuple | None:
     raise TheoryError(f"unknown generator {desc!r}")
 
 
+def _is_stub_top(desc: tuple) -> bool:
+    """The top of an odd stub: absorbed into its index-2 partner one floor
+    up, a hidden extension that the floor homology cannot see."""
+    return desc[0] == "utow" and desc[1] % 2 == 1 and desc[2] == 2 * desc[1] + 3
+
+
+def _hz_matrix(p: Degree, shift: Degree, image) -> IntMatrix:
+    """A map out of the closed-form hz entry at p into the one at
+    p + shift, from each generator's image as (descriptor, coefficient)
+    pairs."""
+    dst = hz_summands(p[0] + shift[0], p[1] + shift[1])
+    cols = []
+    for desc in hz_summands(*p):
+        col = [0] * len(dst)
+        for img, coeff in image(desc):
+            if img not in dst:
+                raise TheoryError(f"{desc!r} maps to {img!r}, "
+                                  f"not a summand at {p} + {shift}")
+            col[dst.index(img)] += coeff
+        cols.append(col)
+    return IntMatrix.from_columns(cols, len(dst))
+
+
+def _theta_matrix(p: Degree) -> IntMatrix:
+    return _hz_matrix(p, THETA_DEGREE,
+                      lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+
+
+def _hz_orders(p: Degree) -> tuple[int, ...]:
+    return tuple(hz_generator(desc).order for desc in hz_summands(*p))
+
+
+def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
+    """The collapsed Bockstein group on one floor at base degree p.
+
+    The first differential is theta pushed up one floor, so floor 0
+    keeps ker(theta out of p) and every higher floor also divides by
+    im(theta into p).  Generators are in the hz coordinates at p.
+    """
+    orders = _hz_orders(p)
+    ker = presented_kernel(_theta_matrix(p), orders,
+                           _hz_orders((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1])))
+    if floor == 0:
+        return ker
+    into = _theta_matrix((p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1]))
+    hom = presented_cokernel(IntMatrix.from_columns(
+        [ker.express(col) for col in into.columns()], len(ker.orders)), ker.orders)
+    gens = IntMatrix.from_columns([ker.gens.apply(col) for col in hom.gens.columns()],
+                                  len(orders))
+    return PresentedGroup(len(orders), gens, hom.orders, ker.rels.hstack(into),
+                          hom.group)
+
+
 @dataclass(frozen=True)
 class BssClass:
     """One surviving class on a Bockstein floor.
 
     index2 marks the infinite cyclic classes surviving as twice the
     first-page generator (the large circles of the collapsed display).
+    The order is left out of the repr, which names the class by floor
+    and descriptor alone.
     """
 
     floor: int
     desc: tuple
     index2: bool
-
-    @property
-    def order(self) -> int:
-        return 0 if self.desc[0] in ("usq", "ucirc") else 2
-
-    def total_degree(self) -> Degree:
-        from .grading import hz_degree
-        x, y = hz_degree(self.desc)
-        return (x + self.floor, y + self.floor)
+    order: int = field(repr=False)
 
     def label(self) -> str:
-        from .grading import hz_generator
         base = hz_generator(self.desc).label
         vh = "" if self.floor == 0 else ("vh" if self.floor == 1 else f"vh^{self.floor}")
         if base == "1":
@@ -256,59 +303,55 @@ class BssClass:
 
 
 def bss_floor_survivors(floor: int, p: Degree) -> list[BssClass]:
-    """Classes of the collapsed Bockstein page on one floor at one
-    base degree, straight from the kernel/image combinatorics of the
-    theta differential."""
+    """Classes of the collapsed Bockstein page on one floor at one base
+    degree: one per generator of the theta-homology there, named by the
+    hz generator it is a multiple of."""
+    descs = hz_summands(*p)
+    group = _theta_homology(floor, p)
     out = []
-    for desc in hz_summands(p[0], p[1]):
-        kind = desc[0]
-        if kind == "usq":
-            out.append(BssClass(floor, desc, desc[1] % 2 == 1))
-        elif kind == "ucirc":
-            out.append(BssClass(floor, desc, False))
-        elif kind == "ucol":
-            k, j = desc[1], desc[2]
-            if j % 2 == 1:
-                continue  # not a cycle
-            if floor == 0 or k <= 2:
-                out.append(BssClass(floor, desc, False))
-        elif kind == "utow":
-            j, y = desc[1], desc[2]
-            if j % 2 == 1:
-                if y <= 2 * j + 3:
-                    out.append(BssClass(floor, desc, False))
-            elif floor == 0:
-                out.append(BssClass(floor, desc, False))
+    for gen, order in zip(group.gens.columns(), group.orders):
+        i, coeff = next((i, c) for i, c in enumerate(gen) if c)
+        out.append(BssClass(floor, descs[i], order == 0 and abs(coeff) == 2, order))
     return out
 
 
-def _is_stub_top(desc: tuple) -> bool:
-    return desc[0] == "utow" and desc[1] % 2 == 1 and desc[2] == 2 * desc[1] + 3
+def _splits_on_floor(floor: int, p: Degree) -> bool:
+    """The Tate side's splitting rule on one floor: the torsion at p
+    must be a-multiples of the classes on the same floor at p + (0, 1)."""
+    here = _theta_homology(floor, p)
+    up = (p[0], p[1] + 1)
+
+    def induced_a() -> IntMatrix:
+        amat = _hz_matrix(up, MAP_DEGREES["a"], lambda desc: hz_map_image("a", desc))
+        return IntMatrix.from_columns(
+            [here.express(amat.apply(col))
+             for col in _theta_homology(floor, up).gens.columns()], len(here.orders))
+    return torsion_split_by_a(here.orders, induced_a)
 
 
-def _has_a_preimage_on_floor(cls: BssClass) -> bool:
-    """Whether the class is an a-multiple on its own floor at the
-    collapsed page; with 2a = 0 this certifies an order-2 lift and
-    hence a split extension wherever the class tops a filtration."""
-    kind = cls.desc[0]
-    if kind == "ucol":
-        k, j = cls.desc[1], cls.desc[2]
-        if k == 1:
-            return True  # image of the square above
-        up = ("ucol", k - 1, j)
-        return any(c.desc == up for c in
-                   bss_floor_survivors(cls.floor, _desc_degree(up)))
-    if kind == "utow":
-        j, y = cls.desc[1], cls.desc[2]
-        up = ("utow", j, y + 1)
-        return any(c.desc == up for c in
-                   bss_floor_survivors(cls.floor, _desc_degree(up)))
-    return False
+def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]:
+    """Every surviving class of floors 0..floors whose total degree lies
+    in window or one column left of it, keyed by total degree with the
+    floors ascending.
 
-
-def _desc_degree(desc: tuple) -> Degree:
-    from .grading import hz_degree
-    return hz_degree(desc)
+    A floor group depends on its floor only through whether the floor is
+    0, so each nonzero base degree p is computed twice and spread along
+    its diagonal of total degrees p + (s, s).
+    """
+    w = Window(window.xmin - 1, window.xmax, window.ymin, window.ymax)
+    table: dict[Degree, list[BssClass]] = {}
+    for p in Window(w.xmin - floors, w.xmax, w.ymin - floors, w.ymax).degrees():
+        lo = max(0, w.xmin - p[0], w.ymin - p[1])
+        hi = min(floors, w.xmax - p[0], w.ymax - p[1])
+        if lo > hi or not hz_summands(*p):
+            continue
+        ground, upper = bss_floor_survivors(0, p), bss_floor_survivors(1, p)
+        for s in range(lo, hi + 1):
+            table.setdefault((p[0] + s, p[1] + s), []).extend(
+                replace(cls, floor=s) for cls in (upper if s else ground))
+    for classes in table.values():
+        classes.sort(key=lambda cls: cls.floor)
+    return table
 
 
 @dataclass
@@ -324,14 +367,17 @@ def run_bockstein(window: Window, padding: int = 4,
     """The Real K-theory chart from the integral theory and theta.
 
     Floors are copies of the integral chart shifted along the diagonal;
-    the first differential is theta pushed up one floor.  The collapsed
-    floors are assembled by total degree, with the top class of each
-    odd stub absorbed into the infinite cyclic class one floor up (its
-    index-2 partner), and every extension split via a-divisibility and
-    2a = 0.  Higher differentials are not assumed away: every surviving
-    class is searched against every later differential shape, and any
-    possible hit is reported as a hard error by the caller.
+    the first differential is theta pushed up one floor, and each floor
+    is its theta-homology.  The collapsed floors are assembled by total
+    degree, with the top class of each odd stub absorbed into the
+    infinite cyclic class one floor up (its index-2 partner), and every
+    extension split by the Tate side's a-divisibility rule.  Higher
+    differentials are not assumed away: every surviving class is
+    searched against every later differential shape, and any possible
+    hit is reported as a hard error by the caller.
     """
+    if padding < 0:
+        raise TheoryError("the Bockstein run needs a non-negative padding")
     floors = window.xmax + window.ymax + padding
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
@@ -340,34 +386,31 @@ def run_bockstein(window: Window, padding: int = 4,
     if theta_ok_checked:
         raise TheoryError(f"theta law violations: {theta_ok_checked[:3]}")
 
+    table = _survivor_table(window, floors)
     for d in window.degrees():
         gens: list[Generator] = []
         flagged = False
-        contributions: list[BssClass] = []
-        for s in range(0, floors + 1):
-            p = (d[0] - s, d[1] - s)
-            contributions.extend(bss_floor_survivors(s, p))
+        contributions = table.get(d, [])
         for cls in contributions:
             if _is_stub_top(cls.desc):
                 absorbed.append((d, cls))
                 continue
-            if cls.order == 2 and len(contributions) > 1:
-                if not _has_a_preimage_on_floor(cls):
-                    flagged = True
+            base = (d[0] - cls.floor, d[1] - cls.floor)
+            if len(contributions) > 1 and not _splits_on_floor(cls.floor, base):
+                flagged = True
             annot = DOT if cls.order else (CIRCLE if cls.index2 else SQUARE)
             gens.append(Generator(cls.label(), annot, cls.order))
         if gens:
             entries[d] = ChartEntry(tuple(gens), exact=not flagged)
 
     chart = Chart(name="kr-bockstein", window=window, entries=entries, maps={})
-    candidates = bss_higher_candidates(window, floors, r_cap)
+    candidates = bss_higher_candidates(window, table, r_cap)
     return BocksteinResult(floors=floors, chart=chart, absorbed=absorbed,
                            candidates=candidates)
 
 
 def _theta_laws(window: Window, floors: int) -> list[str]:
     """theta has exact degree -(2,1) and squares to zero, everywhere."""
-    from .grading import hz_degree
     bad = []
     for d in window.degrees():
         for desc in hz_summands(d[0], d[1]):
@@ -384,22 +427,24 @@ def _theta_laws(window: Window, floors: int) -> list[str]:
     return bad
 
 
-def bss_higher_candidates(window: Window, floors: int, r_cap: int):
-    """Surviving source/target pairs a later differential could connect."""
+def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]],
+                          r_cap: int):
+    """Surviving source/target pairs a later differential could connect.
+
+    A d_r lowers the total degree by (1, 0) and raises the floor by r,
+    so the targets of a class at d in window are the classes of the
+    survivor table at d - (1, 0) between 2 and r_cap floors above it.
+    """
     out = []
     for d in window.degrees():
-        for s in range(0, floors + 1):
-            p = (d[0] - s, d[1] - s)
-            for cls in bss_floor_survivors(s, p):
-                src_group = FgAbelian.from_orders([cls.order])
-                for r in range(2, r_cap + 1):
-                    if s + r > floors:
-                        break
-                    q = (p[0] - (r + 1), p[1] - r)
-                    for tgt in bss_floor_survivors(s + r, q):
-                        if has_nonzero_hom(src_group,
-                                           FgAbelian.from_orders([tgt.order])):
-                            out.append((r, d, cls, tgt))
+        targets = table.get((d[0] - 1, d[1]), [])
+        for cls in table.get(d, []):
+            src_group = FgAbelian.from_orders([cls.order])
+            for tgt in targets:
+                r = tgt.floor - cls.floor
+                if 2 <= r <= r_cap and has_nonzero_hom(
+                        src_group, FgAbelian.from_orders([tgt.order])):
+                    out.append((r, d, cls, tgt))
     return out
 
 
@@ -422,9 +467,7 @@ def sss_entry_e1(n: int, s: int) -> FgAbelian:
     if (n + s) % 2 or s < 0 or (n + s) // 2 < 0:
         return FgAbelian.zero()
     k = (n + s) // 2
-    descs = hz_summands(k - s, -k)
-    return FgAbelian.from_orders(
-        [0 if dd[0] in ("usq", "ucirc") else 2 for dd in descs])
+    return FgAbelian.from_orders(_hz_orders((k - s, -k)))
 
 
 def sss_entry_einf(n: int, s: int) -> FgAbelian:
@@ -432,22 +475,7 @@ def sss_entry_einf(n: int, s: int) -> FgAbelian:
     if (n + s) % 2 or s < 0 or (n + s) // 2 < 0:
         return FgAbelian.zero()
     k = (n + s) // 2
-    survivors = bss_floor_survivors(k, (k - s, -k))
-    return FgAbelian.from_orders([c.order for c in survivors])
-
-
-def slice_extract(n_range: tuple[int, int], s_range: tuple[int, int],
-                  collapsed: bool = True) -> dict[tuple[int, int], FgAbelian]:
-    """The integer-graded slice table over a rectangle of Adams
-    coordinates: nonzero entries only, at the first page or collapsed."""
-    entry = sss_entry_einf if collapsed else sss_entry_e1
-    out: dict[tuple[int, int], FgAbelian] = {}
-    for n in range(n_range[0], n_range[1] + 1):
-        for s in range(s_range[0], s_range[1] + 1):
-            g = entry(n, s)
-            if not g.is_zero():
-                out[(n, s)] = g
-    return out
+    return _theta_homology(k, (k - s, -k)).group
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,30 @@ def test_bockstein_surviving_candidates_exit_1_without_traceback():
     assert "Traceback" not in err
     assert err.startswith("error: surviving higher differential candidates: ")
     assert len(err.splitlines()) == 1
+
+
+def _assert_usage_error(*args):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_empty_window_is_usage_error():
+    _assert_usage_error("compute", "--theory", "hz", "--pipeline", "closed",
+                        "--window=5..1")
+
+
+def test_tate_padding_zero_is_usage_error():
+    _assert_usage_error("compute", "--theory", "hz", "--pipeline", "tate",
+                        "--padding", "0", "--window=-2..2")
+
+
+def test_verify_padding_zero_is_usage_error():
+    _assert_usage_error("verify", "cross", "--padding", "0", "--window=-3..3")
+
+
+def test_bockstein_negative_padding_is_usage_error():
+    _assert_usage_error("compute", "--theory", "kr", "--pipeline", "bockstein",
+                        "--padding", "-50", "--window=-2..2")

@@ -8,7 +8,8 @@ from roqcharts.grading import (Chart, ChartEntry, Generator, Window, SQUARE,
                                mult_map)
 from roqcharts.tate import (StabilizationError, TatePipelineError,
                             assemble_genuine, geometric_fixed_points_with_maps,
-                            invert_a_with_maps, _les_entry)
+                            invert_a_with_maps, torsion_split_by_a,
+                            _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
 from roqcharts.chartio import diff
@@ -125,6 +126,20 @@ def test_les_entry_flags_unresolvable_extension():
     assert not entry.exact
     entry2 = _les_entry(coker, "tow", ker, ["g"], ker_torsion_covered=True)
     assert entry2.exact
+
+
+def test_torsion_split_by_a():
+    def unreachable():
+        raise AssertionError("a free group needs no a-map")
+    assert torsion_split_by_a((0,), unreachable)
+    assert torsion_split_by_a((), unreachable)
+    one = IntMatrix.from_rows([[1]])
+    assert torsion_split_by_a((2,), lambda: one)
+    assert torsion_split_by_a((0, 2), lambda: IntMatrix.from_rows([[0], [1]]))
+    assert not torsion_split_by_a((2,), lambda: IntMatrix.from_rows([[2]]))
+    assert not torsion_split_by_a((2,), lambda: IntMatrix.zero(1, 0))
+    assert not torsion_split_by_a((2,), lambda: None)
+    assert not torsion_split_by_a((4,), lambda: one)
 
 
 def test_round_trip_both_theories():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from roqcharts import theories
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Window, closed_form_hz, closed_form_kr,
-                               hz_degree)
+                               hz_degree, hz_summands)
 from roqcharts.chartio import diff, parse_seed, serialize_seed
 from roqcharts.theories import (TheoryError, bss_floor_survivors,
                                 bss_to_sss, connectivity_check, gap_check,
@@ -136,6 +137,61 @@ def test_bockstein_floor_zero_keeps_even_towers():
     assert ("utow", 2, 9) in full
     gone = [c.desc for c in bss_floor_survivors(1, (-5, 9))]
     assert ("utow", 2, 9) not in gone
+
+
+def test_bockstein_rejects_negative_padding():
+    with pytest.raises(TheoryError):
+        run_bockstein(Window.square(2), padding=-1)
+
+
+def _hand_floor_survivors(floor, p):
+    """The kernel/image combinatorics of theta, transcribed by hand per
+    descriptor kind: the reference the computed floors must match."""
+    out = []
+    for desc in hz_summands(p[0], p[1]):
+        kind = desc[0]
+        if kind == "usq":
+            out.append((desc, desc[1] % 2 == 1, 0))
+        elif kind == "ucirc":
+            out.append((desc, False, 0))
+        elif kind == "ucol":
+            k, j = desc[1], desc[2]
+            if j % 2 == 1:
+                continue  # not a cycle
+            if floor == 0 or k <= 2:
+                out.append((desc, False, 2))
+        elif kind == "utow":
+            j, y = desc[1], desc[2]
+            if j % 2 == 1:
+                if y <= 2 * j + 3:
+                    out.append((desc, False, 2))
+            elif floor == 0:
+                out.append((desc, False, 2))
+    return out
+
+
+def test_floor_homology_matches_hand_rules():
+    w = Window.square(40)
+    for floor in range(0, 31):
+        for p in w.degrees():
+            got = [(c.desc, c.index2, c.order)
+                   for c in bss_floor_survivors(floor, p)]
+            assert got == _hand_floor_survivors(floor, p), (floor, p)
+
+
+def test_floors_follow_theta(monkeypatch):
+    # make the odd tower class t(1,7) a cycle: it must survive at its base
+    # degree on every floor, and the chart must stop matching the closed form
+    w = Window.square(8)
+    p = hz_degree(("utow", 1, 7))
+    assert not bss_floor_survivors(0, p)
+    assert diff(run_bockstein(w).chart, closed_form_kr(w)).clean
+    real = theories.theta_apply
+    monkeypatch.setattr(theories, "theta_apply",
+                        lambda desc: None if desc == ("utow", 1, 7) else real(desc))
+    for floor in (0, 1, 5):
+        assert [c.desc for c in bss_floor_survivors(floor, p)] == [("utow", 1, 7)]
+    assert not diff(run_bockstein(w).chart, closed_form_kr(w)).clean
 
 
 # ---------------------------------------------------------------------------
