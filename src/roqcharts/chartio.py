@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactalg import FgAbelian
-from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, SQUARE)
+from .grading import (Chart, ChartEntry, ChartError, Degree, Generator, Window,
+                      CIRCLE, DOT, SQUARE)
 
 CHART_MAGIC = "roqcharts-chart v1"
 SEED_MAGIC = "roqcharts-seed v1"
@@ -64,9 +64,11 @@ def parse(text: str) -> Chart:
         if line.startswith("window: "):
             try:
                 xmin, xmax, ymin, ymax = map(int, line[len("window: "):].split())
+                window = Window(xmin, xmax, ymin, ymax)
             except ValueError:
                 raise ChartParseError(no, "window needs four integers")
-            window = Window(xmin, xmax, ymin, ymax)
+            except ChartError as e:
+                raise ChartParseError(no, str(e)) from e
             continue
         if not line.startswith("entry: "):
             raise ChartParseError(no, f"unrecognized line {line!r}")
@@ -91,14 +93,18 @@ def parse(text: str) -> Chart:
             label, sep, annot = chunk.rpartition(":")
             if not sep or annot not in (SQUARE, CIRCLE, DOT):
                 raise ChartParseError(no, f"malformed generator {chunk!r}")
+            order = 0
             if annot == DOT:
                 if tors_seen >= len(torsion):
                     raise ChartParseError(no, "more dots than torsion coefficients")
-                gens.append(Generator(label, annot, torsion[tors_seen]))
+                order = torsion[tors_seen]
                 tors_seen += 1
             else:
-                gens.append(Generator(label, annot, 0))
                 free_seen += 1
+            try:
+                gens.append(Generator(label, annot, order))
+            except ChartError as e:
+                raise ChartParseError(no, str(e)) from e
         if free_seen != rank or tors_seen != len(torsion):
             raise ChartParseError(no, "generators do not account for the group")
         exact = not (len(fields) > 3 and fields[3] == "inexact")

@@ -7,11 +7,15 @@ invariant-factor normal form.
 
 Everything runs on Python integers, so there is no overflow to check:
 arbitrary precision is the contract, not an option.
+
+Smith forms and presentations are memoized by `functools.lru_cache`,
+keyed on the `IntMatrix` arguments (`cache_clear()` for a cold start).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 
@@ -109,14 +113,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -141,9 +137,7 @@ class SmithForm:
         return [self.diag[i, i] for i in range(n)]
 
 
-_SNF_CACHE: dict[tuple, SmithForm] = {}
-
-
+@lru_cache(maxsize=250_000)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
@@ -152,17 +146,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     the nearly-diagonal matrices this package produces.  Results are
     memoized: the pipelines hit the same tiny matrices constantly.
     """
-    key = (m.rows, m.cols, m.entries)
-    cached = _SNF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    form = _smith_normal_form(m)
-    if len(_SNF_CACHE) < 250_000:
-        _SNF_CACHE[key] = form
-    return form
-
-
-def _smith_normal_form(m: IntMatrix) -> SmithForm:
     r, c = m.rows, m.cols
     d = [list(row) for row in m.entries]
     left = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -433,9 +416,6 @@ def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
 # Presented subquotients of Z^n
 # ---------------------------------------------------------------------------
 
-_PRES_CACHE: dict[tuple, "PresentedGroup"] = {}
-
-
 @dataclass(frozen=True)
 class PresentedGroup:
     """A subquotient cycles/bounds of an ambient Z^n with chosen generators.
@@ -453,19 +433,9 @@ class PresentedGroup:
     group: FgAbelian
 
     @staticmethod
+    @lru_cache(maxsize=250_000)
     def from_lattices(cycles: IntMatrix, bounds: IntMatrix) -> "PresentedGroup":
         """Present cycles/bounds; bounds must be a sublattice of cycles."""
-        key = (cycles.rows, cycles.entries, bounds.entries)
-        cached = _PRES_CACHE.get(key)
-        if cached is not None:
-            return cached
-        out = PresentedGroup._from_lattices(cycles, bounds)
-        if len(_PRES_CACHE) < 250_000:
-            _PRES_CACHE[key] = out
-        return out
-
-    @staticmethod
-    def _from_lattices(cycles: IntMatrix, bounds: IntMatrix) -> "PresentedGroup":
         ambient = cycles.rows
         if bounds.rows != ambient:
             raise ShapeError("cycle/boundary ambient mismatch")

@@ -8,13 +8,18 @@ generator), extended to all monomials by the Leibniz rule with the
 Koszul sign taken on total degree s + t, and consumed by page turns that
 replace every tridegree's group by exact homology.
 
-Spot states are computed lazily and memoized, so any tridegree can be
-inspected exactly: the evaluator recurses through the applied rounds and
+Spot states are computed lazily, so any tridegree can be inspected
+exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
+Each page memoizes its own spot states and asks the page it was turned
+from for the states under its last round; the pages of one chain share
+one table of monomial bases, and a page with a pending round shares its
+states with the page the round was set on.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, column_space_basis,
@@ -171,30 +176,34 @@ class SpotState:
 
 
 def _free_state(monomials: tuple[Mono, ...]) -> SpotState:
-    n = len(monomials)
-    return SpotState(monomials, IntMatrix.identity(n), IntMatrix.zero(n, 0),
-                     PresentedGroup.full_free(n))
+    pres = PresentedGroup.full_free(len(monomials))
+    return SpotState(monomials, pres.gens, pres.rels, pres)
 
 
 _EMPTY_STATE = SpotState((), IntMatrix.zero(0, 0), IntMatrix.zero(0, 0),
                          PresentedGroup.zero(0))
 
 
-_MONO_MEMO: dict[tuple, dict[TriDegree, tuple[Mono, ...]]] = {}
-_STATE_MEMO: dict[tuple, dict[tuple[int, TriDegree], SpotState]] = {}
-
-
 class Page:
     """A spectral-sequence page for a presentation, with applied rounds
-    and at most one pending differential round."""
+    and at most one pending differential round.
 
-    def __init__(self, pres: Presentation, rounds: tuple[DifferentialRule, ...] = (),
-                 pending: DifferentialRule | None = None):
+    previous is the page this one was turned from (None on the first
+    page): its states are the ones the last applied round acts on.
+    """
+
+    def __init__(self, pres: Presentation, previous: Page | None = None):
         self.pres = pres
-        self.rounds = rounds
-        self.pending = pending
-        self._mono_memo = _MONO_MEMO.setdefault(pres.generators, {})
-        self._state_memo = _STATE_MEMO.setdefault((pres.generators, rounds), {})
+        self.previous = previous
+        self.pending: DifferentialRule | None = None
+        if previous is None:
+            self.rounds: tuple[DifferentialRule, ...] = ()
+            self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
+        else:
+            self.rounds = previous.rounds + (previous.pending,)
+            self._mono_memo = previous._mono_memo
+            self._shift = rule_shift(pres, previous.pending)[1]
+        self._state_memo: dict[TriDegree, SpotState] = {}
         self._rule_memo: dict[DifferentialRule, tuple[Mono, Mono, int, int]] = {}
 
     # -- monomial enumeration ------------------------------------------------
@@ -249,7 +258,9 @@ class Page:
             if tb > 0:
                 cap = (rt + rb) // tb
                 emax = cap if emax is None else min(emax, cap)
-            for e in range(0, emax + 1):
+            # the last generator able to move a residual must clear it alone
+            forced = (gs < 0 and not suffix_s[pos + 1]) or (tb > 0 and not suffix_tb[pos + 1])
+            for e in range(emax if forced else 0, emax + 1):
                 expo[i] = e
                 rec(pos + 1, rs - e * gs, rt - e * gt, rb - e * gb)
             expo[i] = 0
@@ -340,27 +351,23 @@ class Page:
 
     # -- state evaluation ------------------------------------------------------
 
-    def state(self, tri: TriDegree, depth: int | None = None) -> SpotState:
-        if depth is None:
-            depth = len(self.rounds)
-        key = (depth, tri)
-        cached = self._state_memo.get(key)
-        if cached is not None:
-            return cached
+    def state(self, tri: TriDegree) -> SpotState:
+        cached = self._state_memo.get(tri)
+        if cached is None:
+            cached = self._state_memo[tri] = self._evaluate(tri)
+        return cached
+
+    def _evaluate(self, tri: TriDegree) -> SpotState:
         monos = self.monomials_at(tri)
         if not monos:
-            self._state_memo[key] = _EMPTY_STATE
             return _EMPTY_STATE
-        if depth == 0:
-            st = _free_state(monos)
-            self._state_memo[key] = st
-            return st
+        if self.previous is None:
+            return _free_state(monos)
 
-        rule = self.rounds[depth - 1]
-        _, shift = rule_shift(self.pres, rule)
-        here = self.state(tri, depth - 1)
-        below = self.state(_sub_tri(tri, shift), depth - 1)
-        above = self.state(_add_tri(tri, shift), depth - 1)
+        rule = self.rounds[-1]
+        here = self.previous.state(tri)
+        below = self.previous.state(_sub_tri(tri, self._shift))
+        above = self.previous.state(_add_tri(tri, self._shift))
 
         # new cycles: x in cycles with d(x) a boundary upstairs
         dmat, undef = self._diff_matrix(rule, here.monomials, above.monomials)
@@ -398,13 +405,10 @@ class Page:
                 pieces = pieces.hstack(incoming)
                 grew = True
         if new_cycles is here.cycles and not grew:
-            self._state_memo[key] = here
             return here
         new_bounds = column_space_basis(pieces) if grew else here.bounds
-        st = SpotState(monos, new_cycles, new_bounds,
-                       PresentedGroup.from_lattices(new_cycles, new_bounds))
-        self._state_memo[key] = st
-        return st
+        return SpotState(monos, new_cycles, new_bounds,
+                         PresentedGroup.from_lattices(new_cycles, new_bounds))
 
     def group_at(self, tri: TriDegree) -> FgAbelian:
         return self.state(tri).group
@@ -451,9 +455,10 @@ def set_differential(page: Page, rule: DifferentialRule,
     if page.pending is not None:
         raise DifferentialError("a differential is already pending; turn the page first")
     rule_shift(page.pres, rule)
-    out = Page(page.pres, page.rounds, pending=rule)
+    out = copy.copy(page)  # same rounds, so the same states
+    out.pending = rule
     if check_window is not None:
-        probe = Page(page.pres, page.rounds + (rule,))
+        probe = turn_page(out)
         for d in check_window.degrees():
             for tri in shadow_tridegrees(probe, d, depth=8):
                 probe.state(tri)
@@ -465,7 +470,7 @@ def turn_page(page: Page) -> Page:
     homology of the old page there."""
     if page.pending is None:
         raise DifferentialError("no differential to turn; set one first")
-    return Page(page.pres, page.rounds + (page.pending,))
+    return Page(page.pres, previous=page)
 
 
 def _scan_floor(d: Degree, depth: int) -> int:
@@ -489,22 +494,29 @@ def shadow_tridegrees(page: Page, d: Degree, depth: int) -> list[TriDegree]:
     return out
 
 
-def find_candidates(page: Page, window: Window, depth: int = 16,
-                    r_cap: int = 16) -> list[tuple[int, TriDegree, TriDegree]]:
+# how far below the last structural bound each filtration scan looks
+_SCAN_DEPTH = 16
+# the longest differential shape d_r the collapse certificate searches
+_R_CAP = 16
+# how many filtrations at the bottom of each scan must vanish
+_ZERO_BAND = 4
+
+
+def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, TriDegree]]:
     """Exhaustive search for places a later differential could be nonzero.
 
-    For every nonzero in-window spot and every differential shape d_r up
-    to r_cap, report the pairs where the target group admits a nonzero
-    homomorphism from the source.  An empty list is the collapse
-    certificate the pipelines rely on.
+    For every nonzero in-window spot within _SCAN_DEPTH of the scan floor
+    and every differential shape d_r up to _R_CAP, report the pairs where
+    the target group admits a nonzero homomorphism from the source.  An
+    empty list is the collapse certificate the pipelines rely on.
     """
     found = []
     for d in window.degrees():
-        for tri in shadow_tridegrees(page, d, depth):
+        for tri in shadow_tridegrees(page, d, _SCAN_DEPTH):
             g = page.state(tri).group
             if g.is_zero():
                 continue
-            for r in range(1, r_cap + 1):
+            for r in range(1, _R_CAP + 1):
                 target = _add_tri(tri, (-r, r - 1, 0))
                 if not page.monomials_at(target):
                     continue
@@ -514,13 +526,9 @@ def find_candidates(page: Page, window: Window, depth: int = 16,
     return found
 
 
-# how many filtrations at the bottom of each scan must vanish
-_ZERO_BAND = 4
-
-
 def collapse_to_chart(page: Page, window: Window, name: str,
-                      label_of=None, map_monos: dict[str, dict[str, int]] | None = None,
-                      depth: int = 16, r_cap: int = 16) -> Chart:
+                      label_of=None, map_monos: dict[str, dict[str, int]] | None = None
+                      ) -> Chart:
     """Read the page off as an RO(Q)-graded chart.
 
     Requires: no pending differential, no remaining differential
@@ -532,7 +540,7 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     """
     if page.pending is not None:
         raise CollapseError("page still carries an unconsumed differential")
-    leftovers = find_candidates(page, window, depth=depth, r_cap=r_cap)
+    leftovers = find_candidates(page, window)
     if leftovers:
         r, src, dst = leftovers[0]
         raise CollapseError(
@@ -542,17 +550,17 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
     for d in window.degrees():
-        tris = shadow_tridegrees(page, d, depth)
+        tris = shadow_tridegrees(page, d, _SCAN_DEPTH)
         live = [t for t in tris if not page.state(t).group.is_zero()]
         # zero-band certificate: the bottom _ZERO_BAND filtrations of the
         # scan must be zero, so the cutoff provably lost nothing nearby
-        floor = _scan_floor(d, depth)
+        floor = _scan_floor(d, _SCAN_DEPTH)
         for s in range(floor, min(floor + _ZERO_BAND, 1)):
             tri = (s, d[0] - s, d[1])
             if page.monomials_at(tri) and not page.state(tri).group.is_zero():
                 raise CollapseError(
                     f"no zero band at the bottom of the filtration scan for {d}; "
-                    f"increase depth (nonzero at {tri})")
+                    f"increase _SCAN_DEPTH (nonzero at {tri})")
         if not live:
             continue
         if len(live) > 1:

@@ -136,7 +136,7 @@ def build_pages(seed: TheorySeed) -> list[Page]:
     return pages
 
 
-def run_hfpss(seed: TheorySeed, window: Window, depth: int = 16) -> Chart:
+def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
     """Drive the page engine to its collapsed chart with structure maps.
 
     Structure maps are only attached for monomials that survive as
@@ -149,34 +149,35 @@ def run_hfpss(seed: TheorySeed, window: Window, depth: int = 16) -> Chart:
                  if page.is_cycle(powers)}
     return collapse_to_chart(page, window, f"{seed.name}-hfp",
                              label_of=lambda m, c: seed.label_of(m, c),
-                             map_monos=live_maps, depth=depth)
+                             map_monos=live_maps)
 
 
-def hfpss_collapse_certificates(seed: TheorySeed, window: Window,
-                                depth: int = 16, r_cap: int = 16):
+def hfpss_collapse_certificates(pages: list[Page], window: Window):
     """Candidate lists proving every later differential vanishes in window.
 
-    One list per page: an intermediate page is answerable for shapes
+    pages is a chain from `build_pages`, whose spot states the search
+    fills in for the caller.  One list per page: an intermediate page is
+    answerable for shapes
     strictly between the round just applied and the round about to be,
-    the final page for every later shape up to r_cap.  All lists must
-    come back empty; nothing is assumed collapsed without this search.
+    the final page for every later shape that `find_candidates` searches
+    (up to its cap, `specseq._R_CAP`).  All lists must come back empty;
+    nothing is assumed collapsed without this search.
     """
-    shapes = [rule_shift(seed.presentation, rule)[0] for rule in seed.rules]
+    shapes = [rule_shift(pages[0].pres, rule)[0] for rule in pages[-1].rounds]
     if shapes != sorted(shapes):
         raise TheoryError("differential rounds must come in increasing shape")
-    pages = build_pages(seed)
     out = []
     for i, page in enumerate(pages):
-        cands = find_candidates(page, window, depth=depth, r_cap=r_cap)
+        cands = find_candidates(page, window)
         lo = shapes[i - 1] if i > 0 else 0
-        hi = shapes[i] if i < len(shapes) else r_cap + 1
+        hi = shapes[i] if i < len(shapes) else float("inf")
         cands = [c for c in cands if lo < c[0] < hi]
         out.append((page.page_label, cands))
     return out
 
 
-def run_tate_pipeline(seed: TheorySeed, window: Window, padding: int = 4,
-                      depth: int = 16) -> TateSquareData:
+def run_tate_pipeline(seed: TheorySeed, window: Window,
+                      padding: int = 4) -> TateSquareData:
     """Homotopy fixed points on a padded window, then the Tate square.
 
     The fixed-point window is extended far enough below the antidiagonal
@@ -188,7 +189,7 @@ def run_tate_pipeline(seed: TheorySeed, window: Window, padding: int = 4,
     xmin, xmax = window.xmin - padding, window.xmax + padding
     ymin = min(window.ymin - padding, -xmax - 4)
     ymax = window.ymax + padding
-    hfp = run_hfpss(seed, Window(xmin, xmax, ymin, ymax), depth=depth)
+    hfp = run_hfpss(seed, Window(xmin, xmax, ymin, ymax))
     return run_tate_square(hfp, seed.connective, window, f"{seed.name}-tate")
 
 
@@ -362,8 +363,11 @@ class BocksteinResult:
     candidates: list
 
 
-def run_bockstein(window: Window, padding: int = 4,
-                  r_cap: int = 12) -> BocksteinResult:
+# the longest differential d_r searched among the Bockstein survivors
+_BSS_R_CAP = 12
+
+
+def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     """The Real K-theory chart from the integral theory and theta.
 
     Floors are copies of the integral chart shifted along the diagonal;
@@ -404,7 +408,7 @@ def run_bockstein(window: Window, padding: int = 4,
             entries[d] = ChartEntry(tuple(gens), exact=not flagged)
 
     chart = Chart(name="kr-bockstein", window=window, entries=entries, maps={})
-    candidates = bss_higher_candidates(window, table, r_cap)
+    candidates = bss_higher_candidates(window, table)
     return BocksteinResult(floors=floors, chart=chart, absorbed=absorbed,
                            candidates=candidates)
 
@@ -427,13 +431,12 @@ def _theta_laws(window: Window, floors: int) -> list[str]:
     return bad
 
 
-def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]],
-                          r_cap: int):
+def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
     """Surviving source/target pairs a later differential could connect.
 
     A d_r lowers the total degree by (1, 0) and raises the floor by r,
     so the targets of a class at d in window are the classes of the
-    survivor table at d - (1, 0) between 2 and r_cap floors above it.
+    survivor table at d - (1, 0) between 2 and _BSS_R_CAP floors above it.
     """
     out = []
     for d in window.degrees():
@@ -442,7 +445,7 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]],
             src_group = FgAbelian.from_orders([cls.order])
             for tgt in targets:
                 r = tgt.floor - cls.floor
-                if 2 <= r <= r_cap and has_nonzero_hom(
+                if 2 <= r <= _BSS_R_CAP and has_nonzero_hom(
                         src_group, FgAbelian.from_orders([tgt.order])):
                     out.append((r, d, cls, tgt))
     return out

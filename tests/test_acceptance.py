@@ -5,15 +5,14 @@ forms) everywhere; timings are wall-clock with all memo caches cleared
 first, single-threaded.
 """
 
+import functools
 import random
 import time
 
-import roqcharts.exactalg as exactalg
-import roqcharts.specseq as specseq
 from roqcharts.cells import cellular_chart_hz
 from roqcharts.chartio import diff, parse, render, serialize
 from roqcharts.cli import main
-from roqcharts.exactalg import FgAbelian
+from roqcharts.exactalg import FgAbelian, PresentedGroup, smith_normal_form
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
                                DOT, SQUARE, closed_form_hz, closed_form_kr,
                                hz_summands, kr_summands)
@@ -25,24 +24,31 @@ from roqcharts.theories import (bss_floor_survivors, bss_to_sss,
                                 sss_entry_einf, sss_to_bss, theta_apply)
 from roqcharts.theories import build_pages
 from roqcharts.specseq import collapse_to_chart
+from roqcharts.tate import TateSquareData
 
 WINDOW = Window.square(12)
 Z = FgAbelian.free(1)
 F2 = FgAbelian.cyclic(2)
 
 
+@functools.cache
+def _square(theory: str) -> TateSquareData:
+    """The Tate square on WINDOW, built once for the criteria that read it."""
+    seed = hz_seed() if theory == "hz" else kr_seed()
+    return run_tate_pipeline(seed, WINDOW, padding=4)
+
+
 def _cold():
-    exactalg._SNF_CACHE.clear()
-    exactalg._PRES_CACHE.clear()
-    specseq._MONO_MEMO.clear()
-    specseq._STATE_MEMO.clear()
+    _square.cache_clear()
+    smith_normal_form.cache_clear()
+    PresentedGroup.from_lattices.cache_clear()
 
 
 def test_criterion_01_hz_triple_equality():
     _cold()
     t0 = time.monotonic()
     cells = cellular_chart_hz(WINDOW, threads=1)
-    tate = run_tate_pipeline(hz_seed(), WINDOW, padding=4).genuine
+    tate = _square("hz").genuine
     closed = closed_form_hz(WINDOW)
     r1, r2, r3 = diff(cells, closed), diff(tate, closed), diff(cells, tate)
     elapsed = time.monotonic() - t0
@@ -57,7 +63,7 @@ def test_criterion_02_kr_double_equality():
     _cold()
     t0 = time.monotonic()
     bss = run_bockstein(WINDOW, padding=4)
-    tate = run_tate_pipeline(kr_seed(), WINDOW, padding=4).genuine
+    tate = _square("kr").genuine
     closed = closed_form_kr(WINDOW)
     assert bss.candidates == []
     r1, r2, r3 = diff(bss.chart, closed), diff(tate, closed), diff(bss.chart, tate)
@@ -73,33 +79,33 @@ def test_criterion_02_kr_double_equality():
 
 
 def test_criterion_03_hfpss_intermediates():
-    hz_page = build_pages(hz_seed())[-1]
-    chart = collapse_to_chart(hz_page, WINDOW, "e2")
+    hz_pages = build_pages(hz_seed())
+    chart = collapse_to_chart(hz_pages[-1], WINDOW, "e2")
     for d in WINDOW.degrees():
         descs = hz_summands(d[0], d[1], variant="hfp")
         want = FgAbelian.from_orders([0 if k[0] == "usq" else 2 for k in descs])
         assert chart.group(d) == want, d
-    kr_page = build_pages(kr_seed())[-1]
-    kchart = collapse_to_chart(kr_page, WINDOW, "e3")
+    kr_pages = build_pages(kr_seed())
+    kchart = collapse_to_chart(kr_pages[-1], WINDOW, "e3")
     for d in WINDOW.degrees():
         descs = kr_summands(d[0], d[1], variant="hfp")
         want = FgAbelian.from_orders(
             [0 if k[0] in ("Usq", "Uray_2u") else 2 for k in descs])
         assert kchart.group(d) == want, d
-    for seed in (hz_seed(), kr_seed()):
-        for label, cands in hfpss_collapse_certificates(seed, WINDOW):
-            assert cands == [], (seed.name, label)
+    for name, pages in (("hz", hz_pages), ("kr", kr_pages)):
+        for label, cands in hfpss_collapse_certificates(pages, WINDOW):
+            assert cands == [], (name, label)
     print("PASS criterion 3: fixed-point pages match their displays "
           "degreewise; exhaustive search finds no later differential")
 
 
 def test_criterion_04_tate_rings():
-    for seed, step in ((hz_seed(), 2), (kr_seed(), 4)):
-        tate = run_tate_pipeline(seed, WINDOW, padding=4).tate
+    for theory, step in (("hz", 2), ("kr", 4)):
+        tate = _square(theory).tate
         w = tate.window
         for d in w.degrees():
             want = F2 if d[0] % step == 0 else FgAbelian.zero()
-            assert tate.group(d) == want, (seed.name, d)
+            assert tate.group(d) == want, (theory, d)
         for x in range(w.xmin, w.xmax + 1):
             base = tate.group((x, w.ymin))
             assert all(tate.group((x, y)) == base
@@ -109,25 +115,25 @@ def test_criterion_04_tate_rings():
 
 
 def test_criterion_05_geometric_fixed_points():
-    for seed, step in ((hz_seed(), 2), (kr_seed(), 4)):
-        phi = run_tate_pipeline(seed, WINDOW, padding=4).phi
+    for theory, step in (("hz", 2), ("kr", 4)):
+        phi = _square(theory).phi
         w = phi.window
         for x in range(w.xmin, w.xmax + 1):
             want = F2 if (x >= 0 and x % step == 0) else FgAbelian.zero()
-            assert phi.group((x, 0)) == want, (seed.name, x)
+            assert phi.group((x, 0)) == want, (theory, x)
             for y in range(w.ymin, w.ymax + 1):
                 assert phi.group((x, y)) == want
-    kr_phi = run_tate_pipeline(kr_seed(), WINDOW, padding=4).phi
+    kr_phi = _square("kr").phi
     assert kr_phi.group((1, 0)).is_zero()
     print("PASS criterion 5: geometric fixed point lines F2[x] and F2[x^2]; "
           "degree one vanishes for Real K-theory")
 
 
 def test_criterion_06_axes():
-    hz = run_tate_pipeline(hz_seed(), WINDOW, padding=4).hfp
+    hz = _square("hz").hfp
     assert [str(hz.group((x, 0))) for x in range(0, -9, -1)] == \
         ["Z", "0", "Z/2", "0", "Z/2", "0", "Z/2", "0", "Z/2"]
-    kr = run_tate_pipeline(kr_seed(), WINDOW, padding=4).hfp
+    kr = _square("kr").hfp
     assert [str(kr.group((x, 0))) for x in range(0, 9)] == \
         ["Z", "Z/2", "Z/2", "0", "Z", "0", "0", "0", "Z"]
     assert [str(kr.group((x, 0))) for x in range(0, -9, -1)] == \

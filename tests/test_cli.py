@@ -3,9 +3,12 @@
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 from roqcharts.chartio import parse
-from roqcharts.cli import main
+from roqcharts.cli import _verify_axes, main
+from roqcharts.grading import Window
+from roqcharts.theories import hz_seed, inject_class, kr_seed, run_tate_pipeline
 
 HERE = pathlib.Path(__file__).parent
 
@@ -143,3 +146,43 @@ def test_verify_padding_zero_is_usage_error():
 def test_bockstein_negative_padding_is_usage_error():
     _assert_usage_error("compute", "--theory", "kr", "--pipeline", "bockstein",
                         "--padding", "-50", "--window=-2..2")
+
+
+def test_verify_all_on_a_window_off_the_axes():
+    # the axis checks read only the axis degrees their charts contain, and
+    # the mutation control plants its class on its own fixed window
+    assert main(["verify", "all", "--window=3..3"]) == 0
+
+
+def test_axis_check_fails_on_wrong_in_window_group():
+    squares = {seed.name: run_tate_pipeline(seed, Window.square(1), padding=1)
+               for seed in (hz_seed(), kr_seed())}
+    hz = squares["hz"]
+    squares["hz"] = replace(hz, hfp=inject_class(hz.hfp, (-2, 0)))
+    results = []
+    _verify_axes(squares, lambda name, passed, detail: results.append(
+        (name, passed, detail)))
+    failed = [(name, detail) for name, passed, detail in results if not passed]
+    assert failed == [("hz fixed-point negative axis Z,0,Z/2,...",
+                       "x in [0, -1, -2]: ['Z', '0', 'Z/2 + Z/2']")]
+
+
+def _assert_parse_error(tmp_path, capsys, text, line_no):
+    doc = tmp_path / "bad.chart"
+    doc.write_text(text)
+    for args in (["render", str(doc), "--format", "text"], ["diff", str(doc), str(doc)]):
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: line {line_no}: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_empty_window_in_document_is_parse_error(tmp_path, capsys):
+    _assert_parse_error(tmp_path, capsys,
+                        "roqcharts-chart v1\nname: x\nwindow: 5 1 0 0\n", 3)
+
+
+def test_dot_without_torsion_in_document_is_parse_error(tmp_path, capsys):
+    _assert_parse_error(tmp_path, capsys, "roqcharts-chart v1\nname: x\nwindow: -1 1 -1 1\n"
+                        "entry: 0 0 | rank 0 torsion 0 | t:dot\n", 4)

@@ -1,5 +1,8 @@
 """The page engine: monomial bases, Leibniz differentials, page turns."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,12 @@ def hz_pres():
 
 
 D1 = DifferentialRule(label=1, source=(("lam", 1),), coeff=2, target=(("a", 1),))
+
+
+@functools.cache
+def pages(theory: str) -> tuple:
+    """E_1 and the turned pages of a theory, built once for the tests here."""
+    return tuple(build_pages(hz_seed() if theory == "hz" else kr_seed()))
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,20 @@ def test_empty_alphabet_unit_only():
     p = page_from_presentation(Presentation(()))
     assert p.monomials_at((0, 0, 0)) == ((),)
     assert p.monomials_at((0, 1, -1)) == ()
+
+
+def test_monomial_bases_match_brute_force():
+    # b moves both residuals but is the last to move neither
+    pres = Presentation((PageGenerator("b", (-2, 1, 1)),
+                         PageGenerator("a", (-1, 1, -1)),
+                         PageGenerator("c", (0, 2, 1)),
+                         PageGenerator("lam", (0, 1, -1), invertible=True)))
+    page = page_from_presentation(pres)
+    by_tri: dict = {}
+    for mono in itertools.product(range(4), range(7), range(6), range(-20, 21)):
+        by_tri.setdefault(pres.tridegree_of(mono), []).append(mono)
+    for tri in itertools.product(range(-6, 1), range(-4, 9), range(-6, 7)):
+        assert page.monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
 
 
 def test_kr_monomials():
@@ -133,6 +156,21 @@ def test_zero_assignment_is_identity_turn():
         assert after.group_at(tri) == before.group_at(tri)
 
 
+def test_branches_from_one_page_keep_their_own_states():
+    # two rounds set on the same page: the pending pages share its states,
+    # the turned pages must not share theirs
+    e1 = page_from_presentation(hz_pres())
+    zero = DifferentialRule(label=1, source=(("lam", 1),), coeff=0,
+                            target=(("a", 1),))
+    killed = turn_page(set_differential(e1, D1))
+    kept = turn_page(set_differential(e1, zero))
+    tri = (0, 1, -1)
+    assert killed.group_at(tri).is_zero()
+    assert kept.group_at(tri) == Z
+    assert killed.group_at(tri).is_zero()
+    assert e1.group_at(tri) == Z
+
+
 def test_turn_requires_pending():
     with pytest.raises(DifferentialError):
         turn_page(page_from_presentation(hz_pres()))
@@ -154,40 +192,37 @@ def expected_kr_e3(x, y):
 
 
 def test_hz_e2_degreewise():
-    page = build_pages(hz_seed())[-1]
     w = Window.square(10)
-    chart = collapse_to_chart(page, w, "e2")
+    chart = collapse_to_chart(pages("hz")[-1], w, "e2")
     for d in w.degrees():
         assert chart.group(d) == expected_hz_e2(*d), d
 
 
 def test_kr_e3_degreewise():
-    page = build_pages(kr_seed())[-1]
     w = Window.square(10)
-    chart = collapse_to_chart(page, w, "e3")
+    chart = collapse_to_chart(pages("kr")[-1], w, "e3")
     for d in w.degrees():
         assert chart.group(d) == expected_kr_e3(*d), d
 
 
 def test_no_remaining_candidates():
     w = Window.square(10)
-    assert find_candidates(build_pages(hz_seed())[-1], w) == []
-    assert find_candidates(build_pages(kr_seed())[-1], w) == []
+    assert find_candidates(pages("hz")[-1], w) == []
+    assert find_candidates(pages("kr")[-1], w) == []
 
 
 def test_collapse_refuses_live_differential():
     # the first page of the integral theory still supports d1
-    page = build_pages(hz_seed())[0]
     with pytest.raises(CollapseError) as err:
-        collapse_to_chart(page, Window.square(3), "raw")
+        collapse_to_chart(pages("hz")[0], Window.square(3), "raw")
     assert "d_1" in str(err.value)
 
 
 def test_single_filtration_on_window():
     # every chart degree of both final pages sits in one filtration;
     # collapse_to_chart would raise otherwise, so reaching here suffices
-    for seed in (hz_seed(), kr_seed()):
-        collapse_to_chart(build_pages(seed)[-1], Window.square(6), "ok")
+    for theory in ("hz", "kr"):
+        collapse_to_chart(pages(theory)[-1], Window.square(6), "ok")
 
 
 # ---------------------------------------------------------------------------

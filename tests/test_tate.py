@@ -1,12 +1,14 @@
 """The Tate square: localization, orbits, fixed points, assembly."""
 
+import functools
+
 import pytest
 
 from roqcharts.exactalg import (FgAbelian, IntMatrix, presented_cokernel,
                                 presented_kernel)
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, SQUARE,
                                mult_map)
-from roqcharts.tate import (StabilizationError, TatePipelineError,
+from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareData,
                             assemble_genuine, geometric_fixed_points_with_maps,
                             invert_a_with_maps, torsion_split_by_a,
                             _les_entry)
@@ -17,6 +19,14 @@ from roqcharts.grading import closed_form_hz, closed_form_kr
 
 Z = FgAbelian.free(1)
 F2 = FgAbelian.cyclic(2)
+
+
+@functools.cache
+def square(theory: str, radius: int) -> TateSquareData:
+    """The Tate square on Window.square(radius) with padding 2, built once
+    per theory and radius for all the tests here."""
+    seed = hz_seed() if theory == "hz" else kr_seed()
+    return run_tate_pipeline(seed, Window.square(radius), padding=2)
 
 
 def single_class_chart(window=Window(-3, 3, -3, 3)):
@@ -31,8 +41,7 @@ def test_invert_a_kills_nilpotent_chart():
 
 
 def test_invert_a_is_a_periodic_and_idempotent():
-    data = run_tate_pipeline(hz_seed(), Window.square(6), padding=2)
-    t = data.tate
+    t = square("hz", 6).tate
     for x in range(t.window.xmin, t.window.xmax + 1):
         base = t.group((x, t.window.ymin))
         for y in range(t.window.ymin, t.window.ymax + 1):
@@ -53,7 +62,7 @@ def test_invert_a_instability_error():
 
 
 def test_localization_maps_hit_the_colimit():
-    data = run_tate_pipeline(hz_seed(), Window.square(6), padding=2)
+    data = square("hz", 6)
     # on the antidiagonal the map is reduction of Z onto Z/2
     assert data.loc_maps[(0, 0)].entries == ((1,),)
     # above the antidiagonal nothing maps anywhere (source is zero)
@@ -61,8 +70,7 @@ def test_localization_maps_hit_the_colimit():
 
 
 def test_orbits_patterns_hz():
-    data = run_tate_pipeline(hz_seed(), Window.square(8), padding=2)
-    ob = data.orbits
+    ob = square("hz", 8).orbits
     for d in ob.window.degrees():
         x, y = d
         if x % 2 == 0:
@@ -84,9 +92,8 @@ def test_orbits_trivial_when_tate_vanishes():
 
 
 def test_geometric_fixed_points_requires_certificate():
-    data = run_tate_pipeline(hz_seed(), Window.square(4), padding=2)
     with pytest.raises(TatePipelineError):
-        geometric_fixed_points_with_maps(data.tate, False)
+        geometric_fixed_points_with_maps(square("hz", 4).tate, False)
 
 
 def test_geometric_fixed_points_requires_periodicity():
@@ -96,9 +103,8 @@ def test_geometric_fixed_points_requires_periodicity():
 
 
 def test_phi_integer_line_connective():
-    for seed, step in ((hz_seed(), 2), (kr_seed(), 4)):
-        data = run_tate_pipeline(seed, Window.square(8), padding=2)
-        p = data.phi
+    for theory, step in (("hz", 2), ("kr", 4)):
+        p = square(theory, 8).phi
         for x in range(p.window.xmin, 0):
             assert p.group((x, 0)).is_zero()
         for x in range(0, p.window.xmax + 1):
@@ -107,7 +113,7 @@ def test_phi_integer_line_connective():
 
 
 def test_degenerate_square_returns_fixed_points():
-    data = run_tate_pipeline(hz_seed(), Window.square(6), padding=2)
+    data = square("hz", 6)
     hfp, tate = data.hfp, data.tate
     ident = {d: IntMatrix.identity(len(tate.orders(d)))
              for d in tate.window.degrees()}
@@ -144,17 +150,15 @@ def test_torsion_split_by_a():
 
 def test_round_trip_both_theories():
     w = Window.square(8)
-    hz = run_tate_pipeline(hz_seed(), w, padding=2)
-    assert diff(hz.genuine, closed_form_hz(w)).clean
-    kr = run_tate_pipeline(kr_seed(), w, padding=2)
+    assert diff(square("hz", 8).genuine, closed_form_hz(w)).clean
+    kr = square("kr", 8)
     assert diff(kr.genuine, closed_form_kr(w)).clean
     assert all(e.exact for e in kr.genuine.entries.values())
 
 
 def test_local_cohomology_vanishing():
-    for seed in (hz_seed(), kr_seed()):
-        data = run_tate_pipeline(seed, Window.square(6), padding=2)
-        assert not invert_a_with_maps(data.orbits)[0].entries
+    for theory in ("hz", "kr"):
+        assert not invert_a_with_maps(square(theory, 8).orbits)[0].entries
 
 
 def a_map_mismatches(chart, reference):
@@ -181,8 +185,8 @@ def a_map_mismatches(chart, reference):
 @pytest.fixture(scope="module")
 def genuine_and_closed_8():
     w = Window.square(8)
-    return {"hz": (run_tate_pipeline(hz_seed(), w, padding=2).genuine, closed_form_hz(w)),
-            "kr": (run_tate_pipeline(kr_seed(), w, padding=2).genuine, closed_form_kr(w))}
+    return {"hz": (square("hz", 8).genuine, closed_form_hz(w)),
+            "kr": (square("kr", 8).genuine, closed_form_kr(w))}
 
 
 @pytest.mark.parametrize("theory", ["hz", "kr"])
