@@ -10,8 +10,7 @@ from .grading import (Chart, ChartEntry, Degree, Generator, Window,
 from .cells import (MackeyQ, SphereComplex, bredon_row, cellular_chart_hz,
                     constant_integers, quotient_row_check, sphere_complex)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
-                      collapse_to_chart, find_candidates,
-                      page_from_presentation, set_differential, turn_page)
+                      collapse_to_chart, find_candidates)
 from .tate import (TateSquareData, assemble_genuine, homotopy_orbits,
                    run_tate_square)
 from .theories import (TheorySeed, connectivity_check, gap_check, hz_seed,

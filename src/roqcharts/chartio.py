@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactalg import FgAbelian
+from .exactalg import ExactAlgebraError, FgAbelian
 from .grading import (Chart, ChartEntry, ChartError, Degree, Generator, Window,
                       CIRCLE, DOT, SQUARE)
 
@@ -87,6 +87,10 @@ def parse(text: str) -> Chart:
             torsion = [] if gparts[3] == "-" else [int(t) for t in gparts[3].split(",")]
         except ValueError:
             raise ChartParseError(no, f"malformed group field {fields[1]!r}")
+        try:
+            FgAbelian(rank, tuple(torsion))
+        except ExactAlgebraError as e:
+            raise ChartParseError(no, str(e)) from e
         gens = []
         free_seen = tors_seen = 0
         for chunk in fields[2].split("; "):

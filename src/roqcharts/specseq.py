@@ -5,21 +5,20 @@ tridegrees (s, t, b); a class at (s, t, b) shows up in the chart at
 (s + t, b).  Differential rounds are given on single generators (or on a
 power of one, for derived classes like the square of an invertible
 generator), extended to all monomials by the Leibniz rule with the
-Koszul sign taken on total degree s + t, and consumed by page turns that
-replace every tridegree's group by exact homology.
+Koszul sign taken on total degree s + t.  `Page.turn(rule)` applies one
+round: the new page holds the exact homology of the old one at every
+tridegree.
 
 Spot states are computed lazily, so any tridegree can be inspected
 exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
 Each page memoizes its own spot states and asks the page it was turned
-from for the states under its last round; the pages of one chain share
-one table of monomial bases, and a page with a pending round shares its
-states with the page the round was set on.
+from for the states under its round; the pages of one chain share one
+table of monomial bases.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, column_space_basis,
@@ -185,26 +184,39 @@ _EMPTY_STATE = SpotState((), IntMatrix.zero(0, 0), IntMatrix.zero(0, 0),
 
 
 class Page:
-    """A spectral-sequence page for a presentation, with applied rounds
-    and at most one pending differential round.
+    """A spectral-sequence page for a presentation: E_1 (every monomial a
+    free generator), or the homology of previous under rule.
 
-    previous is the page this one was turned from (None on the first
-    page): its states are the ones the last applied round acts on.
+    The rounds applied so far are in rounds; `turn` makes the next page.
+    A rule whose shift is not of differential shape, or whose source is
+    not a power of one generator, is rejected here, at turn time.
     """
 
-    def __init__(self, pres: Presentation, previous: Page | None = None):
+    def __init__(self, pres: Presentation, previous: Page | None = None,
+                 rule: DifferentialRule | None = None):
         self.pres = pres
         self.previous = previous
-        self.pending: DifferentialRule | None = None
+        self._state_memo: dict[TriDegree, SpotState] = {}
         if previous is None:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
-        else:
-            self.rounds = previous.rounds + (previous.pending,)
-            self._mono_memo = previous._mono_memo
-            self._shift = rule_shift(pres, previous.pending)[1]
-        self._state_memo: dict[TriDegree, SpotState] = {}
-        self._rule_memo: dict[DifferentialRule, tuple[Mono, Mono, int, int]] = {}
+            return
+        self.rounds = previous.rounds + (rule,)
+        self._mono_memo = previous._mono_memo
+        self._shift = rule_shift(pres, rule)[1]
+        self._key = pres.mono(rule.source_dict())
+        self._image = pres.mono(rule.target_dict())
+        support = [i for i, e in enumerate(self._key) if e]
+        if len(support) != 1:
+            raise DifferentialError("differential keys on a single generator power only")
+        self._support = support[0]
+        st, tt, _ = pres.tridegree_of(self._key)
+        self._parity = (st + tt) % 2
+        self._coeff = rule.coeff
+
+    def turn(self, rule: DifferentialRule) -> Page:
+        """The next page: the homology of this one under rule."""
+        return Page(self.pres, previous=self, rule=rule)
 
     # -- monomial enumeration ------------------------------------------------
 
@@ -281,39 +293,25 @@ class Page:
 
     # -- the Leibniz differential ---------------------------------------------
 
-    def _rule_data(self, rule: DifferentialRule) -> tuple[Mono, Mono, int, int]:
-        cached = self._rule_memo.get(rule)
-        if cached is not None:
-            return cached
-        pres = self.pres
-        key = pres.mono(rule.source_dict())
-        image = pres.mono(rule.target_dict())
-        support = [i for i, e in enumerate(key) if e]
-        if len(support) != 1:
-            raise DifferentialError("differential keys on a single generator power only")
-        st, tt, _ = pres.tridegree_of(key)
-        data = (key, image, support[0], (st + tt) % 2)
-        self._rule_memo[rule] = data
-        return data
-
-    def _apply_rule(self, rule: DifferentialRule, mono: Mono) -> tuple[int, Mono] | None:
-        """d on one monomial; None means zero, an exception means the
-        monomial does not factor as key-power times declared cycles."""
-        key, image, i, parity = self._rule_data(rule)
+    def _apply_rule(self, mono: Mono) -> tuple[int, Mono] | None:
+        """This page's round on one monomial; None means zero, an
+        exception means the monomial does not factor as key-power times
+        declared cycles."""
+        key, image, i = self._key, self._image, self._support
         q, rem = divmod(mono[i], key[i])
         if rem:
             raise DifferentialError(
                 f"d undefined on {self.pres.mono_str(mono)}: leftover factor of "
                 f"{self.pres.generators[i].name} is not a declared cycle")
-        c = (q % 2) if parity else q
+        c = (q % 2) if self._parity else q
         if c == 0:
             return None
         out = list(mono)
         for k in range(len(out)):
             out[k] = out[k] - key[k] + image[k]
-        return (c * rule.coeff, tuple(out))
+        return (c * self._coeff, tuple(out))
 
-    def _diff_matrix(self, rule: DifferentialRule, src_monos: tuple[Mono, ...],
+    def _diff_matrix(self, src_monos: tuple[Mono, ...],
                      dst_monos: tuple[Mono, ...]) -> tuple[IntMatrix, set[int]]:
         """Ambient matrix of d and the set of undefined source columns."""
         index = {m: i for i, m in enumerate(dst_monos)}
@@ -321,7 +319,7 @@ class Page:
         undefined: set[int] = set()
         for col, m in enumerate(src_monos):
             try:
-                img = self._apply_rule(rule, m)
+                img = self._apply_rule(m)
             except DifferentialError:
                 undefined.add(col)
                 continue
@@ -337,9 +335,8 @@ class Page:
                else IntMatrix.zero(0, len(src_monos)))
         return mat, undefined
 
-    @staticmethod
-    def _check_defined(mat_cols: IntMatrix, undefined: set[int], what: str,
-                       pres: Presentation, monos: tuple[Mono, ...]):
+    def _check_defined(self, mat_cols: IntMatrix, undefined: set[int], what: str,
+                       monos: tuple[Mono, ...]):
         if not undefined:
             return
         for j in range(mat_cols.cols):
@@ -347,7 +344,7 @@ class Page:
                 if mat_cols[i, j] != 0:
                     raise DifferentialError(
                         f"d undefined on live class involving "
-                        f"{pres.mono_str(monos[i])} ({what})")
+                        f"{self.pres.mono_str(monos[i])} ({what})")
 
     # -- state evaluation ------------------------------------------------------
 
@@ -364,14 +361,13 @@ class Page:
         if self.previous is None:
             return _free_state(monos)
 
-        rule = self.rounds[-1]
         here = self.previous.state(tri)
         below = self.previous.state(_sub_tri(tri, self._shift))
         above = self.previous.state(_add_tri(tri, self._shift))
 
         # new cycles: x in cycles with d(x) a boundary upstairs
-        dmat, undef = self._diff_matrix(rule, here.monomials, above.monomials)
-        self._check_defined(here.cycles, undef, "cycle basis", self.pres, here.monomials)
+        dmat, undef = self._diff_matrix(here.monomials, above.monomials)
+        self._check_defined(here.cycles, undef, "cycle basis", here.monomials)
         imgs = dmat.mul(here.cycles)
         if imgs.is_zero():
             new_cycles = here.cycles
@@ -387,9 +383,9 @@ class Page:
         pieces = here.bounds
         grew = False
         if below.monomials:
-            dn, undef_dn = self._diff_matrix(rule, below.monomials, here.monomials)
+            dn, undef_dn = self._diff_matrix(below.monomials, here.monomials)
             self._check_defined(below.cycles, undef_dn, "incoming cycle basis",
-                                self.pres, below.monomials)
+                                below.monomials)
             incoming = dn.mul(below.cycles)
             if not incoming.is_zero():
                 # the square-zero law, checked on everything that arrives
@@ -410,9 +406,6 @@ class Page:
         return SpotState(monos, new_cycles, new_bounds,
                          PresentedGroup.from_lattices(new_cycles, new_bounds))
 
-    def group_at(self, tri: TriDegree) -> FgAbelian:
-        return self.state(tri).group
-
     def is_cycle(self, powers: dict[str, int]) -> bool:
         """Whether the monomial survives as a class of the current page
         (its unit vector lies in the iterated cycle lattice)."""
@@ -423,76 +416,6 @@ class Page:
         vec = [1 if m == mono else 0 for m in st.monomials]
         return lattice_contains(st.cycles, vec)
 
-    def differential_matrix(self, tri: TriDegree) -> IntMatrix:
-        """Matrix of the pending differential out of a tridegree, in the
-        current page's generator coordinates."""
-        if self.pending is None:
-            raise DifferentialError("no differential has been set on this page")
-        _, shift = rule_shift(self.pres, self.pending)
-        here = self.state(tri)
-        there = self.state(_add_tri(tri, shift))
-        dmat, undef = self._diff_matrix(self.pending, here.monomials, there.monomials)
-        self._check_defined(here.pres.gens, undef, "page basis", self.pres, here.monomials)
-        cols = []
-        for j in range(here.pres.gens.cols):
-            cols.append(there.pres.express(dmat.apply(here.pres.gens.column(j))))
-        return IntMatrix.from_columns(cols, len(there.pres.orders))
-
-
-def page_from_presentation(pres: Presentation) -> Page:
-    """The first page: every monomial a free generator, nothing applied."""
-    return Page(pres)
-
-
-def set_differential(page: Page, rule: DifferentialRule,
-                     check_window: Window | None = None) -> Page:
-    """Attach one differential round (errors on a malformed shift).
-
-    With check_window, the square-zero law is verified eagerly over every
-    tridegree whose chart shadow lies in the window, by forcing the turn
-    there; otherwise validation happens on evaluation.
-    """
-    if page.pending is not None:
-        raise DifferentialError("a differential is already pending; turn the page first")
-    rule_shift(page.pres, rule)
-    out = copy.copy(page)  # same rounds, so the same states
-    out.pending = rule
-    if check_window is not None:
-        probe = turn_page(out)
-        for d in check_window.degrees():
-            for tri in shadow_tridegrees(probe, d, depth=8):
-                probe.state(tri)
-    return out
-
-
-def turn_page(page: Page) -> Page:
-    """Consume the pending differential: every tridegree becomes the
-    homology of the old page there."""
-    if page.pending is None:
-        raise DifferentialError("no differential to turn; set one first")
-    return Page(page.pres, previous=page)
-
-
-def _scan_floor(d: Degree, depth: int) -> int:
-    x, y = d
-    return -(max(0, -(x + y)) + depth)
-
-
-def shadow_tridegrees(page: Page, d: Degree, depth: int) -> list[TriDegree]:
-    """Tridegrees with chart shadow d and a nonempty monomial basis,
-    scanned from filtration 0 downward.
-
-    depth controls how far below the last structural bound the scan
-    looks; the collapse routine separately certifies a zero band.
-    """
-    x, y = d
-    out = []
-    for s in range(0, _scan_floor(d, depth) - 1, -1):
-        tri = (s, x - s, y)
-        if page.monomials_at(tri):
-            out.append(tri)
-    return out
-
 
 # how far below the last structural bound each filtration scan looks
 _SCAN_DEPTH = 16
@@ -500,6 +423,26 @@ _SCAN_DEPTH = 16
 _R_CAP = 16
 # how many filtrations at the bottom of each scan must vanish
 _ZERO_BAND = 4
+
+
+def _scan_floor(d: Degree) -> int:
+    x, y = d
+    return -(max(0, -(x + y)) + _SCAN_DEPTH)
+
+
+def shadow_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
+    """Tridegrees with chart shadow d and a nonempty monomial basis,
+    scanned from filtration 0 down to _SCAN_DEPTH below the last
+    structural bound; the collapse routine separately certifies a zero
+    band at the bottom.
+    """
+    x, y = d
+    out = []
+    for s in range(0, _scan_floor(d) - 1, -1):
+        tri = (s, x - s, y)
+        if page.monomials_at(tri):
+            out.append(tri)
+    return out
 
 
 def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, TriDegree]]:
@@ -512,7 +455,7 @@ def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, Tr
     """
     found = []
     for d in window.degrees():
-        for tri in shadow_tridegrees(page, d, _SCAN_DEPTH):
+        for tri in shadow_tridegrees(page, d):
             g = page.state(tri).group
             if g.is_zero():
                 continue
@@ -531,15 +474,13 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                       ) -> Chart:
     """Read the page off as an RO(Q)-graded chart.
 
-    Requires: no pending differential, no remaining differential
-    candidates in the window, at most one nonzero filtration per degree,
-    and a zero band at the bottom of every filtration scan (so the scan
-    depth provably did not cut off contributions for these theories).
+    Requires: no remaining differential candidates in the window, at
+    most one nonzero filtration per degree, and a zero band at the
+    bottom of every filtration scan (so the scan depth provably did not
+    cut off contributions for these theories).
     Structure maps are computed by multiplying representatives by the
     given monomials.
     """
-    if page.pending is not None:
-        raise CollapseError("page still carries an unconsumed differential")
     leftovers = find_candidates(page, window)
     if leftovers:
         r, src, dst = leftovers[0]
@@ -550,11 +491,11 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
     for d in window.degrees():
-        tris = shadow_tridegrees(page, d, _SCAN_DEPTH)
+        tris = shadow_tridegrees(page, d)
         live = [t for t in tris if not page.state(t).group.is_zero()]
         # zero-band certificate: the bottom _ZERO_BAND filtrations of the
         # scan must be zero, so the cutoff provably lost nothing nearby
-        floor = _scan_floor(d, _SCAN_DEPTH)
+        floor = _scan_floor(d)
         for s in range(floor, min(floor + _ZERO_BAND, 1)):
             tri = (s, d[0] - s, d[1])
             if page.monomials_at(tri) and not page.state(tri).group.is_zero():

@@ -20,9 +20,7 @@ from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, MAP_DEGREES, SQUARE, ChartError, hz_degree,
                       hz_generator, hz_map_image, hz_summands, mult_map)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
-                      collapse_to_chart, find_candidates,
-                      page_from_presentation, rule_shift, set_differential,
-                      turn_page)
+                      collapse_to_chart, find_candidates, rule_shift)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
 
 
@@ -130,9 +128,9 @@ def _page_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
 
 def build_pages(seed: TheorySeed) -> list[Page]:
     """E_1 and the page after each differential round."""
-    pages = [page_from_presentation(seed.presentation)]
+    pages = [Page(seed.presentation)]
     for rule in seed.rules:
-        pages.append(turn_page(set_differential(pages[-1], rule)))
+        pages.append(pages[-1].turn(rule))
     return pages
 
 
@@ -183,12 +181,14 @@ def run_tate_pipeline(seed: TheorySeed, window: Window,
     The fixed-point window is extended far enough below the antidiagonal
     that every a-column has room to stabilize before the bottom edge;
     a too-small extension is caught by the stabilization check anyway.
+    It always reaches the integer line y = 0, which the geometric fixed
+    points are read from, also for windows that lie off it.
     """
     if padding < 1:
         raise TheoryError("the Tate square needs at least one degree of padding")
     xmin, xmax = window.xmin - padding, window.xmax + padding
-    ymin = min(window.ymin - padding, -xmax - 4)
-    ymax = window.ymax + padding
+    ymin = min(window.ymin - padding, -xmax - 4, 0)
+    ymax = max(window.ymax + padding, 0)
     hfp = run_hfpss(seed, Window(xmin, xmax, ymin, ymax))
     return run_tate_square(hfp, seed.connective, window, f"{seed.name}-tate")
 
@@ -357,7 +357,6 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
 
 @dataclass
 class BocksteinResult:
-    floors: int
     chart: Chart
     absorbed: list[tuple[Degree, BssClass]]
     candidates: list
@@ -382,13 +381,13 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     """
     if padding < 0:
         raise TheoryError("the Bockstein run needs a non-negative padding")
-    floors = window.xmax + window.ymax + padding
+    floors = max(0, window.xmax + window.ymax + padding)
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
 
-    theta_ok_checked = _theta_laws(window, floors)
-    if theta_ok_checked:
-        raise TheoryError(f"theta law violations: {theta_ok_checked[:3]}")
+    violations = _theta_laws(window)
+    if violations:
+        raise TheoryError(f"theta law violations: {violations[:3]}")
 
     table = _survivor_table(window, floors)
     for d in window.degrees():
@@ -409,11 +408,10 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
 
     chart = Chart(name="kr-bockstein", window=window, entries=entries, maps={})
     candidates = bss_higher_candidates(window, table)
-    return BocksteinResult(floors=floors, chart=chart, absorbed=absorbed,
-                           candidates=candidates)
+    return BocksteinResult(chart=chart, absorbed=absorbed, candidates=candidates)
 
 
-def _theta_laws(window: Window, floors: int) -> list[str]:
+def _theta_laws(window: Window) -> list[str]:
     """theta has exact degree -(2,1) and squares to zero, everywhere."""
     bad = []
     for d in window.degrees():

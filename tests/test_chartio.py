@@ -77,6 +77,14 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ChartParseError):
         parse("roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n"
               "entry: 0 0 | rank 0 torsion 2 | g:dot; h:dot\n")
+    # torsion must be in invariant-factor normal form: each coefficient at
+    # least 2 and dividing the next
+    for torsion, gens in (("1", "g:dot"), ("2,3", "g:dot; h:dot"),
+                          ("4,2", "g:dot; h:dot")):
+        with pytest.raises(ChartParseError) as e3:
+            parse("roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n\n"
+                  f"entry: 0 0 | rank 0 torsion {torsion} | {gens}\n")
+        assert e3.value.line_no == 5, torsion
 
 
 def test_inexact_flag_survives_round_trip():

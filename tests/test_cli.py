@@ -5,9 +5,9 @@ import subprocess
 import sys
 from dataclasses import replace
 
-from roqcharts.chartio import parse
-from roqcharts.cli import _verify_axes, main
-from roqcharts.grading import Window
+from roqcharts.chartio import diff as chart_diff, parse
+from roqcharts.cli import _parse_window, _verify_axes, main
+from roqcharts.grading import Window, closed_form_hz, closed_form_kr
 from roqcharts.theories import hz_seed, inject_class, kr_seed, run_tate_pipeline
 
 HERE = pathlib.Path(__file__).parent
@@ -148,10 +148,20 @@ def test_bockstein_negative_padding_is_usage_error():
                         "--padding", "-50", "--window=-2..2")
 
 
-def test_verify_all_on_a_window_off_the_axes():
-    # the axis checks read only the axis degrees their charts contain, and
-    # the mutation control plants its class on its own fixed window
-    assert main(["verify", "all", "--window=3..3"]) == 0
+def test_verify_all_on_a_window_off_the_axes(tmp_path):
+    # the axis checks read only the axis degrees their charts contain, the
+    # mutation control plants its class on its own fixed window, the Tate
+    # square pads its fixed-point window out to the integer line, and the
+    # Bockstein run needs no floor above 0 left of the antidiagonal
+    for spec in ("3..3", "-8..-6", "-12..-9,5..9"):
+        assert main(["verify", "all", f"--window={spec}"]) == 0, spec
+        window = _parse_window(spec)
+        for theory, pipeline in (("hz", "tate"), ("kr", "tate"), ("kr", "bockstein")):
+            out = tmp_path / f"{theory}-{pipeline}.chart"
+            assert main(["compute", "--theory", theory, "--pipeline", pipeline,
+                         f"--window={spec}", "--output", str(out)]) == 0, (spec, pipeline)
+            closed = (closed_form_hz if theory == "hz" else closed_form_kr)(window)
+            assert chart_diff(parse(out.read_text()), closed).clean, (spec, pipeline)
 
 
 def test_axis_check_fails_on_wrong_in_window_group():

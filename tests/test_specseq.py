@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import Window, hz_summands, kr_summands
 from roqcharts.specseq import (CollapseError, DifferentialError,
-                               DifferentialRule, PageGenerator, Presentation,
-                               PresentationError, collapse_to_chart,
-                               find_candidates, page_from_presentation,
-                               rule_shift, set_differential, turn_page)
+                               DifferentialRule, Page, PageGenerator,
+                               Presentation, PresentationError,
+                               collapse_to_chart, find_candidates, rule_shift)
 from roqcharts.theories import build_pages, hz_seed, kr_seed
 
 
@@ -52,7 +51,7 @@ def test_presentation_rejects_nonfinite_generator():
 
 
 def test_monomial_basis_free_on_a_and_lambda():
-    p = page_from_presentation(hz_pres())
+    p = Page(hz_pres())
     assert p.monomials_at((-2, 3, -3)) == ((2, 1),)       # a^2 lam
     assert p.monomials_at((0, -3, 3)) == ((0, -3),)       # lam^-3
     assert p.monomials_at((0, 0, 0)) == ((0, 0),)
@@ -61,7 +60,7 @@ def test_monomial_basis_free_on_a_and_lambda():
 
 
 def test_empty_alphabet_unit_only():
-    p = page_from_presentation(Presentation(()))
+    p = Page(Presentation(()))
     assert p.monomials_at((0, 0, 0)) == ((),)
     assert p.monomials_at((0, 1, -1)) == ()
 
@@ -72,7 +71,7 @@ def test_monomial_bases_match_brute_force():
                          PageGenerator("a", (-1, 1, -1)),
                          PageGenerator("c", (0, 2, 1)),
                          PageGenerator("lam", (0, 1, -1), invertible=True)))
-    page = page_from_presentation(pres)
+    page = Page(pres)
     by_tri: dict = {}
     for mono in itertools.product(range(4), range(7), range(6), range(-20, 21)):
         by_tri.setdefault(pres.tridegree_of(mono), []).append(mono)
@@ -84,7 +83,7 @@ def test_kr_monomials():
     pres = Presentation((PageGenerator("a", (-1, 1, -1)),
                          PageGenerator("vb", (0, 1, 1)),
                          PageGenerator("lam", (0, 1, -1), invertible=True)))
-    p = page_from_presentation(pres)
+    p = Page(pres)
     assert p.monomials_at((-3, 4, -2)) == ((3, 1, 0),)    # a^3 vb
     assert p.monomials_at((0, 2, -2)) == ((0, 0, 2),)     # lam^2
 
@@ -109,28 +108,24 @@ def test_kr_second_round_has_honest_shape_three():
 
 
 def test_d1_alternates_on_lambda_powers():
-    page = turn_page(set_differential(page_from_presentation(hz_pres()), D1))
+    page = Page(hz_pres()).turn(D1)
     # odd powers die, even powers survive as cycles
     for j in range(-6, 7):
         tri = (0, j, -j)
-        g = page.group_at(tri)
+        g = page.state(tri).group
         assert g == (Z if j % 2 == 0 else FgAbelian.zero()), j
     assert page.is_cycle({"lam": 2})       # the square is a cycle
     assert not page.is_cycle({"lam": 1})
 
 
-def test_pending_differential_matrix():
-    p = set_differential(page_from_presentation(hz_pres()), D1)
-    mat = p.differential_matrix((0, 1, -1))
-    assert mat.entries == ((2,),)
-    mat0 = p.differential_matrix((0, 2, -2))
-    assert mat0.is_zero()
-
-
 def test_degree_mismatched_assignment_rejected():
-    with pytest.raises(DifferentialError):
-        set_differential(page_from_presentation(hz_pres()),
-                         DifferentialRule(1, (("lam", 1),), 1, (("lam", 2),)))
+    # both are rejected when the page is turned: the first has the wrong
+    # shift, the second (d(a lam) = a^2) the d_1 shape but a source that
+    # is not a power of one generator, so no Leibniz extension
+    for rule in (DifferentialRule(1, (("lam", 1),), 1, (("lam", 2),)),
+                 DifferentialRule(1, (("a", 1), ("lam", 1)), 1, (("a", 2),))):
+        with pytest.raises(DifferentialError):
+            Page(hz_pres()).turn(rule)
 
 
 def test_square_nonzero_rejected_with_witness():
@@ -141,39 +136,33 @@ def test_square_nonzero_rejected_with_witness():
     rule = DifferentialRule(label=1, source=(("lam", 1),), coeff=1,
                             target=(("a", 3), ("vb", 1), ("lam", -1)))
     assert rule_shift(pres, rule)[0] == 3
-    page = page_from_presentation(pres)
+    page = Page(pres)
     with pytest.raises(DifferentialError) as err:
-        set_differential(page, rule, check_window=Window.square(2))
+        find_candidates(page.turn(rule), Window.square(2))
     assert "d o d" in str(err.value)
 
 
 def test_zero_assignment_is_identity_turn():
     rule = DifferentialRule(label=1, source=(("lam", 1),), coeff=0,
                             target=(("a", 1),))
-    before = page_from_presentation(hz_pres())
-    after = turn_page(set_differential(before, rule))
+    before = Page(hz_pres())
+    after = before.turn(rule)
     for tri in [(0, 1, -1), (-2, 3, -1), (0, -4, 4), (-1, 1, -1)]:
-        assert after.group_at(tri) == before.group_at(tri)
+        assert after.state(tri).group == before.state(tri).group
 
 
 def test_branches_from_one_page_keep_their_own_states():
-    # two rounds set on the same page: the pending pages share its states,
-    # the turned pages must not share theirs
-    e1 = page_from_presentation(hz_pres())
+    # two rounds turned from the same page must not share their states
+    e1 = Page(hz_pres())
     zero = DifferentialRule(label=1, source=(("lam", 1),), coeff=0,
                             target=(("a", 1),))
-    killed = turn_page(set_differential(e1, D1))
-    kept = turn_page(set_differential(e1, zero))
+    killed = e1.turn(D1)
+    kept = e1.turn(zero)
     tri = (0, 1, -1)
-    assert killed.group_at(tri).is_zero()
-    assert kept.group_at(tri) == Z
-    assert killed.group_at(tri).is_zero()
-    assert e1.group_at(tri) == Z
-
-
-def test_turn_requires_pending():
-    with pytest.raises(DifferentialError):
-        turn_page(page_from_presentation(hz_pres()))
+    assert killed.state(tri).group.is_zero()
+    assert kept.state(tri).group == Z
+    assert killed.state(tri).group.is_zero()
+    assert e1.state(tri).group == Z
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +228,10 @@ def test_leibniz_mod_two_on_products(a1, l1, a2, l2):
     """d(mn) = d(m) n + (-1)^{deg m} m d(n) with the Koszul sign on total
     degree; coefficients are compared mod 2, which is exactly what the
     two-torsion targets of these theories can see."""
-    page = set_differential(page_from_presentation(hz_pres()), D1)
-    rule = page.pending
+    page = Page(hz_pres()).turn(D1)
 
     def d(mono):
-        img = page._apply_rule(rule, mono)
+        img = page._apply_rule(mono)
         return {} if img is None else {img[1]: img[0]}
 
     def mul(mono, other):
