@@ -131,8 +131,11 @@ def _verify_cross(window: Window, padding: int, squares: dict[str, TateSquareDat
                   report) -> None:
     def compare(name: str, chart, closed, candidates: list) -> None:
         rep = chart_diff(chart, closed)
-        clean = rep.clean and not candidates
-        report(name, clean, "" if clean else rep.summary().splitlines()[0])
+        if candidates:
+            report(name, False, "surviving candidate (r, degree, source, target) "
+                                f"{candidates[0]}, {len(candidates)} in all")
+        else:
+            report(name, rep.clean, "" if rep.clean else rep.summary().splitlines()[0])
 
     closed_hz = closed_form_hz(window)
     compare("hz cells == closed", cellular_chart_hz(window), closed_hz, [])

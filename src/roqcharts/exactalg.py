@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers.
 
 Smith normal form with unimodular transforms, integer lattice utilities
-(solve / kernel / column space), homology of bounded chain complexes of
-free abelian groups, and finitely generated abelian groups in
-invariant-factor normal form.
+(solve / kernel / preimage / column space), finitely generated abelian
+groups in invariant-factor normal form, and presented subquotients with
+the maps induced on them: kernels, cokernels and the homology of a pair
+of composable maps, which also gives the homology of bounded chain
+complexes of free abelian groups.
 
 Everything runs on Python integers, so there is no overflow to check:
 arbitrary precision is the contract, not an option.
@@ -75,6 +77,17 @@ class IntMatrix:
         return IntMatrix(rows, len(cols),
                          tuple(tuple(col[i] for col in cols) for i in range(rows)))
 
+    @staticmethod
+    def block_diag(*mats: "IntMatrix") -> "IntMatrix":
+        """The direct sum of the maps mats, in order."""
+        cols = sum(m.cols for m in mats)
+        rows: list[tuple[int, ...]] = []
+        off = 0
+        for m in mats:
+            rows.extend((0,) * off + row + (0,) * (cols - off - m.cols) for row in m.entries)
+            off += m.cols
+        return IntMatrix(len(rows), cols, tuple(rows))
+
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
@@ -107,6 +120,8 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
+        if not other.cols:
+            return self
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple(self.entries[i] + other.entries[i] for i in range(self.rows)))
 
@@ -279,6 +294,14 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, m.cols)
 
 
+def preimage_lattice(m: IntMatrix, rels: IntMatrix) -> IntMatrix:
+    """Columns form a basis of {v : m v lies in the span of rels}."""
+    kb = kernel_basis(m.hstack(rels))
+    if not rels.cols:
+        return kb
+    return column_space_basis(IntMatrix(m.cols, kb.cols, kb.entries[:m.cols]))
+
+
 def column_space_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the column lattice (integer span) of m."""
     snf = smith_normal_form(m)
@@ -370,10 +393,6 @@ class FgAbelian:
 
     def is_free(self) -> bool:
         return not self.torsion
-
-    def direct_sum(self, other: "FgAbelian") -> "FgAbelian":
-        return FgAbelian.from_orders([0] * (self.rank + other.rank)
-                                     + list(self.torsion) + list(other.torsion))
 
     def composition_factors(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, sorted multiset of prime-power torsion orders)."""
@@ -487,6 +506,12 @@ class PresentedGroup:
             out.append(x[i] % o if o else x[i])
         return out
 
+    def induced(self, m: IntMatrix, src: "PresentedGroup") -> IntMatrix:
+        """The map src -> self in generator coordinates, induced by the
+        ambient matrix m (src ambient -> self ambient)."""
+        return IntMatrix.from_columns([self.express(m.apply(col))
+                                       for col in src.gens.columns()], len(self.orders))
+
 
 def _rel_columns(orders: tuple[int, ...]) -> IntMatrix:
     n = len(orders)
@@ -499,21 +524,26 @@ def _rel_columns(orders: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_columns(cols, n)
 
 
+def presented_homology(out: IntMatrix, out_orders: tuple[int, ...],
+                       into: IntMatrix, orders: tuple[int, ...]) -> PresentedGroup:
+    """ker(out) / im(into) at a presented group with generator orders
+    orders, in its generator coordinates.
+
+    out maps into a presented group with generator orders out_orders;
+    out o into must be zero there, else NotInLatticeError.
+    """
+    cycles = preimage_lattice(out, _rel_columns(out_orders))
+    return PresentedGroup.from_lattices(cycles, into.hstack(_rel_columns(orders)))
+
+
 def presented_kernel(mat: IntMatrix, src_orders: tuple[int, ...],
                      dst_orders: tuple[int, ...]) -> PresentedGroup:
     """Kernel of a map of presented groups, in source generator coordinates.
 
     mat maps source generator coords to destination generator coords.
     """
-    n_src = len(src_orders)
-    dst_rels = _rel_columns(dst_orders)
-    big = mat.hstack(dst_rels)
-    kb = kernel_basis(big)
-    proj_cols = [[kb[i, j] for i in range(n_src)] for j in range(kb.cols)]
-    span = IntMatrix.from_columns(proj_cols, n_src)
-    k_lattice = column_space_basis(span)
-    src_rels = _rel_columns(src_orders)
-    return PresentedGroup.from_lattices(k_lattice, src_rels)
+    return presented_homology(mat, dst_orders, IntMatrix.zero(len(src_orders), 0),
+                              src_orders)
 
 
 def presented_cokernel(mat: IntMatrix, dst_orders: tuple[int, ...]) -> PresentedGroup:
@@ -565,10 +595,6 @@ class IntComplex:
                 raise ExactAlgebraError(f"d o d != 0 between degrees "
                                         f"{self.bottom + i + 2} and {self.bottom + i}")
 
-    @property
-    def top(self) -> int:
-        return self.bottom + len(self.dims) - 1
-
     def dim(self, k: int) -> int:
         i = k - self.bottom
         if 0 <= i < len(self.dims):
@@ -585,18 +611,8 @@ class IntComplex:
 
 def homology_at(c: IntComplex, k: int) -> FgAbelian:
     """ker(d_k) / im(d_{k+1}) in invariant-factor normal form."""
-    if c.dim(k) == 0:
-        return FgAbelian.zero()
-    return homology_with_basis(c, k).group
-
-
-def homology_with_basis(c: IntComplex, k: int) -> PresentedGroup:
-    """Homology at k together with representing cycles in C_k coordinates."""
     n = c.dim(k)
     if n == 0:
-        return PresentedGroup.zero(0)
+        return FgAbelian.zero()
     out = c.boundary(k)
-    into = c.boundary(k + 1)
-    cycles = kernel_basis(out) if out.rows else IntMatrix.identity(n)
-    bounds = column_space_basis(into) if into.cols else IntMatrix.zero(n, 0)
-    return PresentedGroup.from_lattices(cycles, bounds)
+    return presented_homology(out, (0,) * out.rows, c.boundary(k + 1), (0,) * n).group

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactalg import FgAbelian, IntMatrix
+from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix
 
 
 Degree = tuple[int, int]
@@ -92,8 +92,17 @@ class Generator:
 
 @dataclass(frozen=True)
 class ChartEntry:
+    """The generators of one degree; the dot orders, in entry order, must
+    form the group's torsion chain (the order the document format keeps)."""
+
     gens: tuple[Generator, ...]
     exact: bool = True
+
+    def __post_init__(self):
+        try:
+            FgAbelian(0, tuple(g.order for g in self.gens if g.annotation == DOT))
+        except ExactAlgebraError as e:
+            raise ChartError(f"dot orders of {[g.label for g in self.gens]}: {e}") from e
 
     @property
     def group(self) -> FgAbelian:
@@ -325,31 +334,6 @@ def kr_summands(x: int, y: int, variant: str = "genuine") -> list[tuple]:
     return out
 
 
-def kr_degree(desc: tuple) -> Degree:
-    kind = desc[0]
-    if kind == "Usq":
-        j, m = desc[1], desc[2]
-        return (4 * j + m, -4 * j + m)
-    if kind == "Ucirc2":
-        k = desc[1]
-        return (-4 * k, 4 * k)
-    if kind == "Ucol":
-        i, j = desc[1], desc[2]
-        return (4 * j, -4 * j - i)
-    if kind == "Uray_a":
-        m, j = desc[1], desc[2]
-        return (4 * j + m, -4 * j + m - 1)
-    if kind == "Uray_a2":
-        m, j = desc[1], desc[2]
-        return (4 * j + m, -4 * j + m - 2)
-    if kind == "Uray_2u":
-        m, j = desc[1], desc[2]
-        return (4 * j + 2 + m, -4 * j - 2 + m)
-    if kind == "Utow":
-        return (-4 * desc[1] - 1, desc[2])
-    raise ChartError(f"unknown descriptor {desc!r}")
-
-
 def kr_generator(desc: tuple) -> Generator:
     kind = desc[0]
     if kind == "Usq":
@@ -435,7 +419,20 @@ def kr_map_image(name: str, desc: tuple) -> list[tuple[tuple, int]]:
 # Closed-form chart builders
 # ---------------------------------------------------------------------------
 
-def _build_chart(name: str, window: Window, summands, degree_of, generator_of,
+def desc_matrix(src_descs: list[tuple], dst_descs: list[tuple], image) -> IntMatrix:
+    """The map from the summands src_descs to the summands dst_descs, from
+    each source descriptor's image as (descriptor, coefficient) pairs; an
+    image outside dst_descs raises ChartError."""
+    rows = [[0] * len(src_descs) for _ in dst_descs]
+    for col, desc in enumerate(src_descs):
+        for img, coeff in image(desc):
+            if img not in dst_descs:
+                raise ChartError(f"{desc!r} maps to {img!r}, not a target summand")
+            rows[dst_descs.index(img)][col] += coeff
+    return IntMatrix(len(dst_descs), len(src_descs), tuple(tuple(row) for row in rows))
+
+
+def _build_chart(name: str, window: Window, summands, generator_of,
                  map_image, map_names: tuple[str, ...]) -> Chart:
     entries: dict[Degree, ChartEntry] = {}
     descs: dict[Degree, list[tuple]] = {}
@@ -451,25 +448,19 @@ def _build_chart(name: str, window: Window, summands, degree_of, generator_of,
             target = (d[0] + dx, d[1] + dy)
             if not window.contains(target):
                 continue
-            tds = descs.get(target, [])
-            rows = [[0] * len(ds) for _ in tds]
-            for col, s in enumerate(ds):
-                for timg, coeff in map_image(mname, s):
-                    if degree_of(timg) != target:
-                        raise ChartError(f"map {mname} on {s!r} lands off-degree")
-                    rows[tds.index(timg)][col] = coeff
-            if tds and ds:
-                maps[mname][d] = IntMatrix.from_rows(rows)
+            mat = desc_matrix(ds, descs.get(target, []), lambda s: map_image(mname, s))
+            if mat.rows:
+                maps[mname][d] = mat
     return Chart(name=name, window=window, entries=entries, maps=maps)
 
 
 def closed_form_hz(window: Window) -> Chart:
     """The integral theory from its block decomposition, degree by degree."""
-    return _build_chart("hz-closed", window, hz_summands, hz_degree,
-                        hz_generator, hz_map_image, ("a", "u"))
+    return _build_chart("hz-closed", window, hz_summands, hz_generator,
+                        hz_map_image, ("a", "u"))
 
 
 def closed_form_kr(window: Window) -> Chart:
     """Connective Real K-theory from its block decomposition."""
-    return _build_chart("kr-closed", window, kr_summands, kr_degree,
-                        kr_generator, kr_map_image, ("a", "vbar", "U"))
+    return _build_chart("kr-closed", window, kr_summands, kr_generator,
+                        kr_map_image, ("a", "vbar", "U"))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, column_space_basis,
-                       has_nonzero_hom, kernel_basis, lattice_contains)
+                       has_nonzero_hom, lattice_contains, preimage_lattice)
 from .grading import Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE
 
 
@@ -372,12 +372,7 @@ class Page:
         if imgs.is_zero():
             new_cycles = here.cycles
         else:
-            big = imgs.hstack(above.bounds)
-            kb = kernel_basis(big)
-            k = here.cycles.cols
-            proj = IntMatrix.from_rows([[kb[i, j] for j in range(kb.cols)] for i in range(k)])
-            coords = column_space_basis(proj)
-            new_cycles = here.cycles.mul(coords)
+            new_cycles = here.cycles.mul(preimage_lattice(imgs, above.bounds))
 
         # new boundaries: old ones plus images of cycles downstairs
         pieces = here.bounds
@@ -532,17 +527,10 @@ def collapse_to_chart(page: Page, window: Window, name: str,
             src = page.state(tri)
             dst = page.state(spot_of[target_deg])
             index = {m: i for i, m in enumerate(dst.monomials)}
-            cols = []
-            for j in range(src.pres.gens.cols):
-                vec = src.pres.gens.column(j)
-                out = [0] * len(dst.monomials)
-                for i, c in enumerate(vec):
-                    if c == 0:
-                        continue
-                    prod = tuple(e1 + e2 for e1, e2 in zip(src.monomials[i], mono))
-                    out[index[prod]] += c
-                cols.append(dst.pres.express(out))
-            per[d] = IntMatrix.from_columns(cols, len(dst.pres.orders))
+            mult = [[0] * len(src.monomials) for _ in dst.monomials]
+            for j, m in enumerate(src.monomials):
+                mult[index[tuple(e1 + e2 for e1, e2 in zip(m, mono))]][j] = 1
+            per[d] = dst.pres.induced(IntMatrix.from_rows(mult), src.pres)
         chart.maps[mname] = per
     return chart
 

@@ -139,19 +139,6 @@ def _les_entry(coker: PresentedGroup, coker_tag: str, ker: PresentedGroup,
     return ChartEntry(tuple(gens), exact=exact)
 
 
-def _blockwise_a(charts: list[Chart], d: Degree) -> IntMatrix:
-    """Direct-sum a-multiplication matrix out of degree d."""
-    mats = [mult_map(c, "a", d) for c in charts]
-    total_rows = sum(m.rows for m in mats)
-    cols: list[list[int]] = []
-    off = 0
-    for m in mats:
-        for col in m.columns():
-            cols.append([0] * off + col + [0] * (total_rows - off - m.rows))
-        off += m.rows
-    return IntMatrix.from_columns(cols, total_rows)
-
-
 def torsion_split_by_a(orders: tuple[int, ...],
                        induced_a: Callable[[], IntMatrix | None]) -> bool:
     """Is every torsion generator of order 2 and in the image of a?
@@ -198,6 +185,9 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
     are blockwise along that filtration (the associated-graded action),
     which is what the local-cohomology vanishing test consumes.
     """
+    def a_sources(d: Degree) -> IntMatrix:
+        return IntMatrix.block_diag(*(mult_map(c, "a", d) for c in sources))
+
     def to_tate(d: Degree) -> IntMatrix:
         nt = len(tate.orders(d))
         return reduce(IntMatrix.hstack,
@@ -210,9 +200,7 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
         if not all(c.window.contains(up) for c in sources):
             return None
         ker_up = presented_kernel(to_tate(up), _orders_concat(sources, up), tate.orders(up))
-        amat = _blockwise_a(sources, up)
-        return IntMatrix.from_columns([ker.express(amat.apply(col))
-                                       for col in ker_up.gens.columns()], len(ker.orders))
+        return ker.induced(a_sources(up), ker_up)
 
     entries: dict[Degree, ChartEntry] = {}
     kers: dict[Degree, PresentedGroup] = {}
@@ -235,14 +223,9 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
         down = (d[0], d[1] - 1)
         if down not in entries:
             continue
-        tker, tcoker = kers[down], cokers[down]
-        a_tate = mult_map(tate, "a", (d[0] + 1, d[1]))
-        a_src = _blockwise_a(sources, d)
-        cols = [tcoker.express(a_tate.apply(col)) + [0] * len(tker.orders)
-                for col in cokers[d].gens.columns()]
-        cols += [[0] * len(tcoker.orders) + tker.express(a_src.apply(col))
-                 for col in kers[d].gens.columns()]
-        amaps[d] = IntMatrix.from_columns(cols, len(entries[down].gens))
+        amaps[d] = IntMatrix.block_diag(
+            cokers[down].induced(mult_map(tate, "a", (d[0] + 1, d[1])), cokers[d]),
+            kers[down].induced(a_sources(d), kers[d]))
     return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
 
 

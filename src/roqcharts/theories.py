@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 from . import chartio
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
-                       map_is_iso, presented_cokernel, presented_kernel)
+                       map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, MAP_DEGREES, SQUARE, ChartError, hz_degree,
+                      DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_summands, mult_map)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart, find_candidates, rule_shift)
@@ -231,26 +231,10 @@ def _is_stub_top(desc: tuple) -> bool:
     return desc[0] == "utow" and desc[1] % 2 == 1 and desc[2] == 2 * desc[1] + 3
 
 
-def _hz_matrix(p: Degree, shift: Degree, image) -> IntMatrix:
-    """A map out of the closed-form hz entry at p into the one at
-    p + shift, from each generator's image as (descriptor, coefficient)
-    pairs."""
-    dst = hz_summands(p[0] + shift[0], p[1] + shift[1])
-    cols = []
-    for desc in hz_summands(*p):
-        col = [0] * len(dst)
-        for img, coeff in image(desc):
-            if img not in dst:
-                raise TheoryError(f"{desc!r} maps to {img!r}, "
-                                  f"not a summand at {p} + {shift}")
-            col[dst.index(img)] += coeff
-        cols.append(col)
-    return IntMatrix.from_columns(cols, len(dst))
-
-
 def _theta_matrix(p: Degree) -> IntMatrix:
-    return _hz_matrix(p, THETA_DEGREE,
-                      lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+    return desc_matrix(hz_summands(*p),
+                       hz_summands(p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]),
+                       lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
 
 
 def _hz_orders(p: Degree) -> tuple[int, ...]:
@@ -265,17 +249,10 @@ def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
     im(theta into p).  Generators are in the hz coordinates at p.
     """
     orders = _hz_orders(p)
-    ker = presented_kernel(_theta_matrix(p), orders,
-                           _hz_orders((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1])))
-    if floor == 0:
-        return ker
-    into = _theta_matrix((p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1]))
-    hom = presented_cokernel(IntMatrix.from_columns(
-        [ker.express(col) for col in into.columns()], len(ker.orders)), ker.orders)
-    gens = IntMatrix.from_columns([ker.gens.apply(col) for col in hom.gens.columns()],
-                                  len(orders))
-    return PresentedGroup(len(orders), gens, hom.orders, ker.rels.hstack(into),
-                          hom.group)
+    src = (p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1])
+    dst = (p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1])
+    into = _theta_matrix(src) if floor else IntMatrix.zero(len(orders), 0)
+    return presented_homology(_theta_matrix(p), _hz_orders(dst), into, orders)
 
 
 @dataclass(frozen=True)
@@ -323,10 +300,9 @@ def _splits_on_floor(floor: int, p: Degree) -> bool:
     up = (p[0], p[1] + 1)
 
     def induced_a() -> IntMatrix:
-        amat = _hz_matrix(up, MAP_DEGREES["a"], lambda desc: hz_map_image("a", desc))
-        return IntMatrix.from_columns(
-            [here.express(amat.apply(col))
-             for col in _theta_homology(floor, up).gens.columns()], len(here.orders))
+        amat = desc_matrix(hz_summands(*up), hz_summands(*p),
+                           lambda desc: hz_map_image("a", desc))
+        return here.induced(amat, _theta_homology(floor, up))
     return torsion_split_by_a(here.orders, induced_a)
 
 

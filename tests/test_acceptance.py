@@ -199,9 +199,9 @@ def test_criterion_09_slice_extraction():
     assert len(survivors) == 1 and survivors[0].index2
     ko = ["Z", "Z/2", "Z/2", "0", "Z", "0", "0", "0", "Z"]
     for n in range(9):
-        total = FgAbelian.zero()
-        for s in range(0, 40):
-            total = total.direct_sum(sss_entry_einf(n, s))
+        groups = [sss_entry_einf(n, s) for s in range(0, 40)]
+        total = FgAbelian.from_orders([0] * sum(g.rank for g in groups)
+                                      + [t for g in groups for t in g.torsion])
         assert str(total) == ko[n]
     for xb in range(-12, 13):
         for yb in range(-12, 13):

@@ -8,7 +8,8 @@ from dataclasses import replace
 from roqcharts.chartio import diff as chart_diff, parse
 from roqcharts.cli import _parse_window, _verify_axes, main
 from roqcharts.grading import Window, closed_form_hz, closed_form_kr
-from roqcharts.theories import hz_seed, inject_class, kr_seed, run_tate_pipeline
+from roqcharts.theories import (BocksteinResult, BssClass, hz_seed, inject_class,
+                                kr_seed, run_tate_pipeline)
 
 HERE = pathlib.Path(__file__).parent
 
@@ -119,6 +120,18 @@ def test_bockstein_surviving_candidates_exit_1_without_traceback():
     assert "Traceback" not in err
     assert err.startswith("error: surviving higher differential candidates: ")
     assert len(err.splitlines()) == 1
+
+
+def test_verify_cross_names_the_first_bockstein_candidate(monkeypatch, capsys):
+    source = BssClass(0, ("usq", 0), False, 0)
+    planted = (3, (0, 0), source, replace(source, floor=3))
+    monkeypatch.setattr("roqcharts.cli.run_bockstein", lambda window, padding:
+                        BocksteinResult(closed_form_kr(window), [], [planted]))
+    assert main(["verify", "cross", "--window=-2..2"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL ")]
+    assert fails[0] == ("FAIL kr bockstein == closed: surviving candidate "
+                        f"(r, degree, source, target) {planted}, 1 in all")
 
 
 def _assert_usage_error(*args):

@@ -5,14 +5,16 @@ the randomized checks; the frozen examples were computed by hand
 (determinant and gcd pin the 2x2 diagonal).
 """
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
 from roqcharts.exactalg import (ExactAlgebraError, FgAbelian, IntComplex,
-                                IntMatrix, PresentedGroup, column_space_basis,
-                                composition_factors, has_nonzero_hom,
-                                homology_at, iso_check, kernel_basis,
+                                IntMatrix, NotInLatticeError, PresentedGroup,
+                                column_space_basis, composition_factors,
+                                has_nonzero_hom, homology_at, iso_check,
+                                kernel_basis, presented_homology,
                                 smith_normal_form, solve)
 
 
@@ -159,8 +161,7 @@ def test_homology_rank_against_rational_count(m):
 def test_iso_check_examples():
     assert iso_check(FgAbelian.free(1), FgAbelian.free(1))
     assert not iso_check(FgAbelian.cyclic(2), FgAbelian.cyclic(4))
-    assert iso_check(FgAbelian.free(1).direct_sum(FgAbelian.cyclic(2)),
-                     FgAbelian(1, (2,)))
+    assert iso_check(FgAbelian.from_orders([2, 0]), FgAbelian(1, (2,)))
 
 
 def test_composition_factors_examples():
@@ -219,3 +220,15 @@ def test_express_reduces_mod_orders():
     assert pres.group == FgAbelian.cyclic(2)
     assert pres.express([3]) == [1]
     assert pres.express([4]) == [0]
+
+
+def test_presented_homology_with_torsion():
+    two, zero = M([[2]]), M([[0]])
+    # Z/4 -2-> Z/4 -2-> Z/4 is exact; with either map zero the middle is Z/2
+    assert presented_homology(two, (4,), two, (4,)).is_zero()
+    assert presented_homology(zero, (4,), two, (4,)).group == FgAbelian.cyclic(2)
+    kernel = presented_homology(two, (4,), zero, (4,))
+    assert kernel.group == FgAbelian.cyclic(2) and kernel.gens.column(0) == [2]
+    # through Z/8 the composite 4 is not zero: the bounds are not cycles
+    with pytest.raises(NotInLatticeError):
+        presented_homology(two, (8,), two, (8,))

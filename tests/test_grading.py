@@ -2,9 +2,11 @@
 
 import pytest
 
-from roqcharts.exactalg import FgAbelian, map_is_iso
-from roqcharts.grading import (OutOfWindowError, Window, check_square_commutes,
-                               closed_form_hz, closed_form_kr, mult_map)
+from roqcharts.exactalg import FgAbelian, IntMatrix, map_is_iso
+from roqcharts.grading import (DOT, SQUARE, ChartEntry, ChartError, Generator,
+                               OutOfWindowError, Window, check_square_commutes,
+                               closed_form_hz, closed_form_kr, desc_matrix,
+                               hz_map_image, hz_summands, mult_map)
 
 
 Z = FgAbelian.free(1)
@@ -151,3 +153,24 @@ def test_charts_store_only_nonzero_entries(hz12, kr12):
 def test_empty_window_rejected():
     with pytest.raises(Exception):
         Window(3, 2, 0, 0)
+
+
+@pytest.mark.parametrize("orders, chain", [((2, 3), False), ((4, 2), False),
+                                           ((2, 4), True)])
+def test_entry_dots_must_form_the_torsion_chain(orders, chain):
+    gens = (Generator("g", SQUARE),) + tuple(Generator(f"t{i}", DOT, o)
+                                             for i, o in enumerate(orders))
+    if chain:
+        assert ChartEntry(gens).group == FgAbelian(1, orders)
+    else:
+        with pytest.raises(ChartError):
+            ChartEntry(gens)
+
+
+def test_desc_matrix_rejects_images_outside_the_target():
+    def a_image(desc):
+        return hz_map_image("a", desc)
+    assert desc_matrix(hz_summands(0, 0), hz_summands(0, -1), a_image) == \
+        IntMatrix.from_rows([[1]])
+    with pytest.raises(ChartError):
+        desc_matrix(hz_summands(0, 0), hz_summands(0, -2), a_image)
