@@ -59,9 +59,13 @@ def parse(text: str) -> Chart:
         if not line.strip():
             continue
         if line.startswith("name: "):
+            if name is not None:
+                raise ChartParseError(no, "repeated name header")
             name = line[len("name: "):]
             continue
         if line.startswith("window: "):
+            if window is not None:
+                raise ChartParseError(no, "repeated window header")
             try:
                 xmin, xmax, ymin, ymax = map(int, line[len("window: "):].split())
                 window = Window(xmin, xmax, ymin, ymax)
@@ -79,6 +83,8 @@ def parse(text: str) -> Chart:
             x, y = map(int, fields[0].split())
         except ValueError:
             raise ChartParseError(no, "entry degree needs two integers")
+        if (x, y) in entries:
+            raise ChartParseError(no, f"second entry at {(x, y)}")
         gparts = fields[1].split()
         if len(gparts) != 4 or gparts[0] != "rank" or gparts[2] != "torsion":
             raise ChartParseError(no, f"malformed group field {fields[1]!r}")
@@ -111,8 +117,9 @@ def parse(text: str) -> Chart:
                 raise ChartParseError(no, str(e)) from e
         if free_seen != rank or tors_seen != len(torsion):
             raise ChartParseError(no, "generators do not account for the group")
-        exact = not (len(fields) > 3 and fields[3] == "inexact")
-        entries[(x, y)] = ChartEntry(tuple(gens), exact=exact)
+        if fields[3:] not in ([], ["inexact"]):
+            raise ChartParseError(no, f"unknown entry flag {' | '.join(fields[3:])!r}")
+        entries[(x, y)] = ChartEntry(tuple(gens), exact=len(fields) == 3)
     if name is None or window is None:
         raise ChartParseError(len(lines), "missing name or window header")
     for d in entries:

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import chartio
-from .grading import Window, closed_form_hz, closed_form_kr
+from .grading import Chart, Window, closed_form_hz, closed_form_kr
 from .cells import cellular_chart_hz, quotient_row_check
 from .tate import TateSquareData
 from .theories import (TheorySeed, connectivity_check, gap_check, hz_seed,
@@ -107,9 +107,8 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _verify_closed(title: str, check, window: Window, report) -> None:
-    for name, chart in (("hz", closed_form_hz(window)),
-                        ("kr", closed_form_kr(window))):
+def _verify_closed(title: str, check, closed: dict[str, Chart], report) -> None:
+    for name, chart in closed.items():
         rep = check(chart)
         report(f"{title} {name}", rep.passed,
                "" if rep.passed else f"violations {rep.violations[:3]}")
@@ -119,8 +118,8 @@ def _verify_closed(title: str, check, window: Window, report) -> None:
 _CONTROL_WINDOW = Window.square(4)
 
 
-def _verify_connectivity(hz: TheorySeed, window: Window, report) -> None:
-    _verify_closed("connectivity", connectivity_check, window, report)
+def _verify_connectivity(hz: TheorySeed, closed: dict[str, Chart], report) -> None:
+    _verify_closed("connectivity", connectivity_check, closed, report)
     # negative control: an a-periodic chart must fail the first clause
     tate = run_tate_pipeline(hz, _CONTROL_WINDOW, padding=2).tate
     rep = connectivity_check(tate)
@@ -128,22 +127,20 @@ def _verify_connectivity(hz: TheorySeed, window: Window, report) -> None:
 
 
 def _verify_cross(window: Window, padding: int, squares: dict[str, TateSquareData],
-                  report) -> None:
-    def compare(name: str, chart, closed, candidates: list) -> None:
-        rep = chart_diff(chart, closed)
+                  closed: dict[str, Chart], report) -> None:
+    def compare(name: str, chart, reference, candidates: list) -> None:
+        rep = chart_diff(chart, reference)
         if candidates:
             report(name, False, "surviving candidate (r, degree, source, target) "
                                 f"{candidates[0]}, {len(candidates)} in all")
         else:
             report(name, rep.clean, "" if rep.clean else rep.summary().splitlines()[0])
 
-    closed_hz = closed_form_hz(window)
-    compare("hz cells == closed", cellular_chart_hz(window), closed_hz, [])
-    compare("hz tate == closed", squares["hz"].genuine, closed_hz, [])
-    closed_kr = closed_form_kr(window)
-    compare("kr tate == closed", squares["kr"].genuine, closed_kr, [])
+    compare("hz cells == closed", cellular_chart_hz(window), closed["hz"], [])
+    compare("hz tate == closed", squares["hz"].genuine, closed["hz"], [])
+    compare("kr tate == closed", squares["kr"].genuine, closed["kr"], [])
     bss = run_bockstein(window, padding=padding)
-    compare("kr bockstein == closed", bss.chart, closed_kr, bss.candidates)
+    compare("kr bockstein == closed", bss.chart, closed["kr"], bss.candidates)
     rows = all(quotient_row_check(n) for n in range(1, max(2, window.ymax)))
     report("hz quotient rows", rows, "")
 
@@ -193,12 +190,14 @@ def cmd_verify(args) -> int:
     if scope in ("all", "cross", "axes"):
         squares = {seed.name: run_tate_pipeline(seed, window, padding=args.padding)
                    for seed in (hz, kr_seed())}
+    if scope in ("all", "gap", "connectivity", "cross"):
+        closed = {"hz": closed_form_hz(window), "kr": closed_form_kr(window)}
     if scope in ("all", "gap"):
-        _verify_closed("gap", gap_check, window, report)
+        _verify_closed("gap", gap_check, closed, report)
     if scope in ("all", "connectivity"):
-        _verify_connectivity(hz, window, report)
+        _verify_connectivity(hz, closed, report)
     if scope in ("all", "cross"):
-        _verify_cross(window, args.padding, squares, report)
+        _verify_cross(window, args.padding, squares, closed, report)
     if scope in ("all", "axes"):
         _verify_axes(squares, report)
     if scope == "all":

@@ -548,9 +548,7 @@ def presented_kernel(mat: IntMatrix, src_orders: tuple[int, ...],
 
 def presented_cokernel(mat: IntMatrix, dst_orders: tuple[int, ...]) -> PresentedGroup:
     """Cokernel of a map of presented groups, in destination coordinates."""
-    n_dst = len(dst_orders)
-    rels = mat.hstack(_rel_columns(dst_orders))
-    return PresentedGroup.from_lattices(IntMatrix.identity(n_dst), rels)
+    return presented_homology(IntMatrix.zero(0, len(dst_orders)), (), mat, dst_orders)
 
 
 def map_is_iso(mat: IntMatrix, src_orders: tuple[int, ...],

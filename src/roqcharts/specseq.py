@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, column_space_basis,
-                       has_nonzero_hom, lattice_contains, preimage_lattice)
+from .exactalg import (FgAbelian, IntMatrix, NotInLatticeError, PresentedGroup,
+                       column_space_basis, has_nonzero_hom, lattice_contains,
+                       preimage_lattice)
 from .grading import Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE
 
 
@@ -383,23 +384,17 @@ class Page:
                                 below.monomials)
             incoming = dn.mul(below.cycles)
             if not incoming.is_zero():
-                # the square-zero law, checked on everything that arrives
-                for j in range(incoming.cols):
-                    v = incoming.column(j)
-                    dd = dmat.apply(v)
-                    if above.monomials and not lattice_contains(above.bounds, dd):
-                        raise DifferentialError(
-                            f"d o d != 0 at tridegree {tri}: witness column of "
-                            f"{self.pres.mono_str(below.monomials[0])}-span")
-                    if not above.monomials and any(dd):
-                        raise DifferentialError(f"d o d != 0 at tridegree {tri}")
                 pieces = pieces.hstack(incoming)
                 grew = True
         if new_cycles is here.cycles and not grew:
             return here
         new_bounds = column_space_basis(pieces) if grew else here.bounds
-        return SpotState(monos, new_cycles, new_bounds,
-                         PresentedGroup.from_lattices(new_cycles, new_bounds))
+        try:
+            # the square-zero law: every new boundary is a new cycle
+            pres = PresentedGroup.from_lattices(new_cycles, new_bounds)
+        except NotInLatticeError:
+            raise DifferentialError(f"d o d != 0 at tridegree {tri}") from None
+        return SpotState(monos, new_cycles, new_bounds, pres)
 
     def is_cycle(self, powers: dict[str, int]) -> bool:
         """Whether the monomial survives as a class of the current page
@@ -425,17 +420,14 @@ def _scan_floor(d: Degree) -> int:
     return -(max(0, -(x + y)) + _SCAN_DEPTH)
 
 
-def shadow_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
-    """Tridegrees with chart shadow d and a nonempty monomial basis,
-    scanned from filtration 0 down to _SCAN_DEPTH below the last
-    structural bound; the collapse routine separately certifies a zero
-    band at the bottom.
-    """
+def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
+    """Tridegrees with chart shadow d and a nonzero group, scanned from
+    filtration 0 down to _SCAN_DEPTH below the last structural bound."""
     x, y = d
     out = []
     for s in range(0, _scan_floor(d) - 1, -1):
         tri = (s, x - s, y)
-        if page.monomials_at(tri):
+        if page.monomials_at(tri) and not page.state(tri).group.is_zero():
             out.append(tri)
     return out
 
@@ -450,10 +442,8 @@ def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, Tr
     """
     found = []
     for d in window.degrees():
-        for tri in shadow_tridegrees(page, d):
+        for tri in live_tridegrees(page, d):
             g = page.state(tri).group
-            if g.is_zero():
-                continue
             for r in range(1, _R_CAP + 1):
                 target = _add_tri(tri, (-r, r - 1, 0))
                 if not page.monomials_at(target):
@@ -486,19 +476,15 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
     for d in window.degrees():
-        tris = shadow_tridegrees(page, d)
-        live = [t for t in tris if not page.state(t).group.is_zero()]
-        # zero-band certificate: the bottom _ZERO_BAND filtrations of the
-        # scan must be zero, so the cutoff provably lost nothing nearby
-        floor = _scan_floor(d)
-        for s in range(floor, min(floor + _ZERO_BAND, 1)):
-            tri = (s, d[0] - s, d[1])
-            if page.monomials_at(tri) and not page.state(tri).group.is_zero():
-                raise CollapseError(
-                    f"no zero band at the bottom of the filtration scan for {d}; "
-                    f"increase _SCAN_DEPTH (nonzero at {tri})")
+        live = live_tridegrees(page, d)
         if not live:
             continue
+        # zero-band certificate: the bottom _ZERO_BAND filtrations of the
+        # scan must be zero, so the cutoff provably lost nothing nearby
+        if live[-1][0] < _scan_floor(d) + _ZERO_BAND:
+            raise CollapseError(
+                f"no zero band at the bottom of the filtration scan for {d}; "
+                f"increase _SCAN_DEPTH (nonzero at {live[-1]})")
         if len(live) > 1:
             raise CollapseError(f"degree {d} is spread over filtrations {live}")
         tri = live[0]

@@ -67,10 +67,8 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
     checked and otherwise raised as an instability error.
     """
     w = chart.window
-    colim_entry: dict[int, ChartEntry] = {}
+    columns: dict[int, ChartEntry] = {}
     loc: dict[Degree, IntMatrix] = {}
-    entries: dict[Degree, ChartEntry] = {}
-    amaps: dict[Degree, IntMatrix] = {}
     for x in range(w.xmin, w.xmax + 1):
         for k in range(_STAB_BAND):
             src = (x, w.ymin + k + 1)
@@ -85,25 +83,27 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
             continue
         gens = tuple(Generator(f"loc({g.label})", g.annotation, g.order)
                      for g in bottom.gens)
-        colim_entry[x] = ChartEntry(gens)
-
+        columns[x] = ChartEntry(gens)
         # localization map at (x, y): compose a-multiplications down
-        n = len(bottom.gens)
-        running: dict[int, IntMatrix] = {w.ymin: IntMatrix.identity(n)}
-        acc = IntMatrix.identity(n)
-        for y in range(w.ymin + 1, w.ymax + 1):
-            acc = acc.mul(mult_map(chart, "a", (x, y)))
-            running[y] = acc
+        acc = IntMatrix.identity(len(gens))
         for y in range(w.ymin, w.ymax + 1):
-            entries[(x, y)] = colim_entry[x]
-            loc[(x, y)] = reduce_matrix(running[y], colim_entry[x].orders)
-    for x, e in colim_entry.items():
-        n = len(e.gens)
-        for y in range(w.ymin + 1, w.ymax + 1):
-            amaps[(x, y)] = IntMatrix.identity(n)
-    out = Chart(name=chart.name + "-tate", window=w, entries=entries,
-                maps={"a": amaps})
-    return out, loc
+            if y > w.ymin:
+                acc = acc.mul(mult_map(chart, "a", (x, y)))
+            loc[(x, y)] = reduce_matrix(acc, columns[x].orders)
+    return _periodic_chart(chart.name + "-tate", w, columns), loc
+
+
+def _periodic_chart(name: str, window: Window, columns: dict[int, ChartEntry]) -> Chart:
+    """Each column's entry copied over every row of window, with a acting
+    as the identity between neighbouring rows."""
+    entries: dict[Degree, ChartEntry] = {}
+    amaps: dict[Degree, IntMatrix] = {}
+    for x, e in columns.items():
+        for y in range(window.ymin, window.ymax + 1):
+            entries[(x, y)] = e
+            if y > window.ymin:
+                amaps[(x, y)] = IntMatrix.identity(len(e.gens))
+    return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +266,16 @@ def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
         for y in range(w.ymin, w.ymax + 1):
             if tate.group((x, y)) != base:
                 raise NotPeriodicError(f"input chart is not a-periodic at x = {x}")
-    entries: dict[Degree, ChartEntry] = {}
-    amaps: dict[Degree, IntMatrix] = {}
-    phi_maps: dict[Degree, IntMatrix] = {}
+    columns: dict[int, ChartEntry] = {}
     for x in range(max(0, w.xmin), w.xmax + 1):
         line = tate.entry((x, 0))
         if line is None:
             continue
         gens = tuple(Generator(f"ph({g.label})", g.annotation, g.order)
                      for g in line.gens)
-        e = ChartEntry(gens)
-        n = len(gens)
-        for y in range(w.ymin, w.ymax + 1):
-            entries[(x, y)] = e
-            phi_maps[(x, y)] = IntMatrix.identity(n)
-            if y > w.ymin:
-                amaps[(x, y)] = IntMatrix.identity(n)
-    chart = Chart(name=tate.name + "-phi", window=w, entries=entries,
-                  maps={"a": amaps})
-    return chart, phi_maps
+        columns[x] = ChartEntry(gens)
+    chart = _periodic_chart(tate.name + "-phi", w, columns)
+    return chart, {d: IntMatrix.identity(len(e.gens)) for d, e in chart.entries.items()}
 
 
 # ---------------------------------------------------------------------------

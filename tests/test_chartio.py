@@ -85,6 +85,18 @@ def test_parse_errors_carry_line_numbers():
             parse("roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n\n"
                   f"entry: 0 0 | rank 0 torsion {torsion} | {gens}\n")
         assert e3.value.line_no == 5, torsion
+    # nothing is silently dropped: a second entry at one degree, an
+    # unknown entry flag, and a repeated header are each an error
+    head = "roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n"
+    for doc, line_no in (
+            (head + "entry: 0 0 | rank 1 torsion - | g:square\n"
+                    "entry: 0 0 | rank 0 torsion 2 | h:dot\n", 5),
+            (head + "entry: 0 0 | rank 1 torsion - | g:square | inexakt\n", 4),
+            (head + "name: y\n", 4),
+            (head + "window: 0 2 0 2\n", 4)):
+        with pytest.raises(ChartParseError) as e4:
+            parse(doc)
+        assert e4.value.line_no == line_no, doc
 
 
 def test_inexact_flag_survives_round_trip():

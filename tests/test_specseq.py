@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roqcharts import specseq
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import Window, hz_summands, kr_summands
 from roqcharts.specseq import (CollapseError, DifferentialError,
@@ -205,6 +206,19 @@ def test_collapse_refuses_live_differential():
     with pytest.raises(CollapseError) as err:
         collapse_to_chart(pages("hz")[0], Window.square(3), "raw")
     assert "d_1" in str(err.value)
+
+
+def test_zero_band_certificate_scope(monkeypatch):
+    # a scan too shallow for the window must be refused by the zero band,
+    # naming the lowest live spot; the default depth passes on the same call
+    for theory in ("hz", "kr"):
+        collapse_to_chart(pages(theory)[-1], Window.square(4), "x")
+    monkeypatch.setattr(specseq, "_SCAN_DEPTH", 3)
+    for theory in ("hz", "kr"):
+        with pytest.raises(CollapseError) as err:
+            collapse_to_chart(pages(theory)[-1], Window.square(4), "x")
+        assert "no zero band" in str(err.value)
+        assert "(-4, -4)" in str(err.value) and "(-8, 4, -4)" in str(err.value)
 
 
 def test_single_filtration_on_window():
