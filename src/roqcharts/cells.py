@@ -1,123 +1,54 @@
 """The cellular oracle for the integral theory.
 
-Mackey functor data for the order-2 group Q, equivariant cell structures
-on the sign-representation spheres, and the row-by-row Bredon groups
-computed through exact homology.  This pipeline shares no code path with
-the closed-form chart, so agreement between the two is a real check.
+Equivariant cell structures on the sign-representation spheres with
+coefficients in the constant integral Mackey functor for the order-2
+group Q, and the row-by-row Bredon groups computed through exact
+homology.  This pipeline shares no code path with the closed-form
+chart, so agreement between the two is a real check.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .exactalg import FgAbelian, IntComplex, IntMatrix, homology_at
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT,
                       SQUARE, hz_summands, hz_generator)
 
 
-class UnsupportedCoefficientsError(Exception):
-    """Raised for Mackey coefficient systems outside the supported scope."""
-
-
-@dataclass(frozen=True)
-class MackeyQ:
-    """A Mackey functor for Q: values at Q/Q and Q/1 with structure maps.
-
-    res: Q/Q -> Q/1, ind: Q/1 -> Q/Q, weyl: the involution on the Q/1
-    level.  The double-coset relation at this group is res o ind = 1 + weyl.
-    """
-
-    fixed: FgAbelian
-    free: FgAbelian
-    res: IntMatrix
-    ind: IntMatrix
-    weyl: IntMatrix
-
-    def __post_init__(self):
-        n = self.weyl.rows
-        if self.weyl.mul(self.weyl) != IntMatrix.identity(n):
-            raise ValueError("weyl involution does not square to the identity")
-        lhs = self.res.mul(self.ind)
-        rhs_rows = [[(1 if i == j else 0) + self.weyl[i, j] for j in range(n)]
-                    for i in range(n)]
-        if lhs != IntMatrix.from_rows(rhs_rows):
-            raise ValueError("res o ind != 1 + weyl")
-
-
-def constant_integers() -> MackeyQ:
-    """The constant Mackey functor: restriction 1, induction 2."""
-    one = IntMatrix.from_rows([[1]])
-    two = IntMatrix.from_rows([[2]])
-    return MackeyQ(FgAbelian.free(1), FgAbelian.free(1), res=one, ind=two, weyl=one)
-
-
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
 
 
-@dataclass(frozen=True)
-class SphereComplex:
-    twist: int
-    variance: str
-    complex: IntComplex
-
-
-def _is_constant_integers(m: MackeyQ) -> bool:
-    c = constant_integers()
-    return (m.fixed, m.free, m.res, m.ind, m.weyl) == (c.fixed, c.free, c.res, c.ind, c.weyl)
-
-
-def sphere_complex(n: int, variance: str, coeffs: MackeyQ) -> SphereComplex:
+def sphere_complex(n: int, variance: str) -> IntComplex:
     """Reduced cellular chains of the n-fold sign sphere.
 
-    One fixed cell in degree 0 and one free cell in each degree 1..n.
-    Boundary maps come from the Mackey structure: the first attaching map
-    is induction (homology) or restriction (cohomology), and the free
-    cells alternate 1 -+ weyl.  Only the constant integral system is in
-    scope; anything else is rejected.
+    One fixed cell in degree 0 and one free cell in each degree 1..n, with
+    coefficients in the constant integral Mackey functor: restriction 1,
+    induction 2, and the Weyl involution 1 on the free level.  The first
+    attaching map is induction (homology) or restriction (cohomology), and
+    the free cells alternate 1 -+ weyl, that is 2 and 0.
     """
     if n < 0:
         raise ValueError("twist must be non-negative")
     if variance not in (HOMOLOGICAL, COHOMOLOGICAL):
         raise ValueError(f"unknown variance {variance!r}")
-    if not _is_constant_integers(coeffs):
-        raise UnsupportedCoefficientsError(
-            "only the constant integral Mackey functor is supported")
-
-    ident = IntMatrix.identity(coeffs.weyl.rows)
-
-    def plus_minus_weyl(sign: int) -> IntMatrix:
-        rows = [[ident[i, j] + sign * coeffs.weyl[i, j] for j in range(ident.cols)]
-                for i in range(ident.rows)]
-        return IntMatrix.from_rows(rows)
-
     if n == 0:
-        cx = IntComplex(bottom=0, dims=(1,), diffs=())
-        return SphereComplex(0, variance, cx)
+        return IntComplex(bottom=0, dims=(1,), diffs=())
 
     if variance == HOMOLOGICAL:
-        # boundary C_k -> C_{k-1}: ind for k = 1, then 1 - (-1)^k weyl
-        diffs = []
-        for k in range(1, n + 1):
-            if k == 1:
-                diffs.append(coeffs.ind)
-            else:
-                diffs.append(plus_minus_weyl(+1 if k % 2 else -1))
-        cx = IntComplex(bottom=0, dims=(1,) * (n + 1), diffs=tuple(diffs))
-        return SphereComplex(n, variance, cx)
-
-    # cochains encoded as a chain complex in degrees -n..0 with
-    # C_{-k} the k-cochains, so homology at -k is H^k
-    diffs = []
-    for k in range(0, n):
-        # the map C^k -> C^{k+1}: res for k = 0, then 1 + (-1)^k weyl
-        if k == 0:
-            diffs.append(coeffs.res)
-        else:
-            diffs.append(plus_minus_weyl(+1 if k % 2 == 0 else -1))
-    cx = IntComplex(bottom=-n, dims=(1,) * (n + 1), diffs=tuple(reversed(diffs)))
-    return SphereComplex(n, variance, cx)
+        # boundary C_k -> C_{k-1}: ind = 2 for k = 1, then 1 - (-1)^k weyl
+        bottom = 0
+        entries = [2 if k % 2 else 0 for k in range(1, n + 1)]
+    else:
+        # cochains encoded as a chain complex in degrees -n..0 with
+        # C_{-k} the k-cochains, so homology at -k is H^k; the map
+        # C^k -> C^{k+1} is res = 1 for k = 0, then 1 + (-1)^k weyl
+        bottom = -n
+        entries = [1] + [0 if k % 2 else 2 for k in range(1, n)]
+        entries.reverse()
+    return IntComplex(bottom=bottom, dims=(1,) * (n + 1),
+                      diffs=tuple(IntMatrix.from_rows([[e]]) for e in entries))
 
 
 def bredon_row(b: int) -> dict[Degree, FgAbelian]:
@@ -127,20 +58,19 @@ def bredon_row(b: int) -> dict[Degree, FgAbelian]:
     cohomology placed at negative x; the axis row is a single Z at the
     origin.  Coefficients are the constant integral Mackey functor.
     """
-    coeffs = constant_integers()
     out: dict[Degree, FgAbelian] = {}
     if b == 0:
         out[(0, 0)] = FgAbelian.free(1)
     elif b < 0:
-        sc = sphere_complex(-b, HOMOLOGICAL, coeffs)
+        cx = sphere_complex(-b, HOMOLOGICAL)
         for k in range(0, -b + 1):
-            g = homology_at(sc.complex, k)
+            g = homology_at(cx, k)
             if not g.is_zero():
                 out[(k, b)] = g
     else:
-        sc = sphere_complex(b, COHOMOLOGICAL, coeffs)
+        cx = sphere_complex(b, COHOMOLOGICAL)
         for k in range(0, b + 1):
-            g = homology_at(sc.complex, -k)
+            g = homology_at(cx, -k)
             if not g.is_zero():
                 out[(-k, b)] = g
     return out

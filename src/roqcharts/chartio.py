@@ -3,8 +3,7 @@
 The chart document format is line-based, versioned, and canonical:
 serializing any chart and parsing it back is the identity, and parsing
 a canonical document and serializing it again reproduces it byte for
-byte.  The same file carries the declarative seed format, so new
-theories are data rather than code.
+byte.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .grading import (Chart, ChartEntry, ChartError, Degree, Generator, Window,
                       CIRCLE, DOT, SQUARE)
 
 CHART_MAGIC = "roqcharts-chart v1"
-SEED_MAGIC = "roqcharts-seed v1"
 
 
 class ChartParseError(Exception):
@@ -55,6 +53,7 @@ def parse(text: str) -> Chart:
     name = None
     window = None
     entries: dict[Degree, ChartEntry] = {}
+    entry_lines: dict[Degree, int] = {}
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -120,11 +119,12 @@ def parse(text: str) -> Chart:
         if fields[3:] not in ([], ["inexact"]):
             raise ChartParseError(no, f"unknown entry flag {' | '.join(fields[3:])!r}")
         entries[(x, y)] = ChartEntry(tuple(gens), exact=len(fields) == 3)
+        entry_lines[(x, y)] = no
     if name is None or window is None:
         raise ChartParseError(len(lines), "missing name or window header")
-    for d in entries:
+    for d, no in entry_lines.items():
         if not window.contains(d):
-            raise ChartParseError(1, f"entry at {d} outside window {window}")
+            raise ChartParseError(no, f"entry at {d} outside window {window}")
     return Chart(name=name, window=window, entries=entries, maps={})
 
 
@@ -292,94 +292,3 @@ def render(chart: Chart, fmt: str) -> bytes:
     if fmt == "text":
         return render_text(chart).encode()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# declarative theory seeds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Parsed seed: generators (name, tridegree, invertible), differential
-    rounds (page label, source powers, coefficient, target powers), and
-    the connectivity certificate."""
-
-    name: str
-    generators: tuple[tuple[str, tuple[int, int, int], bool], ...]
-    differentials: tuple[tuple[int, dict[str, int], int, dict[str, int]], ...]
-    connective: bool
-
-
-def _parse_powers(tokens: list[str], no: int) -> tuple[int, dict[str, int]]:
-    coeff = 1
-    powers: dict[str, int] = {}
-    for tok in tokens:
-        if tok.lstrip("-").isdigit():
-            coeff *= int(tok)
-            continue
-        name, sep, exp = tok.partition("^")
-        try:
-            powers[name] = powers.get(name, 0) + (int(exp) if sep else 1)
-        except ValueError:
-            raise ChartParseError(no, f"malformed monomial token {tok!r}")
-    return coeff, powers
-
-
-def parse_seed(text: str) -> SeedSpec:
-    lines = text.splitlines()
-    if not lines or lines[0] != SEED_MAGIC:
-        raise ChartParseError(1, f"expected header {SEED_MAGIC!r}")
-    name = None
-    gens: list[tuple[str, tuple[int, int, int], bool]] = []
-    diffs: list[tuple[int, dict[str, int], int, dict[str, int]]] = []
-    connective = False
-    for no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("name: "):
-            name = line[len("name: "):]
-        elif line.startswith("generator: "):
-            toks = line[len("generator: "):].split()
-            if len(toks) not in (4, 5):
-                raise ChartParseError(no, "generator: name s t b [invertible]")
-            try:
-                tri = (int(toks[1]), int(toks[2]), int(toks[3]))
-            except ValueError:
-                raise ChartParseError(no, "generator tridegree needs three integers")
-            inv = len(toks) == 5 and toks[4] == "invertible"
-            gens.append((toks[0], tri, inv))
-        elif line.startswith("differential: "):
-            body = line[len("differential: "):]
-            try:
-                page_str, rest = body.split(" | ", 1)
-                page = int(page_str)
-                src_str, dst_str = rest.split("->")
-            except ValueError:
-                raise ChartParseError(no, "differential: page | mono -> [coeff] mono")
-            c_src, src = _parse_powers(src_str.split(), no)
-            if c_src != 1:
-                raise ChartParseError(no, "differential source must be monic")
-            coeff, dst = _parse_powers(dst_str.split(), no)
-            diffs.append((page, src, coeff, dst))
-        elif line.startswith("connective: "):
-            connective = line[len("connective: "):].strip() in ("yes", "true", "1")
-        else:
-            raise ChartParseError(no, f"unrecognized line {line!r}")
-    if name is None:
-        raise ChartParseError(len(lines), "seed needs a name")
-    return SeedSpec(name, tuple(gens), tuple(diffs), connective)
-
-
-def serialize_seed(spec: SeedSpec) -> str:
-    lines = [SEED_MAGIC, f"name: {spec.name}"]
-    for n, tri, inv in spec.generators:
-        suffix = " invertible" if inv else ""
-        lines.append(f"generator: {n} {tri[0]} {tri[1]} {tri[2]}{suffix}")
-    for page, src, coeff, dst in spec.differentials:
-        src_s = " ".join(f"{k}^{v}" if v != 1 else k for k, v in sorted(src.items()))
-        dst_toks = ([] if coeff == 1 else [str(coeff)]) + \
-            [f"{k}^{v}" if v != 1 else k for k, v in sorted(dst.items())]
-        lines.append(f"differential: {page} | {src_s} -> {' '.join(dst_toks)}")
-    lines.append(f"connective: {'yes' if spec.connective else 'no'}")
-    return "\n".join(lines) + "\n"

@@ -48,7 +48,7 @@ def _parse_window(spec: str) -> Window:
     return Window(xlo, xhi, ylo, yhi)
 
 
-def _padding(s: str) -> int:
+def _positive_int(s: str) -> int:
     if not s.lstrip("-").isdigit() or int(s) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {s!r}")
     return int(s)
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pipeline", choices=("cells", "tate", "bockstein", "closed"),
                    required=True)
     c.add_argument("--window", default="-12..12")
-    c.add_argument("--padding", type=_padding, default=4)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--padding", type=_positive_int, default=4)
+    c.add_argument("--threads", type=_positive_int, default=1)
     c.add_argument("--paranoid", action="store_true",
                    help="recompute with doubled padding and require identity")
     c.add_argument("--output", default=None)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("scope", choices=("all", "gap", "connectivity", "cross", "axes"))
     v.add_argument("--window", default="-12..12")
-    v.add_argument("--padding", type=_padding, default=4)
+    v.add_argument("--padding", type=_positive_int, default=4)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="render a chart document")

@@ -407,15 +407,6 @@ class FgAbelian:
         return " + ".join(parts) if parts else "0"
 
 
-def iso_check(g1: FgAbelian, g2: FgAbelian) -> bool:
-    """Structural equality of normal forms, i.e. isomorphism."""
-    return g1 == g2
-
-
-def composition_factors(g: FgAbelian) -> tuple[int, tuple[int, ...]]:
-    return g.composition_factors()
-
-
 def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
     """Whether Hom(src, dst) != 0.
 

@@ -1,10 +1,11 @@
 """Theory seeds and the theory-level pipelines.
 
 Two theories are wired up: the integral Eilenberg-MacLane theory (hz)
-and connective Real K-theory (kr).  Each seed carries the fixed-point
-page presentation with its differential rounds, a connectivity
-certificate, and label conventions.  On top of the page engine and the
-Tate square this module adds the vbar-Bockstein spectral sequence with
+and connective Real K-theory (kr).  Each seed is declared here in code:
+the fixed-point page presentation with its differential rounds, a
+connectivity certificate, and the page monomials of the structure maps;
+the label conventions are per theory too.  On top of the page engine and
+the Tate square this module adds the vbar-Bockstein spectral sequence with
 its degree -(2,1) operation, the slice re-indexing, and the structural
 chart checkers (gap and connectivity).
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import chartio
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
                        map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
@@ -34,58 +34,28 @@ class TheorySeed:
     presentation: Presentation
     rules: tuple[DifferentialRule, ...]
     connective: bool
-    map_monos: dict[str, dict[str, int]] = field(default_factory=dict)
+    map_monos: dict[str, dict[str, int]]
 
     def label_of(self, mono, coeff: int) -> str:
         return _page_label(self.name, self.presentation, mono, coeff)
 
 
-# Seeds are declared in the chart-io text format and parsed, so new
-# theories can be added the same way without touching code.
-
-HZ_SEED_TEXT = """roqcharts-seed v1
-name: hz
-generator: a -1 1 -1
-generator: lam 0 1 -1 invertible
-differential: 1 | lam -> 2 a
-connective: yes
-"""
-
-KR_SEED_TEXT = """roqcharts-seed v1
-name: kr
-generator: a -1 1 -1
-generator: vb 0 1 1
-generator: lam 0 1 -1 invertible
-differential: 1 | lam -> 2 a
-differential: 2 | lam^2 -> a^3 vb
-connective: yes
-"""
-
-
-def seed_from_spec(spec: "chartio.SeedSpec") -> TheorySeed:
-    pres = Presentation(tuple(PageGenerator(n, tri, inv)
-                              for n, tri, inv in spec.generators))
-    rules = tuple(DifferentialRule(label, tuple(sorted(src.items())), coeff,
-                                   tuple(sorted(dst.items())))
-                  for label, src, coeff, dst in spec.differentials)
-    maps: dict[str, dict[str, int]] = {}
-    names = {g.name for g in pres.generators}
-    if "a" in names:
-        maps["a"] = {"a": 1}
-    if "vb" in names:
-        maps["vbar"] = {"vb": 1}
-    if "lam" in names:
-        maps["u"] = {"lam": 2}
-        maps["U"] = {"lam": 4}
-    return TheorySeed(spec.name, pres, rules, spec.connective, maps)
+_A = PageGenerator("a", (-1, 1, -1))
+_LAM = PageGenerator("lam", (0, 1, -1), invertible=True)
+_D1 = DifferentialRule(1, (("lam", 1),), 2, (("a", 1),))
 
 
 def hz_seed() -> TheorySeed:
-    return seed_from_spec(chartio.parse_seed(HZ_SEED_TEXT))
+    return TheorySeed("hz", Presentation((_A, _LAM)), (_D1,), True,
+                      {"a": {"a": 1}, "u": {"lam": 2}, "U": {"lam": 4}})
 
 
 def kr_seed() -> TheorySeed:
-    return seed_from_spec(chartio.parse_seed(KR_SEED_TEXT))
+    vb = PageGenerator("vb", (0, 1, 1))
+    d2 = DifferentialRule(2, (("lam", 2),), 1, (("a", 3), ("vb", 1)))
+    return TheorySeed("kr", Presentation((_A, vb, _LAM)), (_D1, d2), True,
+                      {"a": {"a": 1}, "vbar": {"vb": 1}, "u": {"lam": 2},
+                       "U": {"lam": 4}})
 
 
 def _page_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
@@ -155,22 +125,22 @@ def hfpss_collapse_certificates(pages: list[Page], window: Window):
 
     pages is a chain from `build_pages`, whose spot states the search
     fills in for the caller.  One list per page: an intermediate page is
-    answerable for shapes
-    strictly between the round just applied and the round about to be,
-    the final page for every later shape that `find_candidates` searches
-    (up to its cap, `specseq._R_CAP`).  All lists must come back empty;
-    nothing is assumed collapsed without this search.
+    answerable for shapes strictly between the round just applied and the
+    round about to be, and is not searched when no shape lies between
+    them; the final page for every later shape that `find_candidates`
+    searches (up to its cap, `specseq._R_CAP`).  All lists must come back
+    empty; nothing is assumed collapsed without this search.
     """
     shapes = [rule_shift(pages[0].pres, rule)[0] for rule in pages[-1].rounds]
     if shapes != sorted(shapes):
         raise TheoryError("differential rounds must come in increasing shape")
     out = []
     for i, page in enumerate(pages):
-        cands = find_candidates(page, window)
         lo = shapes[i - 1] if i > 0 else 0
         hi = shapes[i] if i < len(shapes) else float("inf")
-        cands = [c for c in cands if lo < c[0] < hi]
-        out.append((page.page_label, cands))
+        # with no shape strictly between lo and hi there is nothing to search
+        cands = find_candidates(page, window) if hi - lo > 1 else []
+        out.append((page.page_label, [c for c in cands if lo < c[0] < hi]))
     return out
 
 

@@ -1,12 +1,9 @@
 """The cellular oracle: sphere complexes, Bredon rows, quotient checks."""
 
-import pytest
-
-from roqcharts.cells import (COHOMOLOGICAL, HOMOLOGICAL, MackeyQ,
-                             UnsupportedCoefficientsError, bredon_row,
-                             cellular_chart_hz, constant_integers,
-                             quotient_row_check, rp_cohomology, sphere_complex)
-from roqcharts.exactalg import FgAbelian, IntMatrix
+from roqcharts.cells import (COHOMOLOGICAL, HOMOLOGICAL, bredon_row,
+                             cellular_chart_hz, quotient_row_check,
+                             rp_cohomology, sphere_complex)
+from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import Window, closed_form_hz
 from roqcharts.chartio import diff
 
@@ -14,38 +11,16 @@ Z = FgAbelian.free(1)
 F2 = FgAbelian.cyclic(2)
 
 
-def test_constant_mackey_laws():
-    m = constant_integers()
-    assert m.res.entries == ((1,),)
-    assert m.ind.entries == ((2,),)
-    assert m.weyl.entries == ((1,),)
-
-
-def test_mackey_validation_rejects_bad_weyl():
-    one = IntMatrix.from_rows([[1]])
-    with pytest.raises(ValueError):
-        MackeyQ(Z, Z, res=one, ind=one, weyl=IntMatrix.from_rows([[2]]))
-
-
 def test_sphere_complex_matrices():
-    zz = constant_integers()
-    s1 = sphere_complex(1, HOMOLOGICAL, zz)
-    assert s1.complex.boundary(1).entries == ((2,),)  # induction is times 2
-    s2 = sphere_complex(2, COHOMOLOGICAL, zz)
+    s1 = sphere_complex(1, HOMOLOGICAL)
+    assert s1.boundary(1).entries == ((2,),)  # induction is times 2
+    s2 = sphere_complex(2, COHOMOLOGICAL)
     # encoded upside down: boundary(0) is d^0 = restriction = 1 and
     # boundary(-1) is d^1 = 1 - weyl = 0
-    assert s2.complex.boundary(0).entries == ((1,),)
-    assert s2.complex.boundary(-1).entries == ((0,),)
-    s0 = sphere_complex(0, HOMOLOGICAL, zz)
-    assert s0.complex.dims == (1,)
-
-
-def test_sphere_complex_rejects_other_coefficients():
-    one = IntMatrix.from_rows([[1]])
-    sign_like = MackeyQ(Z, Z, res=one, ind=IntMatrix.from_rows([[0]]),
-                        weyl=IntMatrix.from_rows([[-1]]))
-    with pytest.raises(UnsupportedCoefficientsError):
-        sphere_complex(2, HOMOLOGICAL, sign_like)
+    assert s2.boundary(0).entries == ((1,),)
+    assert s2.boundary(-1).entries == ((0,),)
+    s0 = sphere_complex(0, HOMOLOGICAL)
+    assert s0.dims == (1,)
 
 
 def test_bredon_row_examples():

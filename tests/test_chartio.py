@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from roqcharts.chartio import (ChartParseError, diff, parse, parse_seed,
-                               render, serialize, serialize_seed)
+from roqcharts.chartio import ChartParseError, diff, parse, render, serialize
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
                                DOT, SQUARE, closed_form_hz, closed_form_kr)
 
@@ -86,14 +85,21 @@ def test_parse_errors_carry_line_numbers():
                   f"entry: 0 0 | rank 0 torsion {torsion} | {gens}\n")
         assert e3.value.line_no == 5, torsion
     # nothing is silently dropped: a second entry at one degree, an
-    # unknown entry flag, and a repeated header are each an error
+    # unknown entry flag, and a repeated header are each an error; an
+    # entry outside the window is reported at its own line, also when the
+    # window header comes after it
     head = "roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n"
     for doc, line_no in (
             (head + "entry: 0 0 | rank 1 torsion - | g:square\n"
                     "entry: 0 0 | rank 0 torsion 2 | h:dot\n", 5),
             (head + "entry: 0 0 | rank 1 torsion - | g:square | inexakt\n", 4),
             (head + "name: y\n", 4),
-            (head + "window: 0 2 0 2\n", 4)):
+            (head + "window: 0 2 0 2\n", 4),
+            ("roqcharts-chart v1\nname: x\n"
+             "entry: 0 0 | rank 1 torsion - | g:square\n"
+             "entry: 1 1 | rank 0 torsion 2 | h:dot\n"
+             "entry: 5 5 | rank 1 torsion - | k:square\n"
+             "window: 0 1 0 1\n", 5)):
         with pytest.raises(ChartParseError) as e4:
             parse(doc)
         assert e4.value.line_no == line_no, doc
@@ -159,14 +165,3 @@ def test_svg_has_legend_glyphs():
     assert "<rect" in svg and "<circle" in svg
     assert "#cc0000" in svg  # red dots
     assert "Z&#183;1" in svg and "Z&#183;&#963;" in svg
-
-
-def test_seed_parse_and_errors():
-    spec = parse_seed("roqcharts-seed v1\nname: t\ngenerator: a -1 1 -1\n"
-                      "connective: no\n")
-    assert spec.name == "t" and not spec.connective
-    assert parse_seed(serialize_seed(spec)) == spec
-    with pytest.raises(ChartParseError):
-        parse_seed("roqcharts-seed v1\nname: t\ngenerator: a -1 one -1\n")
-    with pytest.raises(ChartParseError):
-        parse_seed("not a seed")

@@ -161,6 +161,12 @@ def test_bockstein_negative_padding_is_usage_error():
                         "--padding", "-50", "--window=-2..2")
 
 
+def test_cells_threads_below_one_is_usage_error():
+    for threads in ("0", "-3"):
+        _assert_usage_error("compute", "--theory", "hz", "--pipeline", "cells",
+                            "--threads", threads, "--window=-2..2")
+
+
 def test_verify_all_on_a_window_off_the_axes(tmp_path):
     # the axis checks read only the axis degrees their charts contain, the
     # mutation control plants its class on its own fixed window, the Tate

@@ -6,12 +6,12 @@ from roqcharts import theories
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Window, closed_form_hz, closed_form_kr,
                                hz_degree, hz_summands)
-from roqcharts.chartio import diff, parse_seed, serialize_seed
+from roqcharts.chartio import diff
 from roqcharts.theories import (TheoryError, bss_floor_survivors,
                                 bss_to_sss, build_pages, connectivity_check,
                                 gap_check, hfpss_collapse_certificates, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
-                                run_hfpss, run_tate_pipeline, seed_from_spec,
+                                run_hfpss, run_tate_pipeline,
                                 sss_entry_e1, sss_entry_einf, sss_to_bss,
                                 theta_apply)
 
@@ -30,17 +30,6 @@ def test_seeds_parse_from_declarative_text():
     kr = kr_seed()
     assert len(kr.rules) == 2
     assert kr.rules[1].target == (("a", 3), ("vb", 1))
-
-
-def test_seed_round_trip_through_text():
-    spec = parse_seed(serialize_seed(parse_seed(
-        "roqcharts-seed v1\nname: toy\ngenerator: a -1 1 -1\n"
-        "generator: lam 0 1 -1 invertible\ndifferential: 1 | lam -> 2 a\n"
-        "connective: yes\n")))
-    seed = seed_from_spec(spec)
-    chart = run_hfpss(seed, Window.square(3))
-    assert chart.group((0, 0)) == Z
-    assert chart.group((0, -1)) == F2
 
 
 # ---------------------------------------------------------------------------
