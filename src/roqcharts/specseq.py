@@ -15,6 +15,14 @@ enumerates the finitely many monomials at each tridegree it touches.
 Each page memoizes its own spot states and asks the page it was turned
 from for the states under its round; the pages of one chain share one
 table of monomial bases.
+
+Reading a page off as a chart (`find_candidates`, `collapse_to_chart`)
+searches one degree per orbit of lam^p, lam the invertible generator and
+p the least power with lam^p and lam^-p classes of that page
+(`lambda_period`): multiplying by lam^p is an isomorphism of the page.
+Every other degree takes its representative's scan moved by lam^p, and
+its one live spot is evaluated directly and checked against the
+representative's group.
 """
 
 from __future__ import annotations
@@ -85,6 +93,10 @@ class Presentation:
                 raise PresentationError(
                     f"generator {g.name} breaks monomial finiteness (needs s <= 0, "
                     f"t + b >= 0, strictly one of them)")
+
+    @property
+    def invertible(self) -> PageGenerator | None:
+        return next((g for g in self.generators if g.invertible), None)
 
     def index(self, name: str) -> int:
         for i, g in enumerate(self.generators):
@@ -432,16 +444,64 @@ def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
     return out
 
 
+def lambda_period(page: Page, limit: int) -> int | None:
+    """The least p in 1..limit with lam^p and lam^-p both classes of the
+    page, lam its invertible generator; None if there is no such p or no
+    invertible generator.
+
+    Multiplication by lam^p is then an isomorphism of the page.  It moves
+    a tridegree by p times lam's tridegree (0, t, -t), which leaves s and
+    the scan floor of the chart shadow alone.
+    """
+    lam = page.pres.invertible
+    if lam is None:
+        return None
+    return next((p for p in range(1, limit + 1)
+                 if page.is_cycle({lam.name: p}) and page.is_cycle({lam.name: -p})),
+                None)
+
+
+def _orbits(page: Page, window: Window) -> dict[Degree, tuple[Degree, TriDegree]]:
+    """Every window degree, in `window.degrees()` order, with the
+    representative of its lam^p-orbit and the tridegree shift taking the
+    representative's spots to its own.
+
+    An orbit is keyed by (x + y, y mod pt); its representative is its
+    first degree in window order, so it lies in the window.  A chart step
+    pt longer than the window leaves one degree per orbit, so the period
+    is looked for only up to the window's extent, and with none found the
+    step is taken one longer than the window's height.
+    """
+    lam = page.pres.invertible
+    extent = min(window.xmax - window.xmin, window.ymax - window.ymin)
+    p = lambda_period(page, extent // abs(lam.tridegree[1]) if lam else 0)
+    step = p * lam.tridegree[1] if p else window.ymax - window.ymin + 1
+    first: dict[tuple[int, int], Degree] = {}
+    out = {}
+    for d in window.degrees():
+        rep = first.setdefault((d[0] + d[1], d[1] % step), d)
+        k = (rep[1] - d[1]) // step
+        out[d] = (rep, (0, k * step, -k * step))
+    return out
+
+
 def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, TriDegree]]:
     """Exhaustive search for places a later differential could be nonzero.
 
-    For every nonzero in-window spot within _SCAN_DEPTH of the scan floor
-    and every differential shape d_r up to _R_CAP, report the pairs where
-    the target group admits a nonzero homomorphism from the source.  An
-    empty list is the collapse certificate the pipelines rely on.
+    The search runs over one degree per lam^p-orbit of the window, the
+    period p read off the page by `lambda_period`: multiplication by
+    lam^p is an isomorphism of the page, so it carries every candidate
+    pair (source, source + (-r, r-1, 0)) to one in the same orbit.  For
+    every nonzero spot of a representative within _SCAN_DEPTH of the scan
+    floor and every differential shape d_r up to _R_CAP, report the pairs
+    where the target group admits a nonzero homomorphism from the source.
+    Every source lies over a window degree.  An empty list is the
+    collapse certificate the pipelines rely on.
     """
     found = []
-    for d in window.degrees():
+    for d, (rep, _) in _orbits(page, window).items():
+        if rep != d:
+            continue
         for tri in live_tridegrees(page, d):
             g = page.state(tri).group
             for r in range(1, _R_CAP + 1):
@@ -462,21 +522,30 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     Requires: no remaining differential candidates in the window, at
     most one nonzero filtration per degree, and a zero band at the
     bottom of every filtration scan (so the scan depth provably did not
-    cut off contributions for these theories).
+    cut off contributions for these theories).  Candidates and live
+    filtrations are scanned once per lam^p-orbit (see `find_candidates`);
+    every other degree takes its representative's live spots moved by
+    lam^p.  Each degree's one live spot is then evaluated directly, and a
+    group that differs from its representative's is a `CollapseError`,
+    so every chart entry is checked against an independent evaluation.
     Structure maps are computed by multiplying representatives by the
     given monomials.
     """
     leftovers = find_candidates(page, window)
     if leftovers:
         r, src, dst = leftovers[0]
+        orbits = {(s + t, b) for _, (s, t, b), _ in leftovers}
         raise CollapseError(
             f"possible nonzero d_{r} remains from {src} to {dst} "
-            f"({len(leftovers)} candidate pairs in window)")
+            f"({len(leftovers)} candidate pairs over {len(orbits)} orbits)")
 
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
-    for d in window.degrees():
-        live = live_tridegrees(page, d)
+    rep_live: dict[Degree, list[TriDegree]] = {}
+    for d, (rep, shift) in _orbits(page, window).items():
+        if rep == d:
+            rep_live[d] = live_tridegrees(page, d)
+        live = [_add_tri(tri, shift) for tri in rep_live[rep]]
         if not live:
             continue
         # zero-band certificate: the bottom _ZERO_BAND filtrations of the
@@ -489,6 +558,10 @@ def collapse_to_chart(page: Page, window: Window, name: str,
             raise CollapseError(f"degree {d} is spread over filtrations {live}")
         tri = live[0]
         st = page.state(tri)
+        if st.group != page.state(rep_live[rep][0]).group:
+            raise CollapseError(
+                f"degree {d}: the group at {tri} differs from its orbit's at "
+                f"{rep_live[rep][0]}, so lam^p is no isomorphism of the page")
         gens = []
         for j in range(st.pres.gens.cols):
             vec = st.pres.gens.column(j)

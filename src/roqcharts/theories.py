@@ -128,8 +128,12 @@ def hfpss_collapse_certificates(pages: list[Page], window: Window):
     answerable for shapes strictly between the round just applied and the
     round about to be, and is not searched when no shape lies between
     them; the final page for every later shape that `find_candidates`
-    searches (up to its cap, `specseq._R_CAP`).  All lists must come back
-    empty; nothing is assumed collapsed without this search.
+    searches (up to its cap, `specseq._R_CAP`).  Each page is searched
+    over one degree per lam^p-orbit, p read off that page by
+    `specseq.lambda_period` (1 on E_1, 2 on the final hz page, 4 on the
+    final kr page); `collapse_to_chart` checks every degree of the final
+    page against its orbit's.  All lists must come back empty; nothing is
+    assumed collapsed without this search.
     """
     shapes = [rule_shift(pages[0].pres, rule)[0] for rule in pages[-1].rounds]
     if shapes != sorted(shapes):

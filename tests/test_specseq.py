@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from roqcharts.grading import Window, hz_summands, kr_summands
 from roqcharts.specseq import (CollapseError, DifferentialError,
                                DifferentialRule, Page, PageGenerator,
                                Presentation, PresentationError,
-                               collapse_to_chart, find_candidates, rule_shift)
-from roqcharts.theories import build_pages, hz_seed, kr_seed
+                               collapse_to_chart, find_candidates,
+                               lambda_period, rule_shift)
+from roqcharts.theories import build_pages, hz_seed, kr_seed, run_hfpss
 
 
 Z = FgAbelian.free(1)
@@ -226,6 +228,91 @@ def test_single_filtration_on_window():
     # collapse_to_chart would raise otherwise, so reaching here suffices
     for theory in ("hz", "kr"):
         collapse_to_chart(pages(theory)[-1], Window.square(6), "ok")
+
+
+# ---------------------------------------------------------------------------
+# the lam^p-orbit certificate
+# ---------------------------------------------------------------------------
+
+def _shift(tri, k, p):
+    return (tri[0], tri[1] + k * p, tri[2] - k * p)
+
+
+def test_periodic_lookup_matches_direct_evaluation():
+    # the premise of the orbit search: lam^p moves every spot state to an
+    # isomorphic one, also far below the antidiagonal
+    degrees = [(0, 0), (3, -1), (-5, 2), (8, 4), (7, -15), (-12, -12), (4, -20)]
+    for theory in ("hz", "kr"):
+        for page in pages(theory):
+            p = lambda_period(page, 16)
+            nonzero = set()
+            for x, y in degrees:
+                for s in range(0, min(0, x + y) - 3, -1):
+                    tri = (s, x - s, y)
+                    g = page.state(tri).group
+                    if not g.is_zero():
+                        nonzero.add((x, y))
+                    for k in range(-3, 4):
+                        assert page.state(_shift(tri, k, p)).group == g, (theory, tri, k)
+            assert {(-12, -12), (4, -20)} <= nonzero, (theory, page.page_label)
+
+
+def test_period_comes_from_the_page():
+    # the final-page periods are the column steps 2 and 4 of the Tate
+    # charts, which the verify axes check tests on its own
+    assert [lambda_period(page, 16) for page in pages("hz")] == [1, 2]
+    assert [lambda_period(page, 16) for page in pages("kr")] == [1, 2, 4]
+    # nothing is found below the least period
+    assert lambda_period(pages("hz")[-1], 1) is None
+    assert lambda_period(pages("kr")[-1], 3) is None
+
+
+def test_no_invertible_generator_gives_single_degree_orbits():
+    page = Page(Presentation((PageGenerator("a", (-1, 1, -1)),)))
+    assert lambda_period(page, 16) is None
+    w = Window(-3, 4, -5, 2)
+    assert specseq._orbits(page, w) == {d: (d, (0, 0, 0)) for d in w.degrees()}
+    # a period longer than the window does the same
+    assert specseq._orbits(pages("kr")[-1], Window(0, 3, 0, 9)) == {
+        d: (d, (0, 0, 0)) for d in Window(0, 3, 0, 9).degrees()}
+
+
+def test_orbit_search_matches_exhaustive_search(monkeypatch):
+    page, w = pages("hz")[0], Window.square(6)
+    p = lambda_period(page, 12)
+    by_orbit = set(find_candidates(page, w))
+    monkeypatch.setattr(specseq, "lambda_period", lambda page, limit: None)
+    exhaustive = set(find_candidates(page, w))
+    assert by_orbit and by_orbit < exhaustive
+    for r, src, dst in exhaustive:
+        assert any((r, _shift(src, k, p), _shift(dst, k, p)) in by_orbit
+                   for k in range(-13, 14)), (r, src, dst)
+
+
+@pytest.mark.parametrize("theory,period", [("hz", 1), ("kr", 1), ("kr", 2)])
+def test_wrong_period_fails_loudly(monkeypatch, theory, period):
+    monkeypatch.setattr(specseq, "lambda_period", lambda page, limit: period)
+    with pytest.raises(CollapseError) as err:
+        collapse_to_chart(pages(theory)[-1], Window.square(6), "x")
+    assert re.search(r"\(-?\d+, -?\d+, -?\d+\)", str(err.value))
+
+
+def test_multiple_of_the_period_gives_the_same_chart(monkeypatch):
+    w = Window.square(8)
+    chart = run_hfpss(kr_seed(), w)
+    monkeypatch.setattr(specseq, "lambda_period", lambda page, limit: 8)
+    again = run_hfpss(kr_seed(), w)
+    assert again.entries == chart.entries and again.maps == chart.maps
+
+
+def test_leftover_candidate_named_in_window():
+    w = Window(3, 6, -9, -5)
+    with pytest.raises(CollapseError) as err:
+        collapse_to_chart(pages("hz")[0], w, "raw")
+    msg = str(err.value)
+    s, t, b = map(int, re.search(r"from \((-?\d+), (-?\d+), (-?\d+)\)", msg).groups())
+    assert w.contains((s + t, b)), msg
+    assert "d_1" in msg and "orbits" in msg and "in window" not in msg
 
 
 # ---------------------------------------------------------------------------
