@@ -10,8 +10,14 @@ complexes of free abelian groups.
 Everything runs on Python integers, so there is no overflow to check:
 arbitrary precision is the contract, not an option.
 
-Smith forms and presentations are memoized by `functools.lru_cache`,
-keyed on the `IntMatrix` arguments (`cache_clear()` for a cold start).
+The pure kernels are memoized by bounded `functools.lru_cache`s keyed on
+their arguments: `smith_normal_form`, `kernel_basis`, `preimage_lattice`,
+`column_space_basis`, `presented_homology`, `PresentedGroup.from_lattices`,
+and the constants `IntMatrix.zero`, `IntMatrix.identity`,
+`PresentedGroup.full_free` and `_rel_columns`.  Equal inputs return one
+shared object; that is safe because every result is an immutable value
+(frozen dataclasses over tuples).  `cache_clear()` empties every memo
+for a cold start.
 """
 
 from __future__ import annotations
@@ -65,10 +71,12 @@ class IntMatrix:
         return IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in rows))
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def zero(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
@@ -287,6 +295,7 @@ def solve(m: IntMatrix, b: list[int]) -> list[int] | None:
     return snf.right.apply(y)
 
 
+@lru_cache(maxsize=250_000)
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel lattice of m."""
     snf = smith_normal_form(m)
@@ -294,6 +303,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, m.cols)
 
 
+@lru_cache(maxsize=250_000)
 def preimage_lattice(m: IntMatrix, rels: IntMatrix) -> IntMatrix:
     """Columns form a basis of {v : m v lies in the span of rels}."""
     kb = kernel_basis(m.hstack(rels))
@@ -302,6 +312,7 @@ def preimage_lattice(m: IntMatrix, rels: IntMatrix) -> IntMatrix:
     return column_space_basis(IntMatrix(m.cols, kb.cols, kb.entries[:m.cols]))
 
 
+@lru_cache(maxsize=250_000)
 def column_space_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the column lattice (integer span) of m."""
     snf = smith_normal_form(m)
@@ -476,6 +487,7 @@ class PresentedGroup:
                               IntMatrix.zero(ambient, 0), FgAbelian.zero())
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def full_free(ambient: int) -> "PresentedGroup":
         return PresentedGroup(ambient, IntMatrix.identity(ambient),
                               (0,) * ambient, IntMatrix.zero(ambient, 0),
@@ -504,6 +516,7 @@ class PresentedGroup:
                                        for col in src.gens.columns()], len(self.orders))
 
 
+@lru_cache(maxsize=4096)
 def _rel_columns(orders: tuple[int, ...]) -> IntMatrix:
     n = len(orders)
     cols = []
@@ -515,6 +528,7 @@ def _rel_columns(orders: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_columns(cols, n)
 
 
+@lru_cache(maxsize=250_000)
 def presented_homology(out: IntMatrix, out_orders: tuple[int, ...],
                        into: IntMatrix, orders: tuple[int, ...]) -> PresentedGroup:
     """ker(out) / im(into) at a presented group with generator orders
@@ -605,3 +619,14 @@ def homology_at(c: IntComplex, k: int) -> FgAbelian:
         return FgAbelian.zero()
     out = c.boundary(k)
     return presented_homology(out, (0,) * out.rows, c.boundary(k + 1), (0,) * n).group
+
+
+_MEMOS = (IntMatrix.identity, IntMatrix.zero, smith_normal_form, kernel_basis,
+          preimage_lattice, column_space_basis, PresentedGroup.from_lattices,
+          PresentedGroup.full_free, _rel_columns, presented_homology)
+
+
+def cache_clear() -> None:
+    """Empty every memo of this module, for a cold start."""
+    for memo in _MEMOS:
+        memo.cache_clear()

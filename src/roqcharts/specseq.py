@@ -14,7 +14,7 @@ exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
 Each page memoizes its own spot states and asks the page it was turned
 from for the states under its round; the pages of one chain share one
-table of monomial bases.
+table of monomial bases and the enumeration tables it is built from.
 
 Reading a page off as a chart (`find_candidates`, `collapse_to_chart`)
 searches one degree per orbit of lam^p, lam the invertible generator and
@@ -164,6 +164,23 @@ def rule_shift(pres: Presentation, rule: DifferentialRule) -> tuple[int, TriDegr
     return r, shift
 
 
+def _enumeration_tables(pres: Presentation) -> tuple[tuple, tuple, tuple, tuple]:
+    """What `Page.monomials_at` enumerates over: the indices of the
+    non-invertible and invertible generators, and per suffix of the
+    non-invertible ones whether they can still move the s-residual (each
+    has s <= 0) or the t+b-residual (each has t + b >= 0)."""
+    gens = pres.generators
+    noninv = tuple(i for i, g in enumerate(gens) if not g.invertible)
+    inv = tuple(i for i, g in enumerate(gens) if g.invertible)
+    suffix_s = [False] * (len(noninv) + 1)
+    suffix_tb = [False] * (len(noninv) + 1)
+    for pos in range(len(noninv) - 1, -1, -1):
+        s_i, t_i, b_i = gens[noninv[pos]].tridegree
+        suffix_s[pos] = suffix_s[pos + 1] or s_i < 0
+        suffix_tb[pos] = suffix_tb[pos + 1] or (t_i + b_i) > 0
+    return noninv, inv, tuple(suffix_s), tuple(suffix_tb)
+
+
 def _add_tri(a: TriDegree, b: TriDegree) -> TriDegree:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
@@ -213,9 +230,11 @@ class Page:
         if previous is None:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
+            self._tables = _enumeration_tables(pres)
             return
         self.rounds = previous.rounds + (rule,)
         self._mono_memo = previous._mono_memo
+        self._tables = previous._tables
         self._shift = rule_shift(pres, rule)[1]
         self._key = pres.mono(rule.source_dict())
         self._image = pres.mono(rule.target_dict())
@@ -238,16 +257,7 @@ class Page:
         if cached is not None:
             return cached
         gens = self.pres.generators
-        noninv = [i for i, g in enumerate(gens) if not g.invertible]
-        inv = [i for i, g in enumerate(gens) if g.invertible]
-        # residual feasibility per suffix: can later generators still move
-        # the s-residual (each has s <= 0) or the t+b-residual (each >= 0)?
-        suffix_s = [False] * (len(noninv) + 1)
-        suffix_tb = [False] * (len(noninv) + 1)
-        for pos in range(len(noninv) - 1, -1, -1):
-            s_i, t_i, b_i = gens[noninv[pos]].tridegree
-            suffix_s[pos] = suffix_s[pos + 1] or s_i < 0
-            suffix_tb[pos] = suffix_tb[pos + 1] or (t_i + b_i) > 0
+        noninv, inv, suffix_s, suffix_tb = self._tables
         found: list[Mono] = []
         expo = [0] * len(gens)
 
@@ -344,8 +354,7 @@ class Page:
                     f"image {self.pres.mono_str(mono)} missing from its tridegree "
                     f"(enumeration bug)")
             rows[index[mono]][col] = coeff
-        mat = (IntMatrix.from_rows(rows) if dst_monos
-               else IntMatrix.zero(0, len(src_monos)))
+        mat = IntMatrix(len(dst_monos), len(src_monos), tuple(map(tuple, rows)))
         return mat, undefined
 
     def _check_defined(self, mat_cols: IntMatrix, undefined: set[int], what: str,

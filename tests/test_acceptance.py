@@ -12,7 +12,8 @@ import time
 from roqcharts.cells import cellular_chart_hz
 from roqcharts.chartio import diff, parse, render, serialize
 from roqcharts.cli import main
-from roqcharts.exactalg import FgAbelian, PresentedGroup, smith_normal_form
+from roqcharts import exactalg
+from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
                                DOT, SQUARE, closed_form_hz, closed_form_kr,
                                hz_summands, kr_summands)
@@ -40,8 +41,7 @@ def _square(theory: str) -> TateSquareData:
 
 def _cold():
     _square.cache_clear()
-    smith_normal_form.cache_clear()
-    PresentedGroup.from_lattices.cache_clear()
+    exactalg.cache_clear()
 
 
 def test_criterion_01_hz_triple_equality():

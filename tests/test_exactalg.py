@@ -10,11 +10,15 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
+from roqcharts import exactalg
 from roqcharts.exactalg import (ExactAlgebraError, FgAbelian, IntComplex,
                                 IntMatrix, NotInLatticeError, PresentedGroup,
-                                column_space_basis, has_nonzero_hom,
-                                homology_at, kernel_basis, presented_homology,
+                                _rel_columns, column_space_basis,
+                                has_nonzero_hom, homology_at, kernel_basis,
+                                preimage_lattice, presented_homology,
                                 smith_normal_form, solve)
+from roqcharts.grading import Window
+from roqcharts.theories import kr_seed, run_tate_pipeline
 
 
 def M(rows):
@@ -231,3 +235,63 @@ def test_presented_homology_with_torsion():
     # through Z/8 the composite 4 is not zero: the bounds are not cycles
     with pytest.raises(NotInLatticeError):
         presented_homology(two, (8,), two, (8,))
+
+
+# ---------------------------------------------------------------------------
+# memoised kernels: shared results, no changed values
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernel_inputs(draw):
+    """A small matrix m, relations rels in its target, and a map into
+    its source with generator orders at both ends."""
+    def block(rows):
+        cols = draw(st.integers(min_value=0, max_value=3))
+        return IntMatrix(rows, cols, tuple(tuple(draw(small_entries) for _ in range(cols))
+                                           for _ in range(rows)))
+
+    m = draw(matrices(max_dim=4))
+    rels, into = block(m.rows), block(m.cols)
+    if draw(st.booleans()):
+        into = kernel_basis.__wrapped__(m)  # a homology with no NotInLatticeError
+    orders = st.integers(min_value=0, max_value=6).filter(lambda o: o != 1)
+    out_orders = tuple(draw(orders) for _ in range(m.rows))
+    src_orders = tuple(draw(orders) for _ in range(m.cols))
+    return m, rels, into, out_orders, src_orders
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotInLatticeError:
+        return NotInLatticeError
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+def test_memoised_kernels_equal_their_unmemoised_results(args):
+    m, rels, into, out_orders, src_orders = args
+    calls = [(kernel_basis, (m,)), (column_space_basis, (m,)),
+             (preimage_lattice, (m, rels)), (_rel_columns, (out_orders,)),
+             (presented_homology, (m, out_orders, into, src_orders)),
+             (IntMatrix.zero, (m.rows, m.cols)), (IntMatrix.identity, (m.cols,)),
+             (PresentedGroup.full_free, (m.rows,))]
+    for fn, fargs in calls:
+        got = _outcome(fn, *fargs)
+        assert got == _outcome(fn.__wrapped__, *fargs), fn.__name__
+        if got is not NotInLatticeError:
+            assert fn(*fargs) is got, fn.__name__
+
+
+def test_cache_clear_empties_every_memo():
+    run_tate_pipeline(kr_seed(), Window.square(6))
+    assert smith_normal_form.cache_info().currsize > 0
+    exactalg.cache_clear()
+    owners = [exactalg] + [v for v in vars(exactalg).values()
+                           if isinstance(v, type) and v.__module__ == exactalg.__name__]
+    memos = {id(f): f for owner in owners for f in
+             (getattr(owner, name) for name in vars(owner))
+             if hasattr(f, "cache_info")}
+    assert len(memos) >= 10
+    assert {f.__qualname__: f.cache_info().currsize for f in memos.values()} == \
+        {f.__qualname__: 0 for f in memos.values()}

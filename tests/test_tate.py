@@ -14,7 +14,8 @@ from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareDat
                             _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
-from roqcharts.chartio import diff
+from roqcharts import exactalg
+from roqcharts.chartio import diff, serialize
 from roqcharts.grading import closed_form_hz, closed_form_kr
 
 Z = FgAbelian.free(1)
@@ -204,3 +205,17 @@ def test_genuine_a_map_check_reports_corrupted_degree(genuine_and_closed_8):
     corrupted = Chart(name=genuine.name, window=genuine.window, entries=genuine.entries,
                       maps={"a": {**genuine.maps["a"], d: IntMatrix.zero(good.rows, good.cols)}})
     assert a_map_mismatches(corrupted, closed) == [d]
+
+
+def test_warm_exactalg_memos_change_no_chart():
+    def charts():
+        out = []
+        for seed in (hz_seed(), kr_seed()):
+            data = run_tate_pipeline(seed, Window.square(6))
+            out += [(serialize(c), c.maps) for c in (data.genuine, data.hfp)]
+        return out
+
+    exactalg.cache_clear()
+    cold = charts()
+    assert all(maps for _, maps in cold)
+    assert charts() == cold
