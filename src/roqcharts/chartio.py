@@ -137,12 +137,16 @@ class DiffReport:
     group_diffs: list[tuple[Degree, FgAbelian, FgAbelian, str]] = field(default_factory=list)
     label_diffs: list[tuple[Degree, tuple, tuple]] = field(default_factory=list)
     window_mismatch: bool = False
+    disjoint: tuple[Window, Window] | None = None
 
     @property
     def clean(self) -> bool:
-        return not self.group_diffs
+        return not self.group_diffs and self.disjoint is None
 
     def summary(self) -> str:
+        if self.disjoint is not None:
+            a, b = self.disjoint
+            return f"windows {a} and {b} do not overlap; nothing compared"
         lines = []
         if self.window_mismatch:
             lines.append("warning: windows differ; compared on the intersection")
@@ -162,12 +166,17 @@ def _diff_order(d: Degree):
 def diff(a: Chart, b: Chart) -> DiffReport:
     """Degreewise comparison: by invariant factors where both entries are
     exact, by composition factors where either is flagged.  Differences
-    are listed nearest the origin first."""
+    are listed nearest the origin first, on the windows' intersection;
+    windows that do not overlap make the report unclean."""
     report = DiffReport()
     w = a.window
     if a.window != b.window:
         report.window_mismatch = True
-        w = a.window.intersect(b.window)
+        try:
+            w = a.window.intersect(b.window)
+        except ChartError:
+            report.disjoint = (a.window, b.window)
+            return report
     for d in sorted(w.degrees(), key=_diff_order):
         ga, gb = a.group(d), b.group(d)
         exact = a.is_exact(d) and b.is_exact(d)

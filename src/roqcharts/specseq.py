@@ -16,8 +16,10 @@ Each page memoizes its own spot states and asks the page it was turned
 from for the states under its round; the pages of one chain share one
 table of monomial bases and the enumeration tables it is built from.
 
-Reading a page off as a chart (`find_candidates`, `collapse_to_chart`)
-searches one degree per orbit of lam^p, lam the invertible generator and
+Reading the last page off as a chart (`collapse_to_chart`) certifies the
+whole chain: `find_candidates` searches each page at the shapes d_r
+between its own round and the next, the last page up to _R_CAP.  Both
+search one degree per orbit of lam^p, lam the invertible generator and
 p the least power with lam^p and lam^-p classes of that page
 (`lambda_period`): multiplying by lam^p is an isomorphism of the page.
 Every other degree takes its representative's scan moved by lam^p, and
@@ -217,9 +219,10 @@ class Page:
     """A spectral-sequence page for a presentation: E_1 (every monomial a
     free generator), or the homology of previous under rule.
 
-    The rounds applied so far are in rounds; `turn` makes the next page.
-    A rule whose shift is not of differential shape, or whose source is
-    not a power of one generator, is rejected here, at turn time.
+    The rounds applied so far are in rounds, the last one's d_r in shape
+    (0 on E_1); `turn` makes the next page.  A rule not of differential
+    shape, of lower shape than the last round, or whose source is not a
+    power of one generator is rejected here, at turn time.
     """
 
     def __init__(self, pres: Presentation, previous: Page | None = None,
@@ -229,13 +232,17 @@ class Page:
         self._state_memo: dict[TriDegree, SpotState] = {}
         if previous is None:
             self.rounds: tuple[DifferentialRule, ...] = ()
+            self.shape = 0
             self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
             self._tables = _enumeration_tables(pres)
             return
+        self.shape, self._shift = rule_shift(pres, rule)
+        if self.shape < previous.shape:
+            raise DifferentialError(f"d_{self.shape} after d_{previous.shape}: "
+                                    f"rounds must come in increasing shape")
         self.rounds = previous.rounds + (rule,)
         self._mono_memo = previous._mono_memo
         self._tables = previous._tables
-        self._shift = rule_shift(pres, rule)[1]
         self._key = pres.mono(rule.source_dict())
         self._image = pres.mono(rule.target_dict())
         support = [i for i, e in enumerate(self._key) if e]
@@ -307,12 +314,6 @@ class Page:
         out = tuple(sorted(found))
         self._mono_memo[tri] = out
         return out
-
-    @property
-    def page_label(self) -> int:
-        if self.rounds:
-            return self.rounds[-1].label + 1
-        return 1
 
     # -- the Leibniz differential ---------------------------------------------
 
@@ -495,31 +496,42 @@ def _orbits(page: Page, window: Window) -> dict[Degree, tuple[Degree, TriDegree]
 
 
 def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, TriDegree]]:
-    """Exhaustive search for places a later differential could be nonzero.
+    """Exhaustive search for places a later differential could be nonzero,
+    on every page of the chain that ends at page, earliest page first.
 
-    The search runs over one degree per lam^p-orbit of the window, the
-    period p read off the page by `lambda_period`: multiplication by
-    lam^p is an isomorphism of the page, so it carries every candidate
-    pair (source, source + (-r, r-1, 0)) to one in the same orbit.  For
-    every nonzero spot of a representative within _SCAN_DEPTH of the scan
-    floor and every differential shape d_r up to _R_CAP, report the pairs
-    where the target group admits a nonzero homomorphism from the source.
-    Every source lies over a window degree.  An empty list is the
-    collapse certificate the pipelines rely on.
+    A page answers for the shapes d_r strictly between the round that made
+    it (0 on E_1) and the next round, the last page up to _R_CAP:
+    E_{r+1} = H(E_r, d_r) has no d_r.  The ranges are disjoint, so r
+    names the page.  Each page is searched over one degree per
+    lam^p-orbit of the window, p read off that page by `lambda_period`:
+    multiplication by lam^p is an isomorphism of the page, so it carries
+    every candidate pair (source, source + (-r, r-1, 0)) to one in the
+    same orbit.  For every nonzero spot of a representative within
+    _SCAN_DEPTH of the scan floor and every shape of its page, report the
+    pairs where the target group admits a nonzero homomorphism from the
+    source.  Every source lies over a window degree.  An empty list is
+    the collapse certificate the pipelines rely on.
     """
+    chain = [page]
+    while chain[0].previous is not None:
+        chain.insert(0, chain[0].previous)
     found = []
-    for d, (rep, _) in _orbits(page, window).items():
-        if rep != d:
+    for page, top in zip(chain, [p.shape for p in chain[1:]] + [_R_CAP + 1]):
+        shapes = range(page.shape + 1, top)
+        if not shapes:
             continue
-        for tri in live_tridegrees(page, d):
-            g = page.state(tri).group
-            for r in range(1, _R_CAP + 1):
-                target = _add_tri(tri, (-r, r - 1, 0))
-                if not page.monomials_at(target):
-                    continue
-                h = page.state(target).group
-                if has_nonzero_hom(g, h):
-                    found.append((r, tri, target))
+        for d, (rep, _) in _orbits(page, window).items():
+            if rep != d:
+                continue
+            for tri in live_tridegrees(page, d):
+                g = page.state(tri).group
+                for r in shapes:
+                    target = _add_tri(tri, (-r, r - 1, 0))
+                    if not page.monomials_at(target):
+                        continue
+                    h = page.state(target).group
+                    if has_nonzero_hom(g, h):
+                        found.append((r, tri, target))
     return found
 
 
@@ -528,11 +540,12 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                       ) -> Chart:
     """Read the page off as an RO(Q)-graded chart.
 
-    Requires: no remaining differential candidates in the window, at
-    most one nonzero filtration per degree, and a zero band at the
-    bottom of every filtration scan (so the scan depth provably did not
-    cut off contributions for these theories).  Candidates and live
-    filtrations are scanned once per lam^p-orbit (see `find_candidates`);
+    Requires: no remaining differential candidates in the window on any
+    page of the chain, each page at its own shapes (see
+    `find_candidates`), at most one nonzero filtration per degree, and a
+    zero band at the bottom of every filtration scan (so the scan depth
+    provably did not cut off contributions for these theories).
+    Candidates and live filtrations are scanned once per lam^p-orbit;
     every other degree takes its representative's live spots moved by
     lam^p.  Each degree's one live spot is then evaluated directly, and a
     group that differs from its representative's is a `CollapseError`,

@@ -20,7 +20,7 @@ from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_summands, mult_map)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
-                      collapse_to_chart, find_candidates, rule_shift)
+                      collapse_to_chart)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
 
 
@@ -37,7 +37,7 @@ class TheorySeed:
     map_monos: dict[str, dict[str, int]]
 
     def label_of(self, mono, coeff: int) -> str:
-        return _page_label(self.name, self.presentation, mono, coeff)
+        return _class_label(self.name, self.presentation, mono, coeff)
 
 
 _A = PageGenerator("a", (-1, 1, -1))
@@ -58,7 +58,7 @@ def kr_seed() -> TheorySeed:
                        "U": {"lam": 4}})
 
 
-def _page_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
+def _class_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
     """Fold lambda powers into the standard periodicity class names."""
     powers = {g.name: e for g, e in zip(pres.generators, mono) if e}
     lam = powers.pop("lam", 0)
@@ -106,6 +106,8 @@ def build_pages(seed: TheorySeed) -> list[Page]:
 
 def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
     """Drive the page engine to its collapsed chart with structure maps.
+    The chart is read off the last page, which certifies every page of
+    the chain (`collapse_to_chart`).
 
     Structure maps are only attached for monomials that survive as
     classes of the final page (multiplication by anything else is not
@@ -118,34 +120,6 @@ def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
     return collapse_to_chart(page, window, f"{seed.name}-hfp",
                              label_of=lambda m, c: seed.label_of(m, c),
                              map_monos=live_maps)
-
-
-def hfpss_collapse_certificates(pages: list[Page], window: Window):
-    """Candidate lists proving every later differential vanishes in window.
-
-    pages is a chain from `build_pages`, whose spot states the search
-    fills in for the caller.  One list per page: an intermediate page is
-    answerable for shapes strictly between the round just applied and the
-    round about to be, and is not searched when no shape lies between
-    them; the final page for every later shape that `find_candidates`
-    searches (up to its cap, `specseq._R_CAP`).  Each page is searched
-    over one degree per lam^p-orbit, p read off that page by
-    `specseq.lambda_period` (1 on E_1, 2 on the final hz page, 4 on the
-    final kr page); `collapse_to_chart` checks every degree of the final
-    page against its orbit's.  All lists must come back empty; nothing is
-    assumed collapsed without this search.
-    """
-    shapes = [rule_shift(pages[0].pres, rule)[0] for rule in pages[-1].rounds]
-    if shapes != sorted(shapes):
-        raise TheoryError("differential rounds must come in increasing shape")
-    out = []
-    for i, page in enumerate(pages):
-        lo = shapes[i - 1] if i > 0 else 0
-        hi = shapes[i] if i < len(shapes) else float("inf")
-        # with no shape strictly between lo and hi there is nothing to search
-        cands = find_candidates(page, window) if hi - lo > 1 else []
-        out.append((page.page_label, [c for c in cands if lo < c[0] < hi]))
-    return out
 
 
 def run_tate_pipeline(seed: TheorySeed, window: Window,

@@ -16,15 +16,15 @@ from roqcharts import exactalg
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
                                DOT, SQUARE, closed_form_hz, closed_form_kr,
-                               hz_summands, kr_summands)
+                               hz_generator, hz_summands, kr_generator,
+                               kr_summands)
 from roqcharts.theories import (bss_floor_survivors, bss_to_sss,
-                                connectivity_check, gap_check,
-                                hfpss_collapse_certificates, hz_seed,
+                                connectivity_check, gap_check, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
                                 run_tate_pipeline, sss_entry_e1,
                                 sss_entry_einf, sss_to_bss, theta_apply)
 from roqcharts.theories import build_pages
-from roqcharts.specseq import collapse_to_chart
+from roqcharts.specseq import collapse_to_chart, find_candidates
 from roqcharts.tate import TateSquareData
 
 WINDOW = Window.square(12)
@@ -79,22 +79,15 @@ def test_criterion_02_kr_double_equality():
 
 
 def test_criterion_03_hfpss_intermediates():
-    hz_pages = build_pages(hz_seed())
-    chart = collapse_to_chart(hz_pages[-1], WINDOW, "e2")
-    for d in WINDOW.degrees():
-        descs = hz_summands(d[0], d[1], variant="hfp")
-        want = FgAbelian.from_orders([0 if k[0] == "usq" else 2 for k in descs])
-        assert chart.group(d) == want, d
-    kr_pages = build_pages(kr_seed())
-    kchart = collapse_to_chart(kr_pages[-1], WINDOW, "e3")
-    for d in WINDOW.degrees():
-        descs = kr_summands(d[0], d[1], variant="hfp")
-        want = FgAbelian.from_orders(
-            [0 if k[0] in ("Usq", "Uray_2u") else 2 for k in descs])
-        assert kchart.group(d) == want, d
-    for name, pages in (("hz", hz_pages), ("kr", kr_pages)):
-        for label, cands in hfpss_collapse_certificates(pages, WINDOW):
-            assert cands == [], (name, label)
+    for seed, summands, generator in ((hz_seed(), hz_summands, hz_generator),
+                                      (kr_seed(), kr_summands, kr_generator)):
+        page = build_pages(seed)[-1]
+        chart = collapse_to_chart(page, WINDOW, "hfp")
+        for d in WINDOW.degrees():
+            want = FgAbelian.from_orders(
+                [generator(k).order for k in summands(*d, variant="hfp")])
+            assert chart.group(d) == want, (seed.name, d)
+        assert find_candidates(page, WINDOW) == [], seed.name
     print("PASS criterion 3: fixed-point pages match their displays "
           "degreewise; exhaustive search finds no later differential")
 

@@ -130,6 +130,16 @@ def test_diff_on_window_mismatch_warns():
     assert rep.window_mismatch and rep.clean
 
 
+def test_diff_of_disjoint_windows_is_unclean():
+    rep = diff(closed_form_hz(Window(0, 2, 0, 2)), closed_form_hz(Window(5, 7, 5, 7)))
+    assert not rep.clean and not rep.group_diffs
+    assert rep.summary() == ("windows [0..2]x[0..2] and [5..7]x[5..7] do not "
+                             "overlap; nothing compared")
+    # sharing one row is an overlap, compared with a warning as before
+    rep = diff(closed_form_hz(Window(0, 2, 0, 2)), closed_form_hz(Window(2, 4, 0, 2)))
+    assert rep.clean and rep.window_mismatch
+
+
 def test_inexact_entries_compare_by_composition_factors():
     g = (Generator("x", DOT, 2), Generator("y", DOT, 2))
     a = Chart("a", Window.square(1), {(0, 0): ChartEntry(g, exact=False)}, {})

@@ -86,6 +86,18 @@ def test_diff_exit_codes(tmp_path):
     assert main(["diff", str(a), str(b)]) == 1
 
 
+def test_diff_of_disjoint_windows_exits_one_without_traceback(tmp_path):
+    a = tmp_path / "a.chart"
+    b = tmp_path / "b.chart"
+    for path, window in ((a, "--window=0..2"), (b, "--window=5..7")):
+        main(["compute", "--theory", "hz", "--pipeline", "closed", window,
+              "--output", str(path)])
+    code, out, err = run_cli("diff", str(a), str(b))
+    assert (code, err) == (1, "")
+    assert out == ("windows [0..2]x[0..2] and [5..7]x[5..7] do not overlap; "
+                   "nothing compared\n")
+
+
 def test_mutated_document_fails_cross_diff(tmp_path):
     a = tmp_path / "a.chart"
     main(["compute", "--theory", "hz", "--pipeline", "closed",

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roqcharts import specseq
-from roqcharts.exactalg import FgAbelian
-from roqcharts.grading import Window, hz_summands, kr_summands
+from roqcharts.exactalg import FgAbelian, has_nonzero_hom
+from roqcharts.grading import (Window, hz_generator, hz_summands,
+                               kr_generator, kr_summands)
 from roqcharts.specseq import (CollapseError, DifferentialError,
                                DifferentialRule, Page, PageGenerator,
                                Presentation, PresentationError,
@@ -131,6 +132,15 @@ def test_degree_mismatched_assignment_rejected():
             Page(hz_pres()).turn(rule)
 
 
+def test_rounds_come_in_increasing_shape():
+    seed = kr_seed()
+    d1, d3 = seed.rules
+    with pytest.raises(DifferentialError) as err:
+        Page(seed.presentation).turn(d3).turn(d1)
+    assert "increasing shape" in str(err.value)
+    assert Page(seed.presentation).turn(d1).turn(d3).shape == 3
+
+
 def test_square_nonzero_rejected_with_witness():
     # d(lam) = a^3 vb lam^-1 has the legal r = 3 shape but fails d o d = 0
     pres = Presentation((PageGenerator("a", (-1, 1, -1)),
@@ -173,14 +183,13 @@ def test_branches_from_one_page_keep_their_own_states():
 # ---------------------------------------------------------------------------
 
 def expected_hz_e2(x, y):
-    descs = hz_summands(x, y, variant="hfp")
-    return FgAbelian.from_orders([0 if k[0] == "usq" else 2 for k in descs])
+    return FgAbelian.from_orders(
+        [hz_generator(k).order for k in hz_summands(x, y, variant="hfp")])
 
 
 def expected_kr_e3(x, y):
-    descs = kr_summands(x, y, variant="hfp")
     return FgAbelian.from_orders(
-        [0 if k[0] in ("Usq", "Uray_2u") else 2 for k in descs])
+        [kr_generator(k).order for k in kr_summands(x, y, variant="hfp")])
 
 
 def test_hz_e2_degreewise():
@@ -201,6 +210,53 @@ def test_no_remaining_candidates():
     w = Window.square(10)
     assert find_candidates(pages("hz")[-1], w) == []
     assert find_candidates(pages("kr")[-1], w) == []
+
+
+def _spy_scanned(monkeypatch) -> list:
+    """The pages scanned for live spots, in order: `_orbits` is called once
+    per page the certificate searches and once by the chart readout."""
+    scanned = []
+    orbits = specseq._orbits
+
+    def spy(page, window):
+        scanned.append(page)
+        return orbits(page, window)
+
+    monkeypatch.setattr(specseq, "_orbits", spy)
+    return scanned
+
+
+def test_certificate_scans_every_page_after_the_first(monkeypatch):
+    # hz E_2 answers for d_2..d_16; kr E_2 for d_2 alone (between its d_1
+    # and d_3 rounds) and kr E_3 for d_4..d_16; no shape lies below the
+    # first round, so E_1 is never scanned
+    scanned = _spy_scanned(monkeypatch)
+    for seed, want in ((hz_seed(), {1}), (kr_seed(), {1, 3})):
+        scanned.clear()
+        run_hfpss(seed, Window.square(4))
+        assert {page.shape for page in scanned} == want, seed.name
+
+
+def test_intermediate_page_answers_for_its_own_shapes(monkeypatch):
+    # hz and kr never offer a d_2 target (every monomial has even t + b);
+    # with c at (0, 1, 0) the planted E_2 does, and the search over the
+    # whole chain reports those candidates from E_2, while it never tests
+    # a shape at which a round was applied
+    pres = Presentation((PageGenerator("a", (-1, 1, -1)),
+                         PageGenerator("c", (0, 1, 0)),
+                         PageGenerator("lam", (0, 1, -1), invertible=True)))
+    d3 = DifferentialRule(3, (("lam", 1),), 1,
+                          (("a", 3), ("c", 2), ("lam", -2)))
+    e2 = Page(pres).turn(D1)
+    last = e2.turn(d3)
+    scanned = _spy_scanned(monkeypatch)
+    found = find_candidates(last, Window.square(3))
+    assert scanned == [e2, last]
+    d2 = [(src, dst) for r, src, dst in found if r == 2]
+    assert len(d2) == 203
+    assert all(has_nonzero_hom(e2.state(src).group, e2.state(dst).group)
+               for src, dst in d2)
+    assert {r for r, _, _ in found} <= {2} | set(range(4, specseq._R_CAP + 1))
 
 
 def test_collapse_refuses_live_differential():
@@ -254,7 +310,7 @@ def test_periodic_lookup_matches_direct_evaluation():
                         nonzero.add((x, y))
                     for k in range(-3, 4):
                         assert page.state(_shift(tri, k, p)).group == g, (theory, tri, k)
-            assert {(-12, -12), (4, -20)} <= nonzero, (theory, page.page_label)
+            assert {(-12, -12), (4, -20)} <= nonzero, (theory, page.shape)
 
 
 def test_period_comes_from_the_page():

@@ -7,9 +7,10 @@ from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Window, closed_form_hz, closed_form_kr,
                                hz_degree, hz_summands)
 from roqcharts.chartio import diff
+from roqcharts.specseq import find_candidates
 from roqcharts.theories import (TheoryError, bss_floor_survivors,
                                 bss_to_sss, build_pages, connectivity_check,
-                                gap_check, hfpss_collapse_certificates, hz_seed,
+                                gap_check, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
                                 run_hfpss, run_tate_pipeline,
                                 sss_entry_e1, sss_entry_einf, sss_to_bss,
@@ -53,9 +54,8 @@ def test_hfpss_examples():
 
 def test_collapse_certificates_empty():
     for seed in (hz_seed(), kr_seed()):
-        for label, cands in hfpss_collapse_certificates(build_pages(seed),
-                                                        Window.square(8)):
-            assert cands == [], (seed.name, label)
+        assert find_candidates(build_pages(seed)[-1], Window.square(8)) == [], \
+            seed.name
 
 
 # ---------------------------------------------------------------------------
