@@ -9,8 +9,6 @@ chart, so agreement between the two is a real check.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .exactalg import FgAbelian, IntComplex, IntMatrix, homology_at
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT,
                       SQUARE, hz_summands, hz_generator)
@@ -97,6 +95,8 @@ def cellular_chart_hz(window: Window, threads: int = 1) -> Chart:
     """
     rows = list(range(window.ymin, window.ymax + 1))
     if threads > 1:
+        # imported here: concurrent.futures would cost every import of the package
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             computed = list(pool.map(bredon_row, rows))
     else:

@@ -22,6 +22,7 @@ for a cold start.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -48,7 +49,9 @@ class IntMatrix:
     """Dense integer matrix, row-major, immutable.
 
     A 0-row or 0-column matrix is legal and shows up constantly here
-    (empty bases, maps from or to the zero group).
+    (empty bases, maps from or to the zero group).  The public
+    constructor checks the shape; results built from matrices that
+    already passed it go through `_of`, which does not check again.
     """
 
     rows: int
@@ -63,6 +66,16 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ShapeError("ragged rows")
+
+    @staticmethod
+    def _of(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix with these fields, which the caller guarantees are a
+        rows x cols tuple of int tuples."""
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntMatrix":
@@ -82,8 +95,8 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: list[list[int]], rows: int) -> "IntMatrix":
-        return IntMatrix(rows, len(cols),
-                         tuple(tuple(col[i] for col in cols) for i in range(rows)))
+        return IntMatrix._of(rows, len(cols),
+                             tuple(tuple(col[i] for col in cols) for i in range(rows)))
 
     @staticmethod
     def block_diag(*mats: "IntMatrix") -> "IntMatrix":
@@ -94,7 +107,7 @@ class IntMatrix:
         for m in mats:
             rows.extend((0,) * off + row + (0,) * (cols - off - m.cols) for row in m.entries)
             off += m.cols
-        return IntMatrix(len(rows), cols, tuple(rows))
+        return IntMatrix._of(len(rows), cols, tuple(rows))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -112,12 +125,10 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append(tuple(sum(ri[k] * other.entries[k][j] for k in range(self.cols))
-                             for j in range(other.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = tuple(zip(*other.entries)) or ((),) * other.cols
+        return IntMatrix._of(self.rows, other.cols,
+                             tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                                   for row in self.entries))
 
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
@@ -130,11 +141,11 @@ class IntMatrix:
             raise ShapeError("hstack row mismatch")
         if not other.cols:
             return self
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(self.entries[i] + other.entries[i] for i in range(self.rows)))
+        return IntMatrix._of(self.rows, self.cols + other.cols,
+                             tuple(map(operator.add, self.entries, other.entries)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ representative's group.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exactalg import (FgAbelian, IntMatrix, NotInLatticeError, PresentedGroup,
@@ -136,12 +137,10 @@ class Presentation:
 class DifferentialRule:
     """d(source) = coeff * target, everything else a cycle.
 
-    label is the page number the round is displayed as; the honest
-    tridegree shift is inferred from source and target and must have the
-    differential shape (-r, r-1, 0).
+    The tridegree shift is inferred from source and target and must have
+    the differential shape (-r, r-1, 0); r is the round's page.
     """
 
-    label: int
     source: tuple[tuple[str, int], ...]
     coeff: int
     target: tuple[tuple[str, int], ...]
@@ -166,21 +165,25 @@ def rule_shift(pres: Presentation, rule: DifferentialRule) -> tuple[int, TriDegr
     return r, shift
 
 
-def _enumeration_tables(pres: Presentation) -> tuple[tuple, tuple, tuple, tuple]:
-    """What `Page.monomials_at` enumerates over: the indices of the
-    non-invertible and invertible generators, and per suffix of the
-    non-invertible ones whether they can still move the s-residual (each
-    has s <= 0) or the t+b-residual (each has t + b >= 0)."""
+def _enumeration_tables(pres: Presentation) -> tuple[tuple, int | None, int]:
+    """What `Page.monomials_at` enumerates over: per non-invertible
+    generator its index and tridegree, whether it or a later one can still
+    move the s-residual (each has s <= 0) and the t+b-residual (each has
+    t + b >= 0), and whether it must clear one alone as the last that can
+    move it; then the invertible generator's index (or None) and t."""
     gens = pres.generators
-    noninv = tuple(i for i, g in enumerate(gens) if not g.invertible)
-    inv = tuple(i for i, g in enumerate(gens) if g.invertible)
-    suffix_s = [False] * (len(noninv) + 1)
-    suffix_tb = [False] * (len(noninv) + 1)
-    for pos in range(len(noninv) - 1, -1, -1):
-        s_i, t_i, b_i = gens[noninv[pos]].tridegree
-        suffix_s[pos] = suffix_s[pos + 1] or s_i < 0
-        suffix_tb[pos] = suffix_tb[pos + 1] or (t_i + b_i) > 0
-    return noninv, inv, tuple(suffix_s), tuple(suffix_tb)
+    steps = []
+    later_s = later_tb = False
+    for i in reversed(range(len(gens))):
+        if gens[i].invertible:
+            continue
+        s, t, b = gens[i].tridegree
+        forced = (s < 0 and not later_s) or (t + b > 0 and not later_tb)
+        later_s, later_tb = later_s or s < 0, later_tb or t + b > 0
+        steps.insert(0, (i, s, t, b, later_s, later_tb, forced))
+    lam = pres.invertible
+    inv = gens.index(lam) if lam else None
+    return tuple(steps), inv, lam.tridegree[1] if lam else 0
 
 
 def _add_tri(a: TriDegree, b: TriDegree) -> TriDegree:
@@ -244,7 +247,8 @@ class Page:
         self._mono_memo = previous._mono_memo
         self._tables = previous._tables
         self._key = pres.mono(rule.source_dict())
-        self._image = pres.mono(rule.target_dict())
+        # what d does to a monomial's exponents: key off, image on
+        self._step = tuple(y - x for x, y in zip(self._key, pres.mono(rule.target_dict())))
         support = [i for i, e in enumerate(self._key) if e]
         if len(support) != 1:
             raise DifferentialError("differential keys on a single generator power only")
@@ -263,54 +267,35 @@ class Page:
         cached = self._mono_memo.get(tri)
         if cached is not None:
             return cached
-        gens = self.pres.generators
-        noninv, inv, suffix_s, suffix_tb = self._tables
-        found: list[Mono] = []
-        expo = [0] * len(gens)
-
-        def rec(pos: int, rs: int, rt: int, rb: int):
-            # rs, rt, rb: what the remaining generators must still contribute
-            if rs > 0 or (rs < 0 and not suffix_s[pos]):
-                return
-            if (rt + rb) < 0 or ((rt + rb) > 0 and not suffix_tb[pos]):
-                return
-            if pos == len(noninv):
-                if rs != 0:
-                    return
-                if inv:
-                    i = inv[0]
-                    _, lt, lb = gens[i].tridegree
-                    if rt % lt:
-                        return
-                    j = rt // lt
-                    if rb == j * lb:
-                        expo[i] = j
-                        found.append(tuple(expo))
-                        expo[i] = 0
-                else:
-                    if rt == 0 and rb == 0:
-                        found.append(tuple(expo))
-                return
-            i = noninv[pos]
-            gs, gt, gb = gens[i].tridegree
+        steps, inv, lt = self._tables
+        # exponents of the non-invertible generators chosen so far, each
+        # with what the remaining generators must still contribute
+        partial = [((), tri[0], tri[1], tri[2])]
+        for i, gs, gt, gb, move_s, move_tb, forced in steps:
             tb = gt + gb
-            emax = None
-            if gs < 0:
-                emax = rs // gs  # rs <= 0, so this is |rs| / |gs|
-            if tb > 0:
-                cap = (rt + rb) // tb
-                emax = cap if emax is None else min(emax, cap)
-            # the last generator able to move a residual must clear it alone
-            forced = (gs < 0 and not suffix_s[pos + 1]) or (tb > 0 and not suffix_tb[pos + 1])
-            for e in range(emax if forced else 0, emax + 1):
-                expo[i] = e
-                rec(pos + 1, rs - e * gs, rt - e * gt, rb - e * gb)
-            expo[i] = 0
-
-        if not gens:
-            found = [()] if tri == (0, 0, 0) else []
-        else:
-            rec(0, tri[0], tri[1], tri[2])
+            grown = []
+            for expo, rs, rt, rb in partial:
+                if rs > 0 or (rs < 0 and not move_s):
+                    continue
+                if rt + rb < 0 or (rt + rb > 0 and not move_tb):
+                    continue
+                emax = rs // gs if gs < 0 else None  # rs <= 0: |rs| / |gs|
+                if tb > 0:
+                    cap = (rt + rb) // tb
+                    emax = cap if emax is None else min(emax, cap)
+                for e in range(emax if forced else 0, emax + 1):
+                    grown.append((expo + (e,), rs - e * gs, rt - e * gt, rb - e * gb))
+            partial = grown
+        found = []
+        for expo, rs, rt, rb in partial:
+            if rs or rt + rb or (rt % lt if lt else rt):
+                continue
+            mono = [0] * len(self.pres.generators)
+            for step, e in zip(steps, expo):
+                mono[step[0]] = e
+            if inv is not None:
+                mono[inv] = rt // lt
+            found.append(tuple(mono))
         out = tuple(sorted(found))
         self._mono_memo[tri] = out
         return out
@@ -321,8 +306,8 @@ class Page:
         """This page's round on one monomial; None means zero, an
         exception means the monomial does not factor as key-power times
         declared cycles."""
-        key, image, i = self._key, self._image, self._support
-        q, rem = divmod(mono[i], key[i])
+        i = self._support
+        q, rem = divmod(mono[i], self._key[i])
         if rem:
             raise DifferentialError(
                 f"d undefined on {self.pres.mono_str(mono)}: leftover factor of "
@@ -330,44 +315,40 @@ class Page:
         c = (q % 2) if self._parity else q
         if c == 0:
             return None
-        out = list(mono)
-        for k in range(len(out)):
-            out[k] = out[k] - key[k] + image[k]
-        return (c * self._coeff, tuple(out))
+        return (c * self._coeff, tuple(map(operator.add, mono, self._step)))
 
-    def _diff_matrix(self, src_monos: tuple[Mono, ...],
-                     dst_monos: tuple[Mono, ...]) -> tuple[IntMatrix, set[int]]:
-        """Ambient matrix of d and the set of undefined source columns."""
-        index = {m: i for i, m in enumerate(dst_monos)}
-        rows = [[0] * len(src_monos) for _ in dst_monos]
-        undefined: set[int] = set()
-        for col, m in enumerate(src_monos):
-            try:
-                img = self._apply_rule(m)
-            except DifferentialError:
-                undefined.add(col)
+    def _d_of_cycles(self, st: SpotState, dst_monos: tuple[Mono, ...],
+                     what: str) -> IntMatrix | None:
+        """This page's round on the cycle basis of st, in the monomial
+        basis dst_monos, or None if it is zero.  d must be defined on every
+        monomial a cycle involves, and every image must lie in dst_monos."""
+        i, key = self._support, self._key[self._support]
+        cols = st.cycles.cols
+        out = [(0,) * cols] * len(dst_monos)
+        undefined = []
+        for m, cyc in zip(st.monomials, st.cycles.entries):
+            if m[i] % key:
+                undefined.append((m, cyc))
                 continue
+            img = self._apply_rule(m)
             if img is None:
                 continue
             coeff, mono = img
-            if mono not in index:
+            if mono not in dst_monos:
                 raise DifferentialError(
                     f"image {self.pres.mono_str(mono)} missing from its tridegree "
                     f"(enumeration bug)")
-            rows[index[mono]][col] = coeff
-        mat = IntMatrix(len(dst_monos), len(src_monos), tuple(map(tuple, rows)))
-        return mat, undefined
-
-    def _check_defined(self, mat_cols: IntMatrix, undefined: set[int], what: str,
-                       monos: tuple[Mono, ...]):
-        if not undefined:
-            return
-        for j in range(mat_cols.cols):
-            for i in undefined:
-                if mat_cols[i, j] != 0:
+            k = dst_monos.index(mono)
+            out[k] = tuple(x + coeff * c for x, c in zip(out[k], cyc))
+        for j in range(cols):
+            for m, cyc in undefined:
+                if cyc[j] != 0:
                     raise DifferentialError(
                         f"d undefined on live class involving "
-                        f"{self.pres.mono_str(monos[i])} ({what})")
+                        f"{self.pres.mono_str(m)} ({what})")
+        if not any(map(any, out)):
+            return None
+        return IntMatrix._of(len(dst_monos), cols, tuple(out))
 
     # -- state evaluation ------------------------------------------------------
 
@@ -389,10 +370,8 @@ class Page:
         above = self.previous.state(_add_tri(tri, self._shift))
 
         # new cycles: x in cycles with d(x) a boundary upstairs
-        dmat, undef = self._diff_matrix(here.monomials, above.monomials)
-        self._check_defined(here.cycles, undef, "cycle basis", here.monomials)
-        imgs = dmat.mul(here.cycles)
-        if imgs.is_zero():
+        imgs = self._d_of_cycles(here, above.monomials, "cycle basis")
+        if imgs is None:
             new_cycles = here.cycles
         else:
             new_cycles = here.cycles.mul(preimage_lattice(imgs, above.bounds))
@@ -401,11 +380,8 @@ class Page:
         pieces = here.bounds
         grew = False
         if below.monomials:
-            dn, undef_dn = self._diff_matrix(below.monomials, here.monomials)
-            self._check_defined(below.cycles, undef_dn, "incoming cycle basis",
-                                below.monomials)
-            incoming = dn.mul(below.cycles)
-            if not incoming.is_zero():
+            incoming = self._d_of_cycles(below, here.monomials, "incoming cycle basis")
+            if incoming is not None:
                 pieces = pieces.hstack(incoming)
                 grew = True
         if new_cycles is here.cycles and not grew:
@@ -607,11 +583,13 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 continue  # product lands in a different filtration: zero here
             src = page.state(tri)
             dst = page.state(spot_of[target_deg])
-            index = {m: i for i, m in enumerate(dst.monomials)}
-            mult = [[0] * len(src.monomials) for _ in dst.monomials]
-            for j, m in enumerate(src.monomials):
-                mult[index[tuple(e1 + e2 for e1, e2 in zip(m, mono))]][j] = 1
-            per[d] = dst.pres.induced(IntMatrix.from_rows(mult), src.pres)
+            cols = []
+            for m in src.monomials:
+                col = [0] * len(dst.monomials)
+                col[dst.monomials.index(tuple(map(operator.add, m, mono)))] = 1
+                cols.append(col)
+            mult = IntMatrix.from_columns(cols, len(dst.monomials))
+            per[d] = dst.pres.induced(mult, src.pres)
         chart.maps[mname] = per
     return chart
 

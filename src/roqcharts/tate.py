@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 from .exactalg import (IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
@@ -41,13 +41,18 @@ class NotPeriodicError(TatePipelineError):
 
 @dataclass
 class TateSquareData:
+    """The charts of the square; the homotopy orbits, which no other chart
+    or check reads, are built on first access."""
     hfp: Chart
     tate: Chart
-    orbits: Chart
     phi: Chart
     genuine: Chart
     loc_maps: dict[Degree, IntMatrix] = field(default_factory=dict)
     phi_maps: dict[Degree, IntMatrix] = field(default_factory=dict)
+
+    @cached_property
+    def orbits(self) -> Chart:
+        return homotopy_orbits(self.hfp, self.tate, self.loc_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +199,26 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
                       [maps.get(d, IntMatrix.zero(nt, len(c.orders(d))))
                        for c, maps in zip(sources, maps_into_tate)])
 
+    kers: dict[Degree, PresentedGroup] = {}
+
+    def kernel(d: Degree) -> PresentedGroup:
+        if d not in kers:
+            kers[d] = presented_kernel(to_tate(d), _orders_concat(sources, d),
+                                       tate.orders(d))
+        return kers[d]
+
     def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
         """a from the kernel one step up into ker, in its generators."""
         up = (d[0], d[1] + 1)
         if not all(c.window.contains(up) for c in sources):
             return None
-        ker_up = presented_kernel(to_tate(up), _orders_concat(sources, up), tate.orders(up))
-        return ker.induced(a_sources(up), ker_up)
+        return ker.induced(a_sources(up), kernel(up))
 
     entries: dict[Degree, ChartEntry] = {}
-    kers: dict[Degree, PresentedGroup] = {}
     cokers: dict[Degree, PresentedGroup] = {}
     for d in window.degrees():
         right = (d[0] + 1, d[1])
-        ker = presented_kernel(to_tate(d), _orders_concat(sources, d), tate.orders(d))
+        ker = kernel(d)
         coker = presented_cokernel(to_tate(right), tate.orders(right))
         covered = not coker.is_zero() and torsion_split_by_a(
             ker.orders, lambda: a_into_kernel(d, ker))
@@ -215,7 +226,6 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
                            _labels_concat(sources, d), covered)
         if entry:
             entries[d] = entry
-            kers[d] = ker
             cokers[d] = coker
 
     amaps: dict[Degree, IntMatrix] = {}
@@ -305,10 +315,9 @@ def assemble_genuine(hfp: Chart, tate: Chart, phi: Chart,
 
 def run_tate_square(hfp: Chart, connective: bool, window: Window,
                     name: str) -> TateSquareData:
-    """All five charts of the square from a homotopy-fixed-point chart."""
+    """The square from a homotopy-fixed-point chart, the orbits on demand."""
     tate, loc = invert_a_with_maps(hfp)
-    orbits = homotopy_orbits(hfp, tate, loc)
     phi, phi_maps = geometric_fixed_points_with_maps(tate, connective)
     genuine = assemble_genuine(hfp, tate, phi, loc, phi_maps, window, name)
-    return TateSquareData(hfp=hfp, tate=tate, orbits=orbits, phi=phi,
-                          genuine=genuine, loc_maps=loc, phi_maps=phi_maps)
+    return TateSquareData(hfp=hfp, tate=tate, phi=phi, genuine=genuine,
+                          loc_maps=loc, phi_maps=phi_maps)

@@ -42,7 +42,7 @@ class TheorySeed:
 
 _A = PageGenerator("a", (-1, 1, -1))
 _LAM = PageGenerator("lam", (0, 1, -1), invertible=True)
-_D1 = DifferentialRule(1, (("lam", 1),), 2, (("a", 1),))
+_D1 = DifferentialRule((("lam", 1),), 2, (("a", 1),))
 
 
 def hz_seed() -> TheorySeed:
@@ -52,7 +52,7 @@ def hz_seed() -> TheorySeed:
 
 def kr_seed() -> TheorySeed:
     vb = PageGenerator("vb", (0, 1, 1))
-    d2 = DifferentialRule(2, (("lam", 2),), 1, (("a", 3), ("vb", 1)))
+    d2 = DifferentialRule((("lam", 2),), 1, (("a", 3), ("vb", 1)))
     return TheorySeed("kr", Presentation((_A, vb, _LAM)), (_D1, d2), True,
                       {"a": {"a": 1}, "vbar": {"vb": 1}, "u": {"lam": 2},
                        "U": {"lam": 4}})

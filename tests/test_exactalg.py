@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from roqcharts import exactalg
 from roqcharts.exactalg import (ExactAlgebraError, FgAbelian, IntComplex,
                                 IntMatrix, NotInLatticeError, PresentedGroup,
-                                _rel_columns, column_space_basis,
+                                ShapeError, _rel_columns, column_space_basis,
                                 has_nonzero_hom, homology_at, kernel_basis,
                                 preimage_lattice, presented_homology,
                                 smith_normal_form, solve)
@@ -72,6 +72,47 @@ def test_snf_laws(m):
         for j in range(m.cols):
             if i != j:
                 assert s.diag[i, j] == 0
+
+
+@st.composite
+def composable(draw):
+    """a (r x k), b (k x c), c (r x c') and a few blocks."""
+    dims = st.integers(min_value=0, max_value=4)
+    r, k, c, c2 = draw(dims), draw(dims), draw(dims), draw(dims)
+
+    def mat(rows, cols):
+        return IntMatrix(rows, cols, tuple(tuple(draw(small_entries) for _ in range(cols))
+                                           for _ in range(rows)))
+    blocks = [draw(matrices(max_dim=3)) for _ in range(draw(st.integers(0, 3)))]
+    return mat(r, k), mat(k, c), mat(r, c2), blocks
+
+
+@given(composable())
+@settings(max_examples=120, deadline=None)
+def test_internal_results_are_valid_matrices(args):
+    # mul, hstack, from_columns and block_diag skip the shape check of the
+    # public constructor; what they build must pass it and equal its result
+    a, b, c, blocks = args
+    product = a.mul(b)
+    assert product.entries == tuple(
+        tuple(sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols))
+        for i in range(a.rows))
+    for m in (product, a.hstack(c), IntMatrix.from_columns(a.columns(), a.rows),
+              IntMatrix.block_diag(*blocks)):
+        assert m == IntMatrix(m.rows, m.cols, m.entries)
+        assert hash(m) == hash(IntMatrix(m.rows, m.cols, m.entries))
+    if b.cols != c.rows:
+        with pytest.raises(ShapeError):
+            b.mul(c)
+
+
+def test_public_constructor_still_checks_shape():
+    with pytest.raises(ShapeError):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+    with pytest.raises(ShapeError):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ShapeError):
+        IntMatrix(1, 1, ())
 
 
 @given(matrices())

@@ -10,11 +10,11 @@ from roqcharts.grading import (Chart, ChartEntry, Generator, Window, SQUARE,
                                mult_map)
 from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareData,
                             assemble_genuine, geometric_fixed_points_with_maps,
-                            invert_a_with_maps, torsion_split_by_a,
+                            homotopy_orbits, invert_a_with_maps, torsion_split_by_a,
                             _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
-from roqcharts import exactalg
+from roqcharts import cli, exactalg
 from roqcharts.chartio import diff, serialize
 from roqcharts.grading import closed_form_hz, closed_form_kr
 
@@ -81,6 +81,22 @@ def test_orbits_patterns_hz():
         assert ob.group(d) == expect, d
     # the kernel generators are twice the fixed-point ones
     assert any(g.annotation == "circle" for g in ob.entry((0, 0)).gens)
+
+
+def test_orbits_are_built_on_demand(monkeypatch):
+    # neither the pipeline nor compute builds the orbits chart; the first
+    # read of .orbits builds the same chart as an eager call, once
+    calls = []
+    monkeypatch.setattr("roqcharts.tate.homotopy_orbits",
+                        lambda *args: calls.append(args) or homotopy_orbits(*args))
+    data = run_tate_pipeline(kr_seed(), Window.square(4), padding=2)
+    assert cli.main(["compute", "--theory", "hz", "--pipeline", "tate",
+                     "--window=-4..4"]) == 0
+    assert calls == []
+    eager = homotopy_orbits(data.hfp, data.tate, data.loc_maps)
+    assert serialize(data.orbits) == serialize(eager)
+    assert data.orbits.maps == eager.maps
+    assert len(calls) == 1
 
 
 def test_orbits_trivial_when_tate_vanishes():
