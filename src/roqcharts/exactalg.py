@@ -13,6 +13,7 @@ arbitrary precision is the contract, not an option.
 The pure kernels are memoized by bounded `functools.lru_cache`s keyed on
 their arguments: `smith_normal_form`, `kernel_basis`, `preimage_lattice`,
 `column_space_basis`, `presented_homology`, `PresentedGroup.from_lattices`,
+`PresentedGroup.induced`, the normal form behind `FgAbelian.from_orders`,
 and the constants `IntMatrix.zero`, `IntMatrix.identity`,
 `PresentedGroup.full_free` and `_rel_columns`.  Equal inputs return one
 shared object; that is safe because every result is an immutable value
@@ -23,6 +24,7 @@ for a cold start.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -377,26 +379,9 @@ class FgAbelian:
             raise ExactAlgebraError("torsion coefficients must be >= 2")
 
     @staticmethod
-    def from_orders(orders: list[int]) -> "FgAbelian":
+    def from_orders(orders: Iterable[int]) -> "FgAbelian":
         """Normalize arbitrary cyclic orders (0 meaning Z) into normal form."""
-        rank = sum(1 for d in orders if d == 0)
-        primes: dict[int, list[int]] = {}
-        for d in orders:
-            if d in (0, 1):
-                continue
-            for p, e in _factorint(abs(d)).items():
-                primes.setdefault(p, []).append(e)
-        length = max((len(v) for v in primes.values()), default=0)
-        factors = []
-        for i in range(length):
-            f = 1
-            for p, exps in primes.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    f *= p ** exps_sorted[i]
-            factors.append(f)
-        # factors currently largest-first; the chain wants smallest-first
-        return FgAbelian(rank, tuple(reversed(factors)))
+        return _normal_form(tuple(orders))
 
     @staticmethod
     def zero() -> "FgAbelian":
@@ -427,6 +412,29 @@ class FgAbelian:
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
+
+
+@lru_cache(maxsize=4096)
+def _normal_form(orders: tuple[int, ...]) -> FgAbelian:
+    """`FgAbelian.from_orders`, keyed on the orders tuple."""
+    rank = sum(1 for d in orders if d == 0)
+    primes: dict[int, list[int]] = {}
+    for d in orders:
+        if d in (0, 1):
+            continue
+        for p, e in _factorint(abs(d)).items():
+            primes.setdefault(p, []).append(e)
+    length = max((len(v) for v in primes.values()), default=0)
+    factors = []
+    for i in range(length):
+        f = 1
+        for p, exps in primes.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if i < len(exps_sorted):
+                f *= p ** exps_sorted[i]
+        factors.append(f)
+    # factors currently largest-first; the chain wants smallest-first
+    return FgAbelian(rank, tuple(reversed(factors)))
 
 
 def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
@@ -489,13 +497,8 @@ class PresentedGroup:
             gens_cols.append(cycles.apply(snf.left_inv.column(i)))
             orders.append(di if i < snf.rank else 0)
         gens = IntMatrix.from_columns(gens_cols, ambient)
-        group = FgAbelian.from_orders([o for o in orders])
+        group = FgAbelian.from_orders(orders)
         return PresentedGroup(ambient, gens, tuple(orders), bounds, group)
-
-    @staticmethod
-    def zero(ambient: int) -> "PresentedGroup":
-        return PresentedGroup(ambient, IntMatrix.zero(ambient, 0), (),
-                              IntMatrix.zero(ambient, 0), FgAbelian.zero())
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -520,6 +523,7 @@ class PresentedGroup:
             out.append(x[i] % o if o else x[i])
         return out
 
+    @lru_cache(maxsize=4096)
     def induced(self, m: IntMatrix, src: "PresentedGroup") -> IntMatrix:
         """The map src -> self in generator coordinates, induced by the
         ambient matrix m (src ambient -> self ambient)."""
@@ -634,7 +638,8 @@ def homology_at(c: IntComplex, k: int) -> FgAbelian:
 
 _MEMOS = (IntMatrix.identity, IntMatrix.zero, smith_normal_form, kernel_basis,
           preimage_lattice, column_space_basis, PresentedGroup.from_lattices,
-          PresentedGroup.full_free, _rel_columns, presented_homology)
+          PresentedGroup.full_free, PresentedGroup.induced, _rel_columns,
+          presented_homology, _normal_form)
 
 
 def cache_clear() -> None:

@@ -12,9 +12,13 @@ tridegree.
 Spot states are computed lazily, so any tridegree can be inspected
 exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
-Each page memoizes its own spot states and asks the page it was turned
-from for the states under its round; the pages of one chain share one
-table of monomial bases and the enumeration tables it is built from.
+A spot state holds lattices only; its basis is `Page.monomials_at`,
+the one owner of bases.  The pages of one chain share the bases per
+tridegree, the non-invertible exponents they are built from, solved
+once per (s, t + b) since the invertible generator moves neither, and
+the enumeration tables.  Each later page memoizes its own spot states
+and asks the page it was turned from for the states under its round;
+E_1 memoizes none and hands out one shared free state per basis size.
 
 Reading the last page off as a chart (`collapse_to_chart`) certifies the
 whole chain: `find_candidates` searches each page at the shapes d_r
@@ -24,7 +28,8 @@ p the least power with lam^p and lam^-p classes of that page
 (`lambda_period`): multiplying by lam^p is an isomorphism of the page.
 Every other degree takes its representative's scan moved by lam^p, and
 its one live spot is evaluated directly and checked against the
-representative's group.
+representative's group.  The readout reuses the certificate's scan of
+the last page.
 """
 
 from __future__ import annotations
@@ -196,10 +201,10 @@ def _sub_tri(a: TriDegree, b: TriDegree) -> TriDegree:
 
 @dataclass(frozen=True)
 class SpotState:
-    """One tridegree of one page: monomial basis plus cycle and boundary
-    lattices in those coordinates, presented as a group."""
+    """One tridegree of one page: cycle and boundary lattices in the
+    coordinates of the monomial basis there (`Page.monomials_at`),
+    presented as a group."""
 
-    monomials: tuple[Mono, ...]
     cycles: IntMatrix
     bounds: IntMatrix
     pres: PresentedGroup
@@ -209,13 +214,13 @@ class SpotState:
         return self.pres.group
 
 
-def _free_state(monomials: tuple[Mono, ...]) -> SpotState:
-    pres = PresentedGroup.full_free(len(monomials))
-    return SpotState(monomials, pres.gens, pres.rels, pres)
+def _free_state(n: int) -> SpotState:
+    """Every monomial of an n-element basis a free generator."""
+    pres = PresentedGroup.full_free(n)
+    return SpotState(pres.gens, pres.rels, pres)
 
 
-_EMPTY_STATE = SpotState((), IntMatrix.zero(0, 0), IntMatrix.zero(0, 0),
-                         PresentedGroup.zero(0))
+_EMPTY_STATE = _free_state(0)
 
 
 class Page:
@@ -237,7 +242,10 @@ class Page:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self.shape = 0
             self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
+            self._solve_memo: dict[tuple[int, int], tuple[tuple[int, Mono], ...]] = {}
             self._tables = _enumeration_tables(pres)
+            # E_1 keeps one free state per basis size, no state per tridegree
+            self._free_states = {0: _EMPTY_STATE}
             return
         self.shape, self._shift = rule_shift(pres, rule)
         if self.shape < previous.shape:
@@ -245,6 +253,7 @@ class Page:
                                     f"rounds must come in increasing shape")
         self.rounds = previous.rounds + (rule,)
         self._mono_memo = previous._mono_memo
+        self._solve_memo = previous._solve_memo
         self._tables = previous._tables
         self._key = pres.mono(rule.source_dict())
         # what d does to a monomial's exponents: key off, image on
@@ -264,40 +273,60 @@ class Page:
     # -- monomial enumeration ------------------------------------------------
 
     def monomials_at(self, tri: TriDegree) -> tuple[Mono, ...]:
+        """The monomial basis at tri, sorted: the non-invertible exponents
+        come from `_solve(s, t + b)`, the invertible generator's from the
+        t they leave over."""
         cached = self._mono_memo.get(tri)
         if cached is not None:
             return cached
-        steps, inv, lt = self._tables
-        # exponents of the non-invertible generators chosen so far, each
-        # with what the remaining generators must still contribute
-        partial = [((), tri[0], tri[1], tri[2])]
-        for i, gs, gt, gb, move_s, move_tb, forced in steps:
-            tb = gt + gb
+        s, t, b = tri
+        _, inv, lt = self._tables
+        found = []
+        for t_part, mono in self._solve(s, t + b):
+            if inv is None:
+                if t_part == t:
+                    found.append(mono)
+            elif not (t - t_part) % lt:
+                found.append(mono[:inv] + ((t - t_part) // lt,) + mono[inv + 1:])
+        out = self._mono_memo[tri] = tuple(sorted(found))
+        return out
+
+    def _solve(self, s: int, tb: int) -> tuple[tuple[int, Mono], ...]:
+        """Every choice of non-invertible exponents with tridegree s and
+        t + b = tb, as (its t, the monomial with invertible exponent 0).
+        The invertible generator moves neither s nor t + b."""
+        key = (s, tb)
+        cached = self._solve_memo.get(key)
+        if cached is not None:
+            return cached
+        steps = self._tables[0]
+        # exponents chosen so far, each with the s and t+b residuals left
+        # over and the t they make up
+        partial = [((), s, tb, 0)]
+        for _, gs, gt, gb, move_s, move_tb, forced in steps:
+            gtb = gt + gb
             grown = []
-            for expo, rs, rt, rb in partial:
+            for expo, rs, rtb, rt in partial:
                 if rs > 0 or (rs < 0 and not move_s):
                     continue
-                if rt + rb < 0 or (rt + rb > 0 and not move_tb):
+                if rtb < 0 or (rtb > 0 and not move_tb):
                     continue
                 emax = rs // gs if gs < 0 else None  # rs <= 0: |rs| / |gs|
-                if tb > 0:
-                    cap = (rt + rb) // tb
+                if gtb > 0:
+                    cap = rtb // gtb
                     emax = cap if emax is None else min(emax, cap)
                 for e in range(emax if forced else 0, emax + 1):
-                    grown.append((expo + (e,), rs - e * gs, rt - e * gt, rb - e * gb))
+                    grown.append((expo + (e,), rs - e * gs, rtb - e * gtb, rt + e * gt))
             partial = grown
         found = []
-        for expo, rs, rt, rb in partial:
-            if rs or rt + rb or (rt % lt if lt else rt):
+        for expo, rs, rtb, rt in partial:
+            if rs or rtb:
                 continue
             mono = [0] * len(self.pres.generators)
             for step, e in zip(steps, expo):
                 mono[step[0]] = e
-            if inv is not None:
-                mono[inv] = rt // lt
-            found.append(tuple(mono))
-        out = tuple(sorted(found))
-        self._mono_memo[tri] = out
+            found.append((rt, tuple(mono)))
+        out = self._solve_memo[key] = tuple(found)
         return out
 
     # -- the Leibniz differential ---------------------------------------------
@@ -317,16 +346,17 @@ class Page:
             return None
         return (c * self._coeff, tuple(map(operator.add, mono, self._step)))
 
-    def _d_of_cycles(self, st: SpotState, dst_monos: tuple[Mono, ...],
-                     what: str) -> IntMatrix | None:
-        """This page's round on the cycle basis of st, in the monomial
-        basis dst_monos, or None if it is zero.  d must be defined on every
-        monomial a cycle involves, and every image must lie in dst_monos."""
+    def _d_of_cycles(self, st: SpotState, src_monos: tuple[Mono, ...],
+                     dst_monos: tuple[Mono, ...], what: str) -> IntMatrix | None:
+        """This page's round on the cycle basis of st (in the monomial
+        basis src_monos), in the monomial basis dst_monos, or None if it
+        is zero.  d must be defined on every monomial a cycle involves, and
+        every image must lie in dst_monos."""
         i, key = self._support, self._key[self._support]
         cols = st.cycles.cols
         out = [(0,) * cols] * len(dst_monos)
         undefined = []
-        for m, cyc in zip(st.monomials, st.cycles.entries):
+        for m, cyc in zip(src_monos, st.cycles.entries):
             if m[i] % key:
                 undefined.append((m, cyc))
                 continue
@@ -355,6 +385,12 @@ class Page:
     def state(self, tri: TriDegree) -> SpotState:
         cached = self._state_memo.get(tri)
         if cached is None:
+            if self.previous is None:
+                n = len(self.monomials_at(tri))
+                free = self._free_states.get(n)
+                if free is None:
+                    free = self._free_states[n] = _free_state(n)
+                return free
             cached = self._state_memo[tri] = self._evaluate(tri)
         return cached
 
@@ -362,15 +398,13 @@ class Page:
         monos = self.monomials_at(tri)
         if not monos:
             return _EMPTY_STATE
-        if self.previous is None:
-            return _free_state(monos)
-
+        down, up = _sub_tri(tri, self._shift), _add_tri(tri, self._shift)
         here = self.previous.state(tri)
-        below = self.previous.state(_sub_tri(tri, self._shift))
-        above = self.previous.state(_add_tri(tri, self._shift))
+        below = self.previous.state(down)
+        above = self.previous.state(up)
 
         # new cycles: x in cycles with d(x) a boundary upstairs
-        imgs = self._d_of_cycles(here, above.monomials, "cycle basis")
+        imgs = self._d_of_cycles(here, monos, self.monomials_at(up), "cycle basis")
         if imgs is None:
             new_cycles = here.cycles
         else:
@@ -379,8 +413,9 @@ class Page:
         # new boundaries: old ones plus images of cycles downstairs
         pieces = here.bounds
         grew = False
-        if below.monomials:
-            incoming = self._d_of_cycles(below, here.monomials, "incoming cycle basis")
+        below_monos = self.monomials_at(down)
+        if below_monos:
+            incoming = self._d_of_cycles(below, below_monos, monos, "incoming cycle basis")
             if incoming is not None:
                 pieces = pieces.hstack(incoming)
                 grew = True
@@ -392,16 +427,17 @@ class Page:
             pres = PresentedGroup.from_lattices(new_cycles, new_bounds)
         except NotInLatticeError:
             raise DifferentialError(f"d o d != 0 at tridegree {tri}") from None
-        return SpotState(monos, new_cycles, new_bounds, pres)
+        return SpotState(new_cycles, new_bounds, pres)
 
     def is_cycle(self, powers: dict[str, int]) -> bool:
         """Whether the monomial survives as a class of the current page
         (its unit vector lies in the iterated cycle lattice)."""
         mono = self.pres.mono(powers)
-        st = self.state(self.pres.tridegree_of(mono))
-        if mono not in st.monomials:
+        tri = self.pres.tridegree_of(mono)
+        st, monos = self.state(tri), self.monomials_at(tri)
+        if mono not in monos:
             return False
-        vec = [1 if m == mono else 0 for m in st.monomials]
+        vec = [1 if m == mono else 0 for m in monos]
         return lattice_contains(st.cycles, vec)
 
 
@@ -471,7 +507,17 @@ def _orbits(page: Page, window: Window) -> dict[Degree, tuple[Degree, TriDegree]
     return out
 
 
-def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, TriDegree]]:
+def _scan(page: Page, window: Window
+          ) -> tuple[dict[Degree, tuple[Degree, TriDegree]], dict[Degree, list[TriDegree]]]:
+    """The lam^p-orbits of window on page (`_orbits`) and the live spots
+    of each orbit's representative (`live_tridegrees`)."""
+    orbits = _orbits(page, window)
+    return orbits, {d: live_tridegrees(page, d)
+                    for d, (rep, _) in orbits.items() if rep == d}
+
+
+def find_candidates(page: Page, window: Window, scans: dict | None = None
+                    ) -> list[tuple[int, TriDegree, TriDegree]]:
     """Exhaustive search for places a later differential could be nonzero,
     on every page of the chain that ends at page, earliest page first.
 
@@ -486,7 +532,8 @@ def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, Tr
     _SCAN_DEPTH of the scan floor and every shape of its page, report the
     pairs where the target group admits a nonzero homomorphism from the
     source.  Every source lies over a window degree.  An empty list is
-    the collapse certificate the pipelines rely on.
+    the collapse certificate the pipelines rely on.  scans, if given,
+    receives each searched page's `_scan`, which the chart readout reuses.
     """
     chain = [page]
     while chain[0].previous is not None:
@@ -496,10 +543,11 @@ def find_candidates(page: Page, window: Window) -> list[tuple[int, TriDegree, Tr
         shapes = range(page.shape + 1, top)
         if not shapes:
             continue
-        for d, (rep, _) in _orbits(page, window).items():
-            if rep != d:
-                continue
-            for tri in live_tridegrees(page, d):
+        scan = _scan(page, window)
+        if scans is not None:
+            scans[page] = scan
+        for tris in scan[1].values():
+            for tri in tris:
                 g = page.state(tri).group
                 for r in shapes:
                     target = _add_tri(tri, (-r, r - 1, 0))
@@ -529,7 +577,8 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     Structure maps are computed by multiplying representatives by the
     given monomials.
     """
-    leftovers = find_candidates(page, window)
+    scans: dict[Page, tuple] = {}
+    leftovers = find_candidates(page, window, scans)
     if leftovers:
         r, src, dst = leftovers[0]
         orbits = {(s + t, b) for _, (s, t, b), _ in leftovers}
@@ -539,10 +588,9 @@ def collapse_to_chart(page: Page, window: Window, name: str,
 
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
-    rep_live: dict[Degree, list[TriDegree]] = {}
-    for d, (rep, shift) in _orbits(page, window).items():
-        if rep == d:
-            rep_live[d] = live_tridegrees(page, d)
+    # a last round of shape _R_CAP or more leaves the last page unsearched
+    orbits, rep_live = scans.get(page) or _scan(page, window)
+    for d, (rep, shift) in orbits.items():
         live = [_add_tri(tri, shift) for tri in rep_live[rep]]
         if not live:
             continue
@@ -564,7 +612,7 @@ def collapse_to_chart(page: Page, window: Window, name: str,
         for j in range(st.pres.gens.cols):
             vec = st.pres.gens.column(j)
             order = st.pres.orders[j]
-            label = _rep_label(page.pres, st.monomials, vec, label_of)
+            label = _rep_label(page.pres, page.monomials_at(tri), vec, label_of)
             gens.append(Generator(label, DOT if order else SQUARE, order))
         entries[d] = ChartEntry(tuple(gens))
         spot_of[d] = tri
@@ -581,14 +629,14 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 continue
             if spot_of[target_deg] != _add_tri(tri, mshift):
                 continue  # product lands in a different filtration: zero here
-            src = page.state(tri)
-            dst = page.state(spot_of[target_deg])
+            src, dst = page.state(tri), page.state(spot_of[target_deg])
+            dst_monos = page.monomials_at(spot_of[target_deg])
             cols = []
-            for m in src.monomials:
-                col = [0] * len(dst.monomials)
-                col[dst.monomials.index(tuple(map(operator.add, m, mono)))] = 1
+            for m in page.monomials_at(tri):
+                col = [0] * len(dst_monos)
+                col[dst_monos.index(tuple(map(operator.add, m, mono)))] = 1
                 cols.append(col)
-            mult = IntMatrix.from_columns(cols, len(dst.monomials))
+            mult = IntMatrix.from_columns(cols, len(dst_monos))
             per[d] = dst.pres.induced(mult, src.pres)
         chart.maps[mname] = per
     return chart

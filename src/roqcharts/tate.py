@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from .exactalg import (IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
@@ -193,19 +193,16 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
     def a_sources(d: Degree) -> IntMatrix:
         return IntMatrix.block_diag(*(mult_map(c, "a", d) for c in sources))
 
+    @cache
     def to_tate(d: Degree) -> IntMatrix:
         nt = len(tate.orders(d))
         return reduce(IntMatrix.hstack,
                       [maps.get(d, IntMatrix.zero(nt, len(c.orders(d))))
                        for c, maps in zip(sources, maps_into_tate)])
 
-    kers: dict[Degree, PresentedGroup] = {}
-
+    @cache
     def kernel(d: Degree) -> PresentedGroup:
-        if d not in kers:
-            kers[d] = presented_kernel(to_tate(d), _orders_concat(sources, d),
-                                       tate.orders(d))
-        return kers[d]
+        return presented_kernel(to_tate(d), _orders_concat(sources, d), tate.orders(d))
 
     def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
         """a from the kernel one step up into ker, in its generators."""
@@ -235,7 +232,7 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
             continue
         amaps[d] = IntMatrix.block_diag(
             cokers[down].induced(mult_map(tate, "a", (d[0] + 1, d[1])), cokers[d]),
-            kers[down].induced(a_sources(d), kers[d]))
+            kernel(down).induced(a_sources(d), kernel(d)))
     return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from roqcharts import exactalg
 from roqcharts.exactalg import (ExactAlgebraError, FgAbelian, IntComplex,
                                 IntMatrix, NotInLatticeError, PresentedGroup,
-                                ShapeError, _rel_columns, column_space_basis,
+                                ShapeError, _normal_form, _rel_columns,
+                                column_space_basis,
                                 has_nonzero_hom, homology_at, kernel_basis,
                                 preimage_lattice, presented_homology,
                                 smith_normal_form, solve)
@@ -312,11 +313,16 @@ def _outcome(fn, *args):
 @settings(max_examples=100, deadline=None)
 def test_memoised_kernels_equal_their_unmemoised_results(args):
     m, rels, into, out_orders, src_orders = args
+    # every ambient vector is a cycle of a cokernel, so m induces a map
+    # into one from the free group on its source
+    coker = presented_homology(IntMatrix.zero(0, m.rows), (), rels, out_orders)
     calls = [(kernel_basis, (m,)), (column_space_basis, (m,)),
              (preimage_lattice, (m, rels)), (_rel_columns, (out_orders,)),
              (presented_homology, (m, out_orders, into, src_orders)),
              (IntMatrix.zero, (m.rows, m.cols)), (IntMatrix.identity, (m.cols,)),
-             (PresentedGroup.full_free, (m.rows,))]
+             (PresentedGroup.full_free, (m.rows,)),
+             (PresentedGroup.induced, (coker, m, PresentedGroup.full_free(m.cols))),
+             (_normal_form, (out_orders + src_orders,))]
     for fn, fargs in calls:
         got = _outcome(fn, *fargs)
         assert got == _outcome(fn.__wrapped__, *fargs), fn.__name__

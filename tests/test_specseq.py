@@ -83,6 +83,62 @@ def test_monomial_bases_match_brute_force():
         assert page.monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
 
 
+@st.composite
+def twin_alphabets(draw):
+    """A valid alphabet whose first generator x has a twin y at the same
+    s and t + b: y = x lam^j with lam the invertible generator, if there
+    is one, else y = x.  So the tridegree of x has at least two monomials."""
+    gens = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        s = draw(st.integers(min_value=-2, max_value=0))
+        tb = draw(st.integers(min_value=0 if s else 1, max_value=2))
+        t = draw(st.integers(min_value=-2, max_value=2))
+        gens.append(PageGenerator(f"g{i}", (s, t, tb - t)))
+    lt = draw(st.sampled_from([0, 1, -1, 2, 3]))
+    s, t, b = gens[0].tridegree
+    j = draw(st.integers(min_value=1, max_value=2)) if lt else 0
+    gens.append(PageGenerator("y", (s, t + j * lt, b - j * lt)))
+    if lt:
+        gens.append(PageGenerator("lam", (0, lt, -lt), invertible=True))
+    return Presentation(tuple(draw(st.permutations(gens))))
+
+
+@given(twin_alphabets())
+@settings(max_examples=40, deadline=None)
+def test_monomial_bases_match_box_enumeration(pres):
+    # every monomial at s >= -3, t + b <= 3, |t| <= 3 has non-invertible
+    # exponents at most 3 (each generator moves s down or t + b up by at
+    # least 1), so an invertible exponent of size at most 3 + 3 * (2 + 2 +
+    # 2 + 8), the twin's t being at most 8 in size
+    page = Page(pres)
+    ranges = [range(-45, 46) if g.invertible else range(4) for g in pres.generators]
+    by_tri: dict = {}
+    for mono in itertools.product(*ranges):
+        by_tri.setdefault(pres.tridegree_of(mono), []).append(mono)
+    for s, tb, t in itertools.product(range(-3, 1), range(0, 4), range(-3, 4)):
+        tri = (s, t, tb - t)
+        assert page.monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
+    x = next(g for g in pres.generators if g.name == "g0")
+    assert len(page.monomials_at(x.tridegree)) >= 2
+
+
+def test_first_page_states_are_shared_per_basis_size():
+    # E_1 keeps no state per tridegree: every spot with an n-monomial
+    # basis gets the one free state of rank n, the empty spots included
+    pres = Presentation((PageGenerator("a", (-1, 1, -1)),
+                         PageGenerator("c", (-1, 2, -2)),
+                         PageGenerator("lam", (0, 1, -1), invertible=True)))
+    page = Page(pres)
+    by_size: dict = {}
+    for tri in itertools.product(range(-4, 1), range(-3, 4), range(-6, 4)):
+        state = page.state(tri)
+        assert by_size.setdefault(len(page.monomials_at(tri)), state) is state, tri
+    assert by_size[0] is specseq._EMPTY_STATE
+    assert set(by_size) == {0, 1, 2, 3, 4, 5}
+    assert all(state.group == FgAbelian.free(n) for n, state in by_size.items())
+    assert not page._state_memo
+
+
 def test_kr_monomials():
     pres = Presentation((PageGenerator("a", (-1, 1, -1)),
                          PageGenerator("vb", (0, 1, 1)),
@@ -225,7 +281,8 @@ def test_no_remaining_candidates():
 
 def _spy_scanned(monkeypatch) -> list:
     """The pages scanned for live spots, in order: `_orbits` is called once
-    per page the certificate searches and once by the chart readout."""
+    per page the certificate searches; the chart readout reuses the last
+    page's scan."""
     scanned = []
     orbits = specseq._orbits
 
@@ -240,12 +297,12 @@ def _spy_scanned(monkeypatch) -> list:
 def test_certificate_scans_every_page_after_the_first(monkeypatch):
     # hz E_2 answers for d_2..d_16; kr E_2 for d_2 alone (between its d_1
     # and d_3 rounds) and kr E_3 for d_4..d_16; no shape lies below the
-    # first round, so E_1 is never scanned
+    # first round, so E_1 is never scanned; each page is scanned once
     scanned = _spy_scanned(monkeypatch)
-    for seed, want in ((hz_seed(), {1}), (kr_seed(), {1, 3})):
+    for seed, want in ((hz_seed(), [1]), (kr_seed(), [1, 3])):
         scanned.clear()
         run_hfpss(seed, Window.square(4))
-        assert {page.shape for page in scanned} == want, seed.name
+        assert [page.shape for page in scanned] == want, seed.name
 
 
 def test_intermediate_page_answers_for_its_own_shapes(monkeypatch):
