@@ -4,12 +4,16 @@ A degree x + y*sigma is stored as the integer pair (x, y) and displayed
 at cartesian (x, y).  Charts associate finitely generated abelian groups
 with named generators to degrees inside a finite window; absent degrees
 are the zero group.  Structure maps (multiplication by a, u, U, vbar)
-are stored as integer matrices between the chosen generator bases.
+are stored as integer matrices between the chosen generator bases.  The
+closed-form charts build each map family on its first read, and check
+then that every image lands in a summand of its target degree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix
 
@@ -113,6 +117,31 @@ class ChartEntry:
         return tuple(g.order for g in self.gens)
 
 
+class MapFamilies(Mapping):
+    """Structure-map families by name, each built by its builder on first
+    read and then kept.  Membership asks only for the name, so `"a" in
+    maps` builds nothing; a builder that raises keeps nothing."""
+
+    def __init__(self, builders: dict[str, Callable[[], dict[Degree, IntMatrix]]]):
+        self._builders = builders
+        self._built: dict[str, dict[Degree, IntMatrix]] = {}
+
+    def __getitem__(self, name: str) -> dict[Degree, IntMatrix]:
+        family = self._built.get(name)
+        if family is None:
+            family = self._built[name] = self._builders[name]()
+        return family
+
+    def __contains__(self, name) -> bool:
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
 @dataclass
 class Chart:
     """Windowed chart.  Treated as immutable once built."""
@@ -120,7 +149,7 @@ class Chart:
     name: str
     window: Window
     entries: dict[Degree, ChartEntry] = field(default_factory=dict)
-    maps: dict[str, dict[Degree, IntMatrix]] = field(default_factory=dict)
+    maps: Mapping[str, dict[Degree, IntMatrix]] = field(default_factory=dict)
 
     def entry(self, d: Degree) -> ChartEntry | None:
         return self.entries.get(d)
@@ -164,25 +193,6 @@ def reduce_matrix(mat: IntMatrix, dst_orders: tuple[int, ...]) -> IntMatrix:
         o = dst_orders[i]
         rows.append([x % o if o else x for x in mat.row(i)])
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, mat.cols)
-
-
-def check_square_commutes(chart: Chart, name1: str, name2: str) -> list[Degree]:
-    """Degrees where the two multiplications fail to commute (in window)."""
-    d1, d2 = MAP_DEGREES[name1], MAP_DEGREES[name2]
-    bad = []
-    w = chart.window
-    for d in w.degrees():
-        mid1 = (d[0] + d1[0], d[1] + d1[1])
-        mid2 = (d[0] + d2[0], d[1] + d2[1])
-        far = (d[0] + d1[0] + d2[0], d[1] + d1[1] + d2[1])
-        if not (w.contains(mid1) and w.contains(mid2) and w.contains(far)):
-            continue
-        first = mult_map(chart, name2, mid1).mul(mult_map(chart, name1, d))
-        second = mult_map(chart, name1, mid2).mul(mult_map(chart, name2, d))
-        orders = chart.orders(far)
-        if reduce_matrix(first, orders) != reduce_matrix(second, orders):
-            bad.append(d)
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +256,27 @@ def hz_degree(desc: tuple) -> Degree:
     raise ChartError(f"unknown descriptor {desc!r}")
 
 
-def hz_generator(desc: tuple) -> Generator:
+def hz_order(desc: tuple) -> int:
+    """Order of an integral generator: 2 on the a-columns and the dual
+    towers, 0 (infinite cyclic) on the squares and circles."""
     kind = desc[0]
+    if kind in ("ucol", "utow"):
+        return 2
+    if kind in ("usq", "ucirc"):
+        return 0
+    raise ChartError(f"unknown descriptor {desc!r}")
+
+
+def hz_generator(desc: tuple) -> Generator:
+    kind, order = desc[0], hz_order(desc)
     if kind == "usq":
-        return Generator(_join(_pow("u", desc[1])), SQUARE, 0)
+        return Generator(_join(_pow("u", desc[1])), SQUARE, order)
     if kind == "ucol":
         k, j = desc[1], desc[2]
-        return Generator(_join(_pow("a", k), _pow("u", j)), DOT, 2)
+        return Generator(_join(_pow("a", k), _pow("u", j)), DOT, order)
     if kind == "ucirc":
-        return Generator("2" + _pow("u", -desc[1]), CIRCLE, 0)
-    if kind == "utow":
-        return Generator(f"t({desc[1]},{desc[2]})", DOT, 2)
-    raise ChartError(f"unknown descriptor {desc!r}")
+        return Generator("2" + _pow("u", -desc[1]), CIRCLE, order)
+    return Generator(f"t({desc[1]},{desc[2]})", DOT, order)  # utow
 
 
 def hz_map_image(name: str, desc: tuple) -> list[tuple[tuple, int]]:
@@ -432,8 +451,25 @@ def desc_matrix(src_descs: list[tuple], dst_descs: list[tuple], image) -> IntMat
     return IntMatrix(len(dst_descs), len(src_descs), tuple(tuple(row) for row in rows))
 
 
+def _map_family(window: Window, descs: dict[Degree, list[tuple]], map_image,
+                mname: str) -> dict[Degree, IntMatrix]:
+    """The nonzero-target matrices of one structure map, degree by degree."""
+    dx, dy = MAP_DEGREES[mname]
+    family: dict[Degree, IntMatrix] = {}
+    for d, ds in descs.items():
+        target = (d[0] + dx, d[1] + dy)
+        if not window.contains(target):
+            continue
+        mat = desc_matrix(ds, descs.get(target, []), lambda s: map_image(mname, s))
+        if mat.rows:
+            family[d] = mat
+    return family
+
+
 def _build_chart(name: str, window: Window, summands, generator_of,
                  map_image, map_names: tuple[str, ...]) -> Chart:
+    """Entries now; each map family on its first read (`MapFamilies`),
+    when `desc_matrix` checks every image of the family's degrees."""
     entries: dict[Degree, ChartEntry] = {}
     descs: dict[Degree, list[tuple]] = {}
     for d in window.degrees():
@@ -441,26 +477,20 @@ def _build_chart(name: str, window: Window, summands, generator_of,
         if ds:
             descs[d] = ds
             entries[d] = ChartEntry(tuple(generator_of(s) for s in ds))
-    maps: dict[str, dict[Degree, IntMatrix]] = {n: {} for n in map_names}
-    for mname in map_names:
-        dx, dy = MAP_DEGREES[mname]
-        for d, ds in descs.items():
-            target = (d[0] + dx, d[1] + dy)
-            if not window.contains(target):
-                continue
-            mat = desc_matrix(ds, descs.get(target, []), lambda s: map_image(mname, s))
-            if mat.rows:
-                maps[mname][d] = mat
+    maps = MapFamilies({m: partial(_map_family, window, descs, map_image, m)
+                        for m in map_names})
     return Chart(name=name, window=window, entries=entries, maps=maps)
 
 
 def closed_form_hz(window: Window) -> Chart:
-    """The integral theory from its block decomposition, degree by degree."""
+    """The integral theory from its block decomposition, degree by degree;
+    the a and u maps are built on first read (`_build_chart`)."""
     return _build_chart("hz-closed", window, hz_summands, hz_generator,
                         hz_map_image, ("a", "u"))
 
 
 def closed_form_kr(window: Window) -> Chart:
-    """Connective Real K-theory from its block decomposition."""
+    """Connective Real K-theory from its block decomposition; the a, vbar
+    and U maps are built on first read (`_build_chart`)."""
     return _build_chart("kr-closed", window, kr_summands, kr_generator,
                         kr_map_image, ("a", "vbar", "U"))

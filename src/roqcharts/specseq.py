@@ -617,7 +617,7 @@ def collapse_to_chart(page: Page, window: Window, name: str,
         entries[d] = ChartEntry(tuple(gens))
         spot_of[d] = tri
 
-    chart = Chart(name=name, window=window, entries=entries, maps={})
+    maps: dict[str, dict[Degree, IntMatrix]] = {}
     for mname, powers in (map_monos or {}).items():
         mono = page.pres.mono(powers)
         mshift = page.pres.tridegree_of(mono)
@@ -638,8 +638,8 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 cols.append(col)
             mult = IntMatrix.from_columns(cols, len(dst_monos))
             per[d] = dst.pres.induced(mult, src.pres)
-        chart.maps[mname] = per
-    return chart
+        maps[mname] = per
+    return Chart(name=name, window=window, entries=entries, maps=maps)
 
 
 def _rep_label(pres: Presentation, monos: tuple[Mono, ...], vec: list[int],

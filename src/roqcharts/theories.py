@@ -12,13 +12,14 @@ chart checkers (gap and connectivity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
                        map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
-                      hz_generator, hz_map_image, hz_summands, mult_map)
+                      hz_generator, hz_map_image, hz_order, hz_summands,
+                      mult_map)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
@@ -186,7 +187,7 @@ def _theta_matrix(p: Degree) -> IntMatrix:
 
 
 def _hz_orders(p: Degree) -> tuple[int, ...]:
-    return tuple(hz_generator(desc).order for desc in hz_summands(*p))
+    return tuple(hz_order(desc) for desc in hz_summands(*p))
 
 
 def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
@@ -260,8 +261,10 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
     floors ascending.
 
     A floor group depends on its floor only through whether the floor is
-    0, so each nonzero base degree p is computed twice and spread along
-    its diagonal of total degrees p + (s, s).
+    0, so each nonzero base degree p is computed once for floor 0 and once
+    for the floors above, each only where its diagonal of total degrees
+    p + (s, s) reaches such a floor; its classes go only onto the floors
+    that have some, so no key holds an empty list.
     """
     w = Window(window.xmin - 1, window.xmax, window.ymin, window.ymax)
     table: dict[Degree, list[BssClass]] = {}
@@ -270,10 +273,15 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
         hi = min(floors, w.xmax - p[0], w.ymax - p[1])
         if lo > hi or not hz_summands(*p):
             continue
-        ground, upper = bss_floor_survivors(0, p), bss_floor_survivors(1, p)
-        for s in range(lo, hi + 1):
-            table.setdefault((p[0] + s, p[1] + s), []).extend(
-                replace(cls, floor=s) for cls in (upper if s else ground))
+        if lo == 0:
+            ground = bss_floor_survivors(0, p)
+            if ground:
+                table.setdefault(p, []).extend(ground)
+        upper = bss_floor_survivors(1, p) if hi >= 1 else []
+        if upper:
+            for s in range(max(lo, 1), hi + 1):
+                table.setdefault((p[0] + s, p[1] + s), []).extend(
+                    BssClass(s, cls.desc, cls.index2, cls.order) for cls in upper)
     for classes in table.values():
         classes.sort(key=lambda cls: cls.floor)
     return table

@@ -1,12 +1,17 @@
 """Closed-form charts: frozen entries, structure maps, structural laws."""
 
+import re
+
 import pytest
 
+from roqcharts import grading
+from roqcharts.cli import main
 from roqcharts.exactalg import FgAbelian, IntMatrix, map_is_iso
-from roqcharts.grading import (DOT, SQUARE, ChartEntry, ChartError, Generator,
-                               OutOfWindowError, Window, check_square_commutes,
+from roqcharts.grading import (DOT, MAP_DEGREES, SQUARE, ChartEntry, ChartError,
+                               Generator, OutOfWindowError, Window,
                                closed_form_hz, closed_form_kr, desc_matrix,
-                               hz_map_image, hz_summands, mult_map)
+                               hz_map_image, hz_summands, kr_map_image,
+                               kr_summands, mult_map, reduce_matrix)
 
 
 Z = FgAbelian.free(1)
@@ -80,6 +85,25 @@ def test_mult_map_out_of_window(hz12):
         mult_map(hz12, "u", (12, -12))
     with pytest.raises(OutOfWindowError):
         mult_map(hz12, "a", (0, -12))
+
+
+def check_square_commutes(chart, name1: str, name2: str) -> list:
+    """Degrees where the two multiplications fail to commute (in window)."""
+    d1, d2 = MAP_DEGREES[name1], MAP_DEGREES[name2]
+    bad = []
+    w = chart.window
+    for d in w.degrees():
+        mid1 = (d[0] + d1[0], d[1] + d1[1])
+        mid2 = (d[0] + d2[0], d[1] + d2[1])
+        far = (d[0] + d1[0] + d2[0], d[1] + d1[1] + d2[1])
+        if not (w.contains(mid1) and w.contains(mid2) and w.contains(far)):
+            continue
+        first = mult_map(chart, name2, mid1).mul(mult_map(chart, name1, d))
+        second = mult_map(chart, name1, mid2).mul(mult_map(chart, name2, d))
+        orders = chart.orders(far)
+        if reduce_matrix(first, orders) != reduce_matrix(second, orders):
+            bad.append(d)
+    return bad
 
 
 def test_structure_squares_commute(hz12, kr12):
@@ -174,3 +198,55 @@ def test_desc_matrix_rejects_images_outside_the_target():
         IntMatrix.from_rows([[1]])
     with pytest.raises(ChartError):
         desc_matrix(hz_summands(0, 0), hz_summands(0, -2), a_image)
+
+
+def test_closed_maps_are_built_on_first_read(monkeypatch, tmp_path):
+    real = grading.desc_matrix
+    built = []
+
+    def spy(src, dst, image):
+        built.append(src)
+        return real(src, dst, image)
+    monkeypatch.setattr(grading, "desc_matrix", spy)
+
+    # compute writes entries only, so it builds no map at all
+    for theory in ("hz", "kr"):
+        out = tmp_path / f"{theory}.chart"
+        assert main(["compute", "--theory", theory, "--pipeline", "closed",
+                     "--window=-12..12", "--output", str(out)]) == 0
+    assert built == []
+
+    w = Window.square(12)
+    for build, summands, image, names in (
+            (closed_form_hz, hz_summands, hz_map_image, ("a", "u")),
+            (closed_form_kr, kr_summands, kr_map_image, ("a", "vbar", "U"))):
+        built.clear()
+        chart = build(w)
+        # naming the families builds none of them
+        assert "a" in chart.maps and "x" not in chart.maps
+        assert list(chart.maps) == list(names) and built == []
+        for name in names:
+            dx, dy = MAP_DEGREES[name]
+            eager = {}
+            for d in w.degrees():
+                target = (d[0] + dx, d[1] + dy)
+                if summands(*d) and w.contains(target):
+                    mat = real(summands(*d), summands(*target),
+                               lambda desc: image(name, desc))
+                    if mat.rows:
+                        eager[d] = mat
+            family = chart.maps[name]
+            assert family == eager, name
+            assert chart.maps[name] is family
+        assert built  # the reads went through the spied builder
+
+    # the membership check runs when the family is read, naming the summand
+    def planted(name, desc):
+        return [(("usq", 5), 1)] if (name, desc) == ("u", ("usq", 0)) \
+            else hz_map_image(name, desc)
+    monkeypatch.setattr(grading, "hz_map_image", planted)
+    chart = closed_form_hz(Window.square(4))
+    assert chart.maps["a"]
+    for _ in range(2):
+        with pytest.raises(ChartError, match=re.escape("('usq', 0) maps to ('usq', 5)")):
+            chart.maps["u"]

@@ -4,8 +4,8 @@ import pytest
 
 from roqcharts import theories
 from roqcharts.exactalg import FgAbelian
-from roqcharts.grading import (Window, closed_form_hz, closed_form_kr,
-                               hz_degree, hz_summands)
+from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_kr,
+                               hz_degree, hz_generator, hz_order, hz_summands)
 from roqcharts.chartio import diff
 from roqcharts.specseq import find_candidates
 from roqcharts.theories import (TheoryError, bss_floor_survivors,
@@ -182,6 +182,32 @@ def test_floors_follow_theta(monkeypatch):
     for floor in (0, 1, 5):
         assert [c.desc for c in bss_floor_survivors(floor, p)] == [("utow", 1, 7)]
     assert not diff(run_bockstein(w).chart, closed_form_kr(w)).clean
+
+
+def test_survivor_table_holds_only_survivors():
+    w = Window(-8, 8, -8, 6)
+    floors = w.xmax + w.ymax + 4
+    table = theories._survivor_table(w, floors)
+    brute = {}
+    for d in Window(w.xmin - 1, w.xmax, w.ymin, w.ymax).degrees():
+        for s in range(floors + 1):
+            classes = bss_floor_survivors(s, (d[0] - s, d[1] - s))
+            if classes:
+                brute.setdefault(d, []).extend(classes)
+    assert table == brute
+    assert all(table.values())
+    for classes in table.values():
+        seen = [cls.floor for cls in classes]
+        assert seen == sorted(seen)
+
+
+def test_hz_order_is_the_generator_order():
+    for d in Window.square(40).degrees():
+        for variant in ("genuine", "hfp"):
+            for desc in hz_summands(*d, variant=variant):
+                assert hz_order(desc) == hz_generator(desc).order, desc
+    with pytest.raises(ChartError):
+        hz_order(("nope", 1))
 
 
 # ---------------------------------------------------------------------------
