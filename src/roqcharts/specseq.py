@@ -19,6 +19,11 @@ once per (s, t + b) since the invertible generator moves neither, and
 the enumeration tables.  Each later page memoizes its own spot states
 and asks the page it was turned from for the states under its round;
 E_1 memoizes none and hands out one shared free state per basis size.
+Where the rounds treat the lam exponents e and e + P alike (the page's
+`period` P), a page keeps one state per lam^P-translation class, so hz
+E_2 and kr E_2 share theirs; kr E_4, whose d_3 on lam^2 has the
+coefficient e // 2, keeps one per tridegree.  The filtration scan passes
+over a filtration with no monomial before it builds a basis or a state.
 
 Reading the last page off as a chart (`collapse_to_chart`) certifies the
 whole chain: `find_candidates` searches each page at the shapes d_r
@@ -27,13 +32,14 @@ search one degree per orbit of lam^p, lam the invertible generator and
 p the least power with lam^p and lam^-p classes of that page
 (`lambda_period`): multiplying by lam^p is an isomorphism of the page.
 Every other degree takes its representative's scan moved by lam^p, and
-its one live spot is evaluated directly and checked against the
-representative's group.  The readout reuses the certificate's scan of
-the last page.
+its one live spot is evaluated directly (not through a state it shares
+with the representative) and checked against the representative's
+group.  The readout reuses the certificate's scan of the last page.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -230,7 +236,10 @@ class Page:
     The rounds applied so far are in rounds, the last one's d_r in shape
     (0 on E_1); `turn` makes the next page.  A rule not of differential
     shape, of lower shape than the last round, or whose source is not a
-    power of one generator is rejected here, at turn time.
+    power of one generator is rejected here, at turn time.  period is
+    the lam-period of the rounds (1 on E_1; None without an invertible
+    generator or after a round that never repeats in the lam exponent),
+    by which `state` shares states between translates.
     """
 
     def __init__(self, pres: Presentation, previous: Page | None = None,
@@ -245,7 +254,10 @@ class Page:
             self._solve_memo: dict[tuple[int, int], tuple[tuple[int, Mono], ...]] = {}
             self._tables = _enumeration_tables(pres)
             # E_1 keeps one free state per basis size, no state per tridegree
+            # or translation class
             self._free_states = {0: _EMPTY_STATE}
+            self.period = 1 if pres.invertible else None
+            self._class_step = None
             return
         self.shape, self._shift = rule_shift(pres, rule)
         if self.shape < previous.shape:
@@ -265,6 +277,18 @@ class Page:
         st, tt, _ = pres.tridegree_of(self._key)
         self._parity = (st + tt) % 2
         self._coeff = rule.coeff
+        # the lam-period: a P with which every round so far treats the lam
+        # exponents e and e + P alike.  A round on lam^k tests e mod k; its
+        # coefficient (e // k) mod 2 repeats with period 2k, but with even
+        # parity it is e // k, which never repeats
+        self.period = previous.period
+        if self.period and pres.generators[self._support].invertible:
+            self.period = (math.lcm(self.period, 2 * abs(self._key[self._support]))
+                           if self._parity else None)
+        # the t-step of a lam^period translate, by which the state memo
+        # reduces t
+        self._class_step = (self.period * abs(pres.invertible.tridegree[1])
+                            if self.period else None)
 
     def turn(self, rule: DifferentialRule) -> Page:
         """The next page: the homology of this one under rule."""
@@ -383,16 +407,31 @@ class Page:
     # -- state evaluation ------------------------------------------------------
 
     def state(self, tri: TriDegree) -> SpotState:
-        cached = self._state_memo.get(tri)
+        """The spot state at tri, one per lam^period-translation class
+        (`_class_of`), evaluated at the first tridegree of the class asked
+        for.  The bases of two translates correspond in sorted order by
+        adding the period to the lam exponent and every round treats both
+        alike, so by induction `_evaluate` does the same arithmetic on the
+        same matrices at both."""
+        if self.previous is None:
+            n = len(self.monomials_at(tri))
+            free = self._free_states.get(n)
+            if free is None:
+                free = self._free_states[n] = _free_state(n)
+            return free
+        key = self._class_of(tri)
+        cached = self._state_memo.get(key)
         if cached is None:
-            if self.previous is None:
-                n = len(self.monomials_at(tri))
-                free = self._free_states.get(n)
-                if free is None:
-                    free = self._free_states[n] = _free_state(n)
-                return free
-            cached = self._state_memo[tri] = self._evaluate(tri)
+            cached = self._state_memo[key] = self._evaluate(tri)
         return cached
+
+    def _class_of(self, tri: TriDegree) -> tuple[int, int, int]:
+        """The key of tri's lam^period-translation class: (s, t reduced
+        by the class step, t + b); tri itself on a page with no period."""
+        if self._class_step is None:
+            return tri
+        s, t, b = tri
+        return (s, t % self._class_step, t + b)
 
     def _evaluate(self, tri: TriDegree) -> SpotState:
         monos = self.monomials_at(tri)
@@ -456,12 +495,14 @@ def _scan_floor(d: Degree) -> int:
 
 def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
     """Tridegrees with chart shadow d and a nonzero group, scanned from
-    filtration 0 down to _SCAN_DEPTH below the last structural bound."""
+    filtration 0 down to _SCAN_DEPTH below the last structural bound.
+    A filtration with no monomial exponents at (s, x + y - s) is passed
+    over before any basis or state is built for it."""
     x, y = d
     out = []
     for s in range(0, _scan_floor(d) - 1, -1):
         tri = (s, x - s, y)
-        if page.monomials_at(tri) and not page.state(tri).group.is_zero():
+        if page._solve(s, x + y - s) and not page.state(tri).group.is_zero():
             out.append(tri)
     return out
 
@@ -602,12 +643,16 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 f"increase _SCAN_DEPTH (nonzero at {live[-1]})")
         if len(live) > 1:
             raise CollapseError(f"degree {d} is spread over filtrations {live}")
-        tri = live[0]
+        tri, rep_tri = live[0], rep_live[rep][0]
         st = page.state(tri)
-        if st.group != page.state(rep_live[rep][0]).group:
+        # a spot in its representative's translation class shares its state
+        # object, so it is checked against a direct evaluation instead
+        own = (page._evaluate(tri) if tri != rep_tri
+               and page._class_of(tri) == page._class_of(rep_tri) else st)
+        if own.group != page.state(rep_tri).group:
             raise CollapseError(
                 f"degree {d}: the group at {tri} differs from its orbit's at "
-                f"{rep_live[rep][0]}, so lam^p is no isomorphism of the page")
+                f"{rep_tri}, so lam^p is no isomorphism of the page")
         gens = []
         for j in range(st.pres.gens.cols):
             vec = st.pres.gens.column(j)

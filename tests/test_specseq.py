@@ -381,6 +381,95 @@ def test_periodic_lookup_matches_direct_evaluation():
             assert {(-12, -12), (4, -20)} <= nonzero, (theory, page.shape)
 
 
+def test_class_memo_matches_direct_evaluation():
+    # a page with a lam-period keeps one state per translation class,
+    # evaluated at whichever tridegree of the class was asked for first;
+    # at every tridegree of a box it is the state a direct evaluation
+    # there gives, cycle and boundary matrices included
+    assert [page.period for page in pages("hz")[1:]] == [2]
+    assert [page.period for page in pages("kr")[1:]] == [2, None]
+    box = [(s, t, tb - t) for s in range(-12, 1) for tb in range(0, 14)
+           for t in range(-12, 13)]
+    for theory in ("hz", "kr"):
+        for page in pages(theory)[1:]:
+            for tri in box:
+                shared, direct = page.state(tri), page._evaluate(tri)
+                assert shared.cycles == direct.cycles, (theory, page.shape, tri)
+                assert shared.bounds == direct.bounds, (theory, page.shape, tri)
+                assert shared.group == direct.group, (theory, page.shape, tri)
+
+
+def test_page_without_invertible_generator_keeps_states_per_tridegree():
+    # with no invertible generator there is no translation class: the
+    # odd round d(c) = a e still turns, every state is memoized under its
+    # own tridegree, and the page certifies and reads off Z[c^2] (x) Z[a, e]
+    # / (a e) at the even columns x >= 0
+    pres = Presentation((PageGenerator("a", (-1, 1, -1)),
+                         PageGenerator("c", (0, 1, 0)),
+                         PageGenerator("e", (0, 0, 1))))
+    e1 = Page(pres)
+    e2 = e1.turn(DifferentialRule((("c", 1),), 1, (("a", 1), ("e", 1))))
+    assert e1.period is None and e2.period is None
+    w = Window.square(4)
+    chart = collapse_to_chart(e2, w, "x")
+    assert set(chart.entries) == {d for d in w.degrees() if d[0] >= 0 and d[0] % 2 == 0}
+    assert all(chart.group(d) == Z for d in chart.entries)
+    assert e2._state_memo
+    for tri, state in e2._state_memo.items():
+        assert state == e2._evaluate(tri), tri
+
+
+def test_readout_checks_shared_spots_independently(monkeypatch):
+    # on hz E_2 a degree's live spot is a lam^2-translate of its orbit
+    # representative's and shares its memoized state; the readout checks
+    # such a spot against a direct evaluation, so a wrong evaluation
+    # there is caught and named
+    page, w = build_pages(hz_seed())[-1], Window.square(6)
+    chart = collapse_to_chart(page, w, "hz")
+    orbits, rep_live = specseq._scan(page, w)
+    d, (rep, shift) = next((d, o) for d, o in orbits.items()
+                           if o[0] != d and d in chart.entries)
+    spot = specseq._add_tri(rep_live[rep][0], shift)
+    assert page.state(spot) is page.state(rep_live[rep][0])
+    evaluate = page._evaluate
+    monkeypatch.setattr(page, "_evaluate", lambda tri: specseq._free_state(3)
+                        if tri == spot else evaluate(tri))
+    with pytest.raises(CollapseError) as err:
+        collapse_to_chart(page, w, "hz")
+    assert f"degree {d}:" in str(err.value) and str(spot) in str(err.value)
+
+
+def test_scan_builds_nothing_for_empty_filtrations():
+    # live_tridegrees asks for no basis and no state at a filtration with
+    # no monomial exponents, and finds the same live spots as a full scan
+    class Spy:
+        def __init__(self, page):
+            self.page, self.asked = page, []
+
+        def __getattr__(self, name):
+            return getattr(self.page, name)
+
+        def monomials_at(self, tri):
+            self.asked.append(tri)
+            return self.page.monomials_at(tri)
+
+        def state(self, tri):
+            self.asked.append(tri)
+            return self.page.state(tri)
+
+    for theory in ("hz", "kr"):
+        for page in pages(theory):
+            spy = Spy(page)
+            for d in Window.square(6).degrees():
+                live = specseq.live_tridegrees(spy, d)
+                full = [(s, d[0] - s, d[1])
+                        for s in range(0, specseq._scan_floor(d) - 1, -1)]
+                assert live == [tri for tri in full
+                                if not page.state(tri).group.is_zero()], (theory, d)
+            assert spy.asked, theory
+            assert all(page._solve(s, t + b) for s, t, b in spy.asked), theory
+
+
 def test_period_comes_from_the_page():
     # the final-page periods are the column steps 2 and 4 of the Tate
     # charts, which the verify axes check tests on its own
