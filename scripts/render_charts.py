@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Render the genuine charts of both theories, plus the intermediate
-Tate-square stages, into out/ as SVG and chart documents."""
+Tate-square stages, as SVG and chart documents.
+
+    python3 scripts/render_charts.py
+
+writes them into out/, where they are tracked; `main(out)` writes them
+into another directory."""
 
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from roqcharts.chartio import render, serialize
 from roqcharts.grading import Window, closed_form_hz, closed_form_kr
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
 
 
-def main() -> int:
-    out = pathlib.Path(__file__).resolve().parent.parent / "out"
+def main(out: pathlib.Path = ROOT / "out") -> int:
     out.mkdir(exist_ok=True)
     window = Window.square(12)
     for name, chart in (("hz_closed", closed_form_hz(window)),

@@ -11,7 +11,7 @@ Everything runs on Python integers, so there is no overflow to check:
 arbitrary precision is the contract, not an option.
 
 The pure kernels are memoized by bounded `functools.lru_cache`s keyed on
-their arguments: `smith_normal_form`, `kernel_basis`, `preimage_lattice`,
+their arguments: `smith_normal_form`, `preimage_lattice`,
 `column_space_basis`, `presented_homology`, `PresentedGroup.from_lattices`,
 `PresentedGroup.induced`, the normal form behind `FgAbelian.from_orders`,
 and the constants `IntMatrix.zero`, `IntMatrix.identity`,
@@ -308,7 +308,6 @@ def solve(m: IntMatrix, b: list[int]) -> list[int] | None:
     return snf.right.apply(y)
 
 
-@lru_cache(maxsize=250_000)
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel lattice of m."""
     snf = smith_normal_form(m)
@@ -458,12 +457,14 @@ def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
 
 @dataclass(frozen=True)
 class PresentedGroup:
-    """A subquotient cycles/bounds of an ambient Z^n with chosen generators.
+    """A subquotient cycles/rels of an ambient Z^n with chosen generators.
 
-    gens columns live in ambient coordinates, one per invariant factor of
-    the group; orders[i] is the order of gens[:, i] (0 = infinite).  rels
-    columns span the denominator lattice, used to express arbitrary
-    ambient vectors in generator coordinates.
+    cycles columns span the numerator lattice and rels columns the
+    denominator lattice inside it, both in ambient coordinates; rels is
+    used to express arbitrary ambient vectors in generator coordinates.
+    gens columns live in ambient coordinates too, one per invariant
+    factor of the group; orders[i] is the order of gens[:, i] (0 =
+    infinite).  Equality compares both lattices, not only the group.
     """
 
     ambient: int
@@ -471,6 +472,7 @@ class PresentedGroup:
     orders: tuple[int, ...]
     rels: IntMatrix
     group: FgAbelian
+    cycles: IntMatrix
 
     @staticmethod
     @lru_cache(maxsize=250_000)
@@ -498,14 +500,16 @@ class PresentedGroup:
             orders.append(di if i < snf.rank else 0)
         gens = IntMatrix.from_columns(gens_cols, ambient)
         group = FgAbelian.from_orders(orders)
-        return PresentedGroup(ambient, gens, tuple(orders), bounds, group)
+        return PresentedGroup(ambient, gens, tuple(orders), bounds, group, cycles)
 
     @staticmethod
     @lru_cache(maxsize=1024)
     def full_free(ambient: int) -> "PresentedGroup":
-        return PresentedGroup(ambient, IntMatrix.identity(ambient),
-                              (0,) * ambient, IntMatrix.zero(ambient, 0),
-                              FgAbelian.free(ambient))
+        """Z^ambient itself: every ambient basis vector a free generator."""
+        identity = IntMatrix.identity(ambient)
+        return PresentedGroup(ambient, identity, (0,) * ambient,
+                              IntMatrix.zero(ambient, 0), FgAbelian.free(ambient),
+                              identity)
 
     def is_zero(self) -> bool:
         return self.group.is_zero()
@@ -636,7 +640,7 @@ def homology_at(c: IntComplex, k: int) -> FgAbelian:
     return presented_homology(out, (0,) * out.rows, c.boundary(k + 1), (0,) * n).group
 
 
-_MEMOS = (IntMatrix.identity, IntMatrix.zero, smith_normal_form, kernel_basis,
+_MEMOS = (IntMatrix.identity, IntMatrix.zero, smith_normal_form,
           preimage_lattice, column_space_basis, PresentedGroup.from_lattices,
           PresentedGroup.full_free, PresentedGroup.induced, _rel_columns,
           presented_homology, _normal_form)

@@ -203,7 +203,8 @@ def reduce_matrix(mat: IntMatrix, dst_orders: tuple[int, ...]) -> IntMatrix:
 # Bockstein differential, so every consumer agrees on the cell structure.
 # ---------------------------------------------------------------------------
 
-def _pow(sym: str, e: int) -> str:
+def power_label(sym: str, e: int) -> str:
+    """The label of sym^e: empty for e = 0, sym for e = 1."""
     if e == 0:
         return ""
     if e == 1:
@@ -211,7 +212,8 @@ def _pow(sym: str, e: int) -> str:
     return f"{sym}^{e}"
 
 
-def _join(*parts: str) -> str:
+def join_labels(*parts: str) -> str:
+    """The nonempty parts joined by spaces, or "1" if there are none."""
     s = " ".join(p for p in parts if p)
     return s if s else "1"
 
@@ -270,12 +272,12 @@ def hz_order(desc: tuple) -> int:
 def hz_generator(desc: tuple) -> Generator:
     kind, order = desc[0], hz_order(desc)
     if kind == "usq":
-        return Generator(_join(_pow("u", desc[1])), SQUARE, order)
+        return Generator(join_labels(power_label("u", desc[1])), SQUARE, order)
     if kind == "ucol":
         k, j = desc[1], desc[2]
-        return Generator(_join(_pow("a", k), _pow("u", j)), DOT, order)
+        return Generator(join_labels(power_label("a", k), power_label("u", j)), DOT, order)
     if kind == "ucirc":
-        return Generator("2" + _pow("u", -desc[1]), CIRCLE, order)
+        return Generator("2" + power_label("u", -desc[1]), CIRCLE, order)
     return Generator(f"t({desc[1]},{desc[2]})", DOT, order)  # utow
 
 
@@ -357,21 +359,21 @@ def kr_generator(desc: tuple) -> Generator:
     kind = desc[0]
     if kind == "Usq":
         j, m = desc[1], desc[2]
-        return Generator(_join(_pow("vb", m), _pow("U", j)), SQUARE, 0)
+        return Generator(join_labels(power_label("vb", m), power_label("U", j)), SQUARE, 0)
     if kind == "Ucirc2":
-        return Generator("2" + _pow("U", -desc[1]), CIRCLE, 0)
+        return Generator("2" + power_label("U", -desc[1]), CIRCLE, 0)
     if kind == "Ucol":
         i, j = desc[1], desc[2]
-        return Generator(_join(_pow("a", i), _pow("U", j)), DOT, 2)
+        return Generator(join_labels(power_label("a", i), power_label("U", j)), DOT, 2)
     if kind == "Uray_a":
         m, j = desc[1], desc[2]
-        return Generator(_join("a", _pow("vb", m), _pow("U", j)), DOT, 2)
+        return Generator(join_labels("a", power_label("vb", m), power_label("U", j)), DOT, 2)
     if kind == "Uray_a2":
         m, j = desc[1], desc[2]
-        return Generator(_join("a^2", _pow("vb", m), _pow("U", j)), DOT, 2)
+        return Generator(join_labels("a^2", power_label("vb", m), power_label("U", j)), DOT, 2)
     if kind == "Uray_2u":
         m, j = desc[1], desc[2]
-        return Generator(_join("2u", _pow("vb", m), _pow("U", j)), CIRCLE, 0)
+        return Generator(join_labels("2u", power_label("vb", m), power_label("U", j)), CIRCLE, 0)
     if kind == "Utow":
         return Generator(f"t({desc[1]},{desc[2]})", DOT, 2)
     raise ChartError(f"unknown descriptor {desc!r}")

@@ -12,18 +12,20 @@ tridegree.
 Spot states are computed lazily, so any tridegree can be inspected
 exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
-A spot state holds lattices only; its basis is `Page.monomials_at`,
-the one owner of bases.  The pages of one chain share the bases per
-tridegree, the non-invertible exponents they are built from, solved
-once per (s, t + b) since the invertible generator moves neither, and
-the enumeration tables.  Each later page memoizes its own spot states
-and asks the page it was turned from for the states under its round;
-E_1 memoizes none and hands out one shared free state per basis size.
-Where the rounds treat the lam exponents e and e + P alike (the page's
+A spot state is an `exactalg.PresentedGroup`: its cycle and boundary
+(`rels`) lattices are in the coordinates of the monomial basis there,
+`Page.monomials_at`, the one owner of bases.  The pages of one chain
+share the nonempty bases per tridegree, the non-invertible exponents
+they are built from, solved once per (s, t + b) since the invertible
+generator moves neither, and the enumeration tables.  Each later page
+memoizes its own spot states and asks the page it was turned from for
+the states under its round; E_1 memoizes none and hands out
+`PresentedGroup.full_free(n)` for an n-monomial basis.  Where the
+rounds treat the lam exponents e and e + P alike (the page's
 `period` P), a page keeps one state per lam^P-translation class, so hz
 E_2 and kr E_2 share theirs; kr E_4, whose d_3 on lam^2 has the
 coefficient e // 2, keeps one per tridegree.  The filtration scan passes
-over a filtration with no monomial before it builds a basis or a state.
+over a filtration with no monomial before it builds a state.
 
 Reading the last page off as a chart (`collapse_to_chart`) certifies the
 whole chain: `find_candidates` searches each page at the shapes d_r
@@ -43,10 +45,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .exactalg import (FgAbelian, IntMatrix, NotInLatticeError, PresentedGroup,
+from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup,
                        column_space_basis, has_nonzero_hom, lattice_contains,
                        preimage_lattice)
-from .grading import Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE
+from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE,
+                      join_labels, power_label)
 
 
 TriDegree = tuple[int, int, int]
@@ -133,15 +136,8 @@ class Presentation:
         return (s, t, b)
 
     def mono_str(self, mono: Mono, coeff: int = 1) -> str:
-        parts = []
-        if coeff not in (1,):
-            parts.append(str(coeff))
-        for e, g in zip(mono, self.generators):
-            if e == 1:
-                parts.append(g.name)
-            elif e != 0:
-                parts.append(f"{g.name}^{e}")
-        return " ".join(parts) if parts else "1"
+        return join_labels("" if coeff == 1 else str(coeff),
+                           *(power_label(g.name, e) for e, g in zip(mono, self.generators)))
 
 
 @dataclass(frozen=True)
@@ -205,30 +201,6 @@ def _sub_tri(a: TriDegree, b: TriDegree) -> TriDegree:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-@dataclass(frozen=True)
-class SpotState:
-    """One tridegree of one page: cycle and boundary lattices in the
-    coordinates of the monomial basis there (`Page.monomials_at`),
-    presented as a group."""
-
-    cycles: IntMatrix
-    bounds: IntMatrix
-    pres: PresentedGroup
-
-    @property
-    def group(self) -> FgAbelian:
-        return self.pres.group
-
-
-def _free_state(n: int) -> SpotState:
-    """Every monomial of an n-element basis a free generator."""
-    pres = PresentedGroup.full_free(n)
-    return SpotState(pres.gens, pres.rels, pres)
-
-
-_EMPTY_STATE = _free_state(0)
-
-
 class Page:
     """A spectral-sequence page for a presentation: E_1 (every monomial a
     free generator), or the homology of previous under rule.
@@ -246,16 +218,13 @@ class Page:
                  rule: DifferentialRule | None = None):
         self.pres = pres
         self.previous = previous
-        self._state_memo: dict[TriDegree, SpotState] = {}
+        self._state_memo: dict[TriDegree, PresentedGroup] = {}
         if previous is None:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self.shape = 0
             self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
             self._solve_memo: dict[tuple[int, int], tuple[tuple[int, Mono], ...]] = {}
             self._tables = _enumeration_tables(pres)
-            # E_1 keeps one free state per basis size, no state per tridegree
-            # or translation class
-            self._free_states = {0: _EMPTY_STATE}
             self.period = 1 if pres.invertible else None
             self._class_step = None
             return
@@ -299,7 +268,7 @@ class Page:
     def monomials_at(self, tri: TriDegree) -> tuple[Mono, ...]:
         """The monomial basis at tri, sorted: the non-invertible exponents
         come from `_solve(s, t + b)`, the invertible generator's from the
-        t they leave over."""
+        t they leave over.  Only nonempty bases are memoized."""
         cached = self._mono_memo.get(tri)
         if cached is not None:
             return cached
@@ -312,6 +281,8 @@ class Page:
                     found.append(mono)
             elif not (t - t_part) % lt:
                 found.append(mono[:inv] + ((t - t_part) // lt,) + mono[inv + 1:])
+        if not found:
+            return ()
         out = self._mono_memo[tri] = tuple(sorted(found))
         return out
 
@@ -370,7 +341,7 @@ class Page:
             return None
         return (c * self._coeff, tuple(map(operator.add, mono, self._step)))
 
-    def _d_of_cycles(self, st: SpotState, src_monos: tuple[Mono, ...],
+    def _d_of_cycles(self, st: PresentedGroup, src_monos: tuple[Mono, ...],
                      dst_monos: tuple[Mono, ...], what: str) -> IntMatrix | None:
         """This page's round on the cycle basis of st (in the monomial
         basis src_monos), in the monomial basis dst_monos, or None if it
@@ -406,7 +377,7 @@ class Page:
 
     # -- state evaluation ------------------------------------------------------
 
-    def state(self, tri: TriDegree) -> SpotState:
+    def state(self, tri: TriDegree) -> PresentedGroup:
         """The spot state at tri, one per lam^period-translation class
         (`_class_of`), evaluated at the first tridegree of the class asked
         for.  The bases of two translates correspond in sorted order by
@@ -414,11 +385,7 @@ class Page:
         alike, so by induction `_evaluate` does the same arithmetic on the
         same matrices at both."""
         if self.previous is None:
-            n = len(self.monomials_at(tri))
-            free = self._free_states.get(n)
-            if free is None:
-                free = self._free_states[n] = _free_state(n)
-            return free
+            return PresentedGroup.full_free(len(self.monomials_at(tri)))
         key = self._class_of(tri)
         cached = self._state_memo.get(key)
         if cached is None:
@@ -433,10 +400,10 @@ class Page:
         s, t, b = tri
         return (s, t % self._class_step, t + b)
 
-    def _evaluate(self, tri: TriDegree) -> SpotState:
+    def _evaluate(self, tri: TriDegree) -> PresentedGroup:
         monos = self.monomials_at(tri)
         if not monos:
-            return _EMPTY_STATE
+            return PresentedGroup.full_free(0)
         down, up = _sub_tri(tri, self._shift), _add_tri(tri, self._shift)
         here = self.previous.state(tri)
         below = self.previous.state(down)
@@ -447,10 +414,10 @@ class Page:
         if imgs is None:
             new_cycles = here.cycles
         else:
-            new_cycles = here.cycles.mul(preimage_lattice(imgs, above.bounds))
+            new_cycles = here.cycles.mul(preimage_lattice(imgs, above.rels))
 
         # new boundaries: old ones plus images of cycles downstairs
-        pieces = here.bounds
+        pieces = here.rels
         grew = False
         below_monos = self.monomials_at(down)
         if below_monos:
@@ -460,13 +427,12 @@ class Page:
                 grew = True
         if new_cycles is here.cycles and not grew:
             return here
-        new_bounds = column_space_basis(pieces) if grew else here.bounds
+        new_bounds = column_space_basis(pieces) if grew else here.rels
         try:
             # the square-zero law: every new boundary is a new cycle
-            pres = PresentedGroup.from_lattices(new_cycles, new_bounds)
+            return PresentedGroup.from_lattices(new_cycles, new_bounds)
         except NotInLatticeError:
             raise DifferentialError(f"d o d != 0 at tridegree {tri}") from None
-        return SpotState(new_cycles, new_bounds, pres)
 
     def is_cycle(self, powers: dict[str, int]) -> bool:
         """Whether the monomial survives as a class of the current page
@@ -496,13 +462,13 @@ def _scan_floor(d: Degree) -> int:
 def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
     """Tridegrees with chart shadow d and a nonzero group, scanned from
     filtration 0 down to _SCAN_DEPTH below the last structural bound.
-    A filtration with no monomial exponents at (s, x + y - s) is passed
-    over before any basis or state is built for it."""
+    A filtration with no monomial is passed over before any state is
+    built for it."""
     x, y = d
     out = []
     for s in range(0, _scan_floor(d) - 1, -1):
         tri = (s, x - s, y)
-        if page._solve(s, x + y - s) and not page.state(tri).group.is_zero():
+        if page.monomials_at(tri) and not page.state(tri).group.is_zero():
             out.append(tri)
     return out
 
@@ -654,9 +620,9 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 f"degree {d}: the group at {tri} differs from its orbit's at "
                 f"{rep_tri}, so lam^p is no isomorphism of the page")
         gens = []
-        for j in range(st.pres.gens.cols):
-            vec = st.pres.gens.column(j)
-            order = st.pres.orders[j]
+        for j in range(st.gens.cols):
+            vec = st.gens.column(j)
+            order = st.orders[j]
             label = _rep_label(page.pres, page.monomials_at(tri), vec, label_of)
             gens.append(Generator(label, DOT if order else SQUARE, order))
         entries[d] = ChartEntry(tuple(gens))
@@ -682,7 +648,7 @@ def collapse_to_chart(page: Page, window: Window, name: str,
                 col[dst_monos.index(tuple(map(operator.add, m, mono)))] = 1
                 cols.append(col)
             mult = IntMatrix.from_columns(cols, len(dst_monos))
-            per[d] = dst.pres.induced(mult, src.pres)
+            per[d] = dst.induced(mult, src)
         maps[mname] = per
     return Chart(name=name, window=window, entries=entries, maps=maps)
 

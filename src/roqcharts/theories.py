@@ -19,7 +19,7 @@ from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_order, hz_summands,
-                      mult_map)
+                      join_labels, mult_map, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
@@ -55,42 +55,27 @@ def kr_seed() -> TheorySeed:
     vb = PageGenerator("vb", (0, 1, 1))
     d2 = DifferentialRule((("lam", 2),), 1, (("a", 3), ("vb", 1)))
     return TheorySeed("kr", Presentation((_A, vb, _LAM)), (_D1, d2), True,
-                      {"a": {"a": 1}, "vbar": {"vb": 1}, "u": {"lam": 2},
-                       "U": {"lam": 4}})
+                      {"a": {"a": 1}, "vbar": {"vb": 1}, "U": {"lam": 4}})
 
 
 def _class_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
     """Fold lambda powers into the standard periodicity class names."""
-    powers = {g.name: e for g, e in zip(pres.generators, mono) if e}
-    lam = powers.pop("lam", 0)
-    parts = []
-    if coeff == 2:
-        parts.append("2")
-    elif coeff not in (1,):
-        parts.append(str(coeff))
-    if powers.get("a"):
-        e = powers["a"]
-        parts.append("a" if e == 1 else f"a^{e}")
+    powers = dict(zip((g.name for g in pres.generators), mono))
+    lam = powers["lam"]
+    parts = ["" if coeff == 1 else str(coeff), power_label("a", powers["a"])]
     if theory == "kr":
         n, rem = divmod(lam, 4)
         if rem == 2:
-            if parts and parts[0] == "2":
+            if parts[0] == "2":
                 parts[0] = "2u"
             else:
                 parts.append("u")
-        if powers.get("vb"):
-            e = powers["vb"]
-            parts.append("vb" if e == 1 else f"vb^{e}")
-        if n:
-            parts.append("U" if n == 1 else f"U^{n}")
+        parts += [power_label("vb", powers["vb"]), power_label("U", n)]
     else:
         n, rem = divmod(lam, 2)
-        if rem:
-            parts.append(f"lam^{lam}")
-            n = 0
-        if n:
-            parts.append("u" if n == 1 else f"u^{n}")
-    return " ".join(parts) if parts else "1"
+        # an odd lam power has no class name; its exponent is always shown
+        parts.append(f"lam^{lam}" if rem else power_label("u", n))
+    return join_labels(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +95,17 @@ def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
     The chart is read off the last page, which certifies every page of
     the chain (`collapse_to_chart`).
 
-    Structure maps are only attached for monomials that survive as
-    classes of the final page (multiplication by anything else is not
-    defined there; for instance the square root of the periodicity class
-    supports the second differential of Real K-theory).
+    Every declared structure map must be multiplication by a class of the
+    last page, the only monomials multiplication is defined by there; a
+    `TheoryError` names each one that is not.
     """
     page = build_pages(seed)[-1]
-    live_maps = {name: powers for name, powers in seed.map_monos.items()
-                 if page.is_cycle(powers)}
+    dead = [name for name, powers in seed.map_monos.items() if not page.is_cycle(powers)]
+    if dead:
+        raise TheoryError(f"{seed.name}: structure maps {', '.join(dead)} are not "
+                          f"multiplication by classes of the last page")
     return collapse_to_chart(page, window, f"{seed.name}-hfp",
-                             label_of=lambda m, c: seed.label_of(m, c),
-                             map_monos=live_maps)
+                             label_of=seed.label_of, map_monos=seed.map_monos)
 
 
 def run_tate_pipeline(seed: TheorySeed, window: Window,
@@ -221,12 +206,8 @@ class BssClass:
 
     def label(self) -> str:
         base = hz_generator(self.desc).label
-        vh = "" if self.floor == 0 else ("vh" if self.floor == 1 else f"vh^{self.floor}")
-        if base == "1":
-            base = ""
         two = "2" if self.index2 and not base.startswith("2") else ""
-        label = " ".join(p for p in (two, vh, base) if p)
-        return label if label else "1"
+        return join_labels(two, power_label("vh", self.floor), "" if base == "1" else base)
 
 
 def bss_floor_survivors(floor: int, p: Degree) -> list[BssClass]:

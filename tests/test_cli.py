@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, documents, golden renders."""
 
 import pathlib
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -227,3 +228,14 @@ def test_empty_window_in_document_is_parse_error(tmp_path, capsys):
 def test_dot_without_torsion_in_document_is_parse_error(tmp_path, capsys):
     _assert_parse_error(tmp_path, capsys, "roqcharts-chart v1\nname: x\nwindow: -1 1 -1 1\n"
                         "entry: 0 0 | rank 0 torsion 0 | t:dot\n", 4)
+
+
+def test_tracked_renders_are_current(tmp_path):
+    # every file under out/ is what scripts/render_charts.py writes now
+    script = runpy.run_path(str(HERE.parent / "scripts" / "render_charts.py"))
+    assert script["main"](tmp_path) == 0
+    tracked = HERE.parent / "out"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in tracked.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (tracked / path.name).read_bytes(), path.name

@@ -16,7 +16,8 @@ from roqcharts.exactalg import (ExactAlgebraError, FgAbelian, IntComplex,
                                 ShapeError, _normal_form, _rel_columns,
                                 column_space_basis,
                                 has_nonzero_hom, homology_at, kernel_basis,
-                                preimage_lattice, presented_homology,
+                                lattice_contains, preimage_lattice,
+                                presented_homology,
                                 smith_normal_form, solve)
 from roqcharts.grading import Window
 from roqcharts.theories import kr_seed, run_tate_pipeline
@@ -295,7 +296,7 @@ def kernel_inputs(draw):
     m = draw(matrices(max_dim=4))
     rels, into = block(m.rows), block(m.cols)
     if draw(st.booleans()):
-        into = kernel_basis.__wrapped__(m)  # a homology with no NotInLatticeError
+        into = kernel_basis(m)  # a homology with no NotInLatticeError
     orders = st.integers(min_value=0, max_value=6).filter(lambda o: o != 1)
     out_orders = tuple(draw(orders) for _ in range(m.rows))
     src_orders = tuple(draw(orders) for _ in range(m.cols))
@@ -316,7 +317,7 @@ def test_memoised_kernels_equal_their_unmemoised_results(args):
     # every ambient vector is a cycle of a cokernel, so m induces a map
     # into one from the free group on its source
     coker = presented_homology(IntMatrix.zero(0, m.rows), (), rels, out_orders)
-    calls = [(kernel_basis, (m,)), (column_space_basis, (m,)),
+    calls = [(column_space_basis, (m,)),
              (preimage_lattice, (m, rels)), (_rel_columns, (out_orders,)),
              (presented_homology, (m, out_orders, into, src_orders)),
              (IntMatrix.zero, (m.rows, m.cols)), (IntMatrix.identity, (m.cols,)),
@@ -328,6 +329,23 @@ def test_memoised_kernels_equal_their_unmemoised_results(args):
         assert got == _outcome(fn.__wrapped__, *fargs), fn.__name__
         if got is not NotInLatticeError:
             assert fn(*fargs) is got, fn.__name__
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+def test_presented_homology_keeps_its_cycle_lattice(args):
+    m, _, into, out_orders, src_orders = args
+    try:
+        pg = presented_homology(m, out_orders, into, src_orders)
+    except NotInLatticeError:
+        return
+    # out maps the cycles into the relations of its target, the generators
+    # and relations are cycles, and the two lattices present the group
+    out_rels = _rel_columns(out_orders)
+    assert all(lattice_contains(out_rels, col) for col in m.mul(pg.cycles).columns())
+    assert all(lattice_contains(pg.cycles, col)
+               for col in pg.gens.columns() + pg.rels.columns())
+    assert PresentedGroup.from_lattices(pg.cycles, pg.rels) == pg
 
 
 def test_cache_clear_empties_every_memo():

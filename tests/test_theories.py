@@ -1,5 +1,7 @@
 """Seeds, the theta operation, the Bockstein run, slices, checkers."""
 
+from dataclasses import replace
+
 import pytest
 
 from roqcharts import theories
@@ -50,6 +52,17 @@ def test_hfpss_examples():
     # derived codegree classes on the negative axis keep their usual names
     assert hz.entry((-2, 0)).gens[0].label == "a^2 u^-1"
     assert kr.entry((-4, 0)).gens[0].label == "a^4 U^-1"
+
+
+def test_declared_maps_are_classes_of_the_last_page():
+    # the fixed-point charts carry every declared map; a map by a monomial
+    # that is no class of the last page is an error naming it
+    assert list(run_hfpss(hz_seed(), Window.square(4)).maps) == ["a", "u", "U"]
+    assert list(run_hfpss(kr_seed(), Window.square(4)).maps) == ["a", "vbar", "U"]
+    seed = kr_seed()
+    broken = replace(seed, map_monos={**seed.map_monos, "u": {"lam": 2}})
+    with pytest.raises(TheoryError, match="structure maps u are not"):
+        run_hfpss(broken, Window.square(4))
 
 
 def test_collapse_certificates_empty():
