@@ -11,7 +11,7 @@ then that every image lands in a summand of its target degree.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -242,6 +242,22 @@ def hz_summands(x: int, y: int, variant: str = "genuine") -> list[tuple]:
         if variant == "genuine" and x <= -3 and y >= -x:
             out.append(("utow", (-x - 1) // 2, y))
     return out
+
+
+def hz_support(window: Window) -> Iterator[Degree]:
+    """The degrees of window where `hz_summands` (genuine) is nonempty, in
+    window order: the antidiagonal, the even columns x >= 0 below it and
+    the odd towers x <= -3 above it."""
+    for x in range(window.xmin, window.xmax + 1):
+        if x % 2 == 0:
+            ys = range(window.ymin if x >= 0 else max(window.ymin, -x),
+                       min(window.ymax, -x) + 1)
+        elif x <= -3:
+            ys = range(max(window.ymin, -x), window.ymax + 1)
+        else:
+            continue
+        for y in ys:
+            yield (x, y)
 
 
 def hz_degree(desc: tuple) -> Degree:

@@ -14,14 +14,14 @@ exactly: the evaluator recurses through the applied rounds and
 enumerates the finitely many monomials at each tridegree it touches.
 A spot state is an `exactalg.PresentedGroup`: its cycle and boundary
 (`rels`) lattices are in the coordinates of the monomial basis there,
-`Page.monomials_at`, the one owner of bases.  The pages of one chain
-share the nonempty bases per tridegree, the non-invertible exponents
-they are built from, solved once per (s, t + b) since the invertible
-generator moves neither, and the enumeration tables.  Each later page
-memoizes its own spot states and asks the page it was turned from for
-the states under its round; E_1 memoizes none and hands out
-`PresentedGroup.full_free(n)` for an n-monomial basis.  Where the
-rounds treat the lam exponents e and e + P alike (the page's
+which `Page.monomials_at` builds on each call.  Besides spot states the
+pages of one chain keep only what bases are built from: the enumeration
+tables and the non-invertible exponents, solved once per (s, t + b) as
+the invertible generator moves neither.  Each later page memoizes its
+own spot states and asks the page it was turned from for the states
+under its round; E_1 memoizes none and hands out
+`PresentedGroup.full_free(n)` for an n-monomial basis.  Where the rounds
+treat the lam exponents e and e + P alike (the page's
 `period` P), a page keeps one state per lam^P-translation class, so hz
 E_2 and kr E_2 share theirs; kr E_4, whose d_3 on lam^2 has the
 coefficient e // 2, keeps one per tridegree.  The filtration scan passes
@@ -33,16 +33,18 @@ between its own round and the next, the last page up to _R_CAP.  Both
 search one degree per orbit of lam^p, lam the invertible generator and
 p the least power with lam^p and lam^-p classes of that page
 (`lambda_period`): multiplying by lam^p is an isomorphism of the page.
-Every other degree takes its representative's scan moved by lam^p, and
-its one live spot is evaluated directly (not through a state it shares
-with the representative) and checked against the representative's
-group.  The readout reuses the certificate's scan of the last page.
+Every other degree takes its representative's scan moved by lam^p, both
+worked out by a rule when asked, and its one live spot is evaluated
+directly (not through a state it shares with the representative) and
+checked against the representative's group.  The readout reuses the
+certificate's scan of the last page.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup,
@@ -222,8 +224,7 @@ class Page:
         if previous is None:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self.shape = 0
-            self._mono_memo: dict[TriDegree, tuple[Mono, ...]] = {}
-            self._solve_memo: dict[tuple[int, int], tuple[tuple[int, Mono], ...]] = {}
+            self._solve_memo: dict[tuple[int, int, int], tuple] = {}
             self._tables = _enumeration_tables(pres)
             self.period = 1 if pres.invertible else None
             self._class_step = None
@@ -233,7 +234,6 @@ class Page:
             raise DifferentialError(f"d_{self.shape} after d_{previous.shape}: "
                                     f"rounds must come in increasing shape")
         self.rounds = previous.rounds + (rule,)
-        self._mono_memo = previous._mono_memo
         self._solve_memo = previous._solve_memo
         self._tables = previous._tables
         self._key = pres.mono(rule.source_dict())
@@ -266,38 +266,33 @@ class Page:
     # -- monomial enumeration ------------------------------------------------
 
     def monomials_at(self, tri: TriDegree) -> tuple[Mono, ...]:
-        """The monomial basis at tri, sorted: the non-invertible exponents
-        come from `_solve(s, t + b)`, the invertible generator's from the
-        t they leave over.  Only nonempty bases are memoized."""
-        cached = self._mono_memo.get(tri)
-        if cached is not None:
-            return cached
-        s, t, b = tri
-        _, inv, lt = self._tables
-        found = []
-        for t_part, mono in self._solve(s, t + b):
-            if inv is None:
-                if t_part == t:
-                    found.append(mono)
-            elif not (t - t_part) % lt:
-                found.append(mono[:inv] + ((t - t_part) // lt,) + mono[inv + 1:])
-        if not found:
-            return ()
-        out = self._mono_memo[tri] = tuple(sorted(found))
-        return out
+        """The monomial basis at tri, sorted, built on each call: the
+        non-invertible exponents come from `_solve(tri)`, the invertible
+        generator's from the t they leave over."""
+        inv, lt = self._tables[1:]
+        if inv is None:
+            return tuple([head for _, head, _ in self._solve(tri)])
+        q = tri[1] // lt
+        return tuple([head + (q + e,) + tail for e, head, tail in self._solve(tri)])
 
-    def _solve(self, s: int, tb: int) -> tuple[tuple[int, Mono], ...]:
-        """Every choice of non-invertible exponents with tridegree s and
-        t + b = tb, as (its t, the monomial with invertible exponent 0).
-        The invertible generator moves neither s nor t + b."""
-        key = (s, tb)
-        cached = self._solve_memo.get(key)
-        if cached is not None:
-            return cached
-        steps = self._tables[0]
+    def _solve(self, tri: TriDegree) -> tuple[tuple[int, Mono, Mono], ...]:
+        """Every choice of non-invertible exponents of a monomial at tri, as
+        (lam's exponent where t // lam's t is 0, the exponents before lam's
+        slot, those after), in basis order.  The invertible generator moves
+        neither s nor t + b, and only adds t // lam's t to its own exponent,
+        so the choices are solved once per (s, t + b) and class of t mod
+        lam's t (per tri without lam)."""
+        s, t, b = tri
+        lt = self._tables[2]
+        key = (s, t + b, t % lt) if lt else tri
+        try:
+            return self._solve_memo[key]
+        except KeyError:
+            pass
+        steps, inv, _ = self._tables
         # exponents chosen so far, each with the s and t+b residuals left
         # over and the t they make up
-        partial = [((), s, tb, 0)]
+        partial = [((), s, t + b, 0)]
         for _, gs, gt, gb, move_s, move_tb, forced in steps:
             gtb = gt + gb
             grown = []
@@ -315,14 +310,17 @@ class Page:
             partial = grown
         found = []
         for expo, rs, rtb, rt in partial:
-            if rs or rtb:
+            if rs or rtb or ((t - rt) % lt if lt else rt != t):
                 continue
             mono = [0] * len(self.pres.generators)
             for step, e in zip(steps, expo):
                 mono[step[0]] = e
-            found.append((rt, tuple(mono)))
-        out = self._solve_memo[key] = tuple(found)
-        return out
+            if inv is None:
+                found.append((mono, 0, tuple(mono), ()))
+            else:
+                mono[inv] = -(rt // lt)  # (t - rt) / lt where t // lt is 0
+                found.append((mono, mono[inv], tuple(mono[:inv]), tuple(mono[inv + 1:])))
+        return self._solve_memo.setdefault(key, tuple(choice[1:] for choice in sorted(found)))
 
     # -- the Leibniz differential ---------------------------------------------
 
@@ -378,27 +376,21 @@ class Page:
     # -- state evaluation ------------------------------------------------------
 
     def state(self, tri: TriDegree) -> PresentedGroup:
-        """The spot state at tri, one per lam^period-translation class
-        (`_class_of`), evaluated at the first tridegree of the class asked
-        for.  The bases of two translates correspond in sorted order by
-        adding the period to the lam exponent and every round treats both
-        alike, so by induction `_evaluate` does the same arithmetic on the
-        same matrices at both."""
+        """The spot state at tri, one per lam^period-translation class,
+        keyed by (s, t reduced by the class step, t + b) (tri itself on a
+        page with no period) and evaluated at the first tridegree of the
+        class asked for.  The bases of two translates correspond in sorted
+        order by adding the period to the lam exponent and every round
+        treats both alike, so by induction `_evaluate` does the same
+        arithmetic on the same matrices at both."""
         if self.previous is None:
-            return PresentedGroup.full_free(len(self.monomials_at(tri)))
-        key = self._class_of(tri)
+            return PresentedGroup.full_free(len(self._solve(tri)))
+        step = self._class_step
+        key = tri if step is None else (tri[0], tri[1] % step, tri[1] + tri[2])
         cached = self._state_memo.get(key)
         if cached is None:
             cached = self._state_memo[key] = self._evaluate(tri)
         return cached
-
-    def _class_of(self, tri: TriDegree) -> tuple[int, int, int]:
-        """The key of tri's lam^period-translation class: (s, t reduced
-        by the class step, t + b); tri itself on a page with no period."""
-        if self._class_step is None:
-            return tri
-        s, t, b = tri
-        return (s, t % self._class_step, t + b)
 
     def _evaluate(self, tri: TriDegree) -> PresentedGroup:
         monos = self.monomials_at(tri)
@@ -468,7 +460,7 @@ def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
     out = []
     for s in range(0, _scan_floor(d) - 1, -1):
         tri = (s, x - s, y)
-        if page.monomials_at(tri) and not page.state(tri).group.is_zero():
+        if page._solve(tri) and not page.state(tri).group.is_zero():
             out.append(tri)
     return out
 
@@ -490,37 +482,38 @@ def lambda_period(page: Page, limit: int) -> int | None:
                 None)
 
 
-def _orbits(page: Page, window: Window) -> dict[Degree, tuple[Degree, TriDegree]]:
-    """Every window degree, in `window.degrees()` order, with the
-    representative of its lam^p-orbit and the tridegree shift taking the
+def _orbits(page: Page, window: Window) -> Callable[[Degree], tuple[Degree, TriDegree]]:
+    """The lam^p-orbit rule of window on page: for a window degree, the
+    representative of its orbit and the tridegree shift taking the
     representative's spots to its own.
 
     An orbit is keyed by (x + y, y mod pt); its representative is its
-    first degree in window order, so it lies in the window.  A chart step
-    pt longer than the window leaves one degree per orbit, so the period
-    is looked for only up to the window's extent, and with none found the
-    step is taken one longer than the window's height.
+    first degree in window order, the one highest up its antidiagonal
+    within the window.  A chart step pt longer than the window leaves one
+    degree per orbit, so the period is looked for only up to the window's
+    extent, and with none found the step is taken one longer than the
+    window's height.
     """
     lam = page.pres.invertible
     extent = min(window.xmax - window.xmin, window.ymax - window.ymin)
     p = lambda_period(page, extent // abs(lam.tridegree[1]) if lam else 0)
-    step = p * lam.tridegree[1] if p else window.ymax - window.ymin + 1
-    first: dict[tuple[int, int], Degree] = {}
-    out = {}
-    for d in window.degrees():
-        rep = first.setdefault((d[0] + d[1], d[1] % step), d)
-        k = (rep[1] - d[1]) // step
-        out[d] = (rep, (0, k * step, -k * step))
-    return out
+    step = abs(p * lam.tridegree[1]) if p else window.ymax - window.ymin + 1
+    xmin, ymax = window.xmin, window.ymax
+
+    def orbit(d: Degree) -> tuple[Degree, TriDegree]:
+        x, y = d
+        top = x + y - xmin
+        k = ((top if top < ymax else ymax) - y) // step * step
+        return (x - k, y + k), (0, k, -k)
+    return orbit
 
 
-def _scan(page: Page, window: Window
-          ) -> tuple[dict[Degree, tuple[Degree, TriDegree]], dict[Degree, list[TriDegree]]]:
-    """The lam^p-orbits of window on page (`_orbits`) and the live spots
-    of each orbit's representative (`live_tridegrees`)."""
-    orbits = _orbits(page, window)
-    return orbits, {d: live_tridegrees(page, d)
-                    for d, (rep, _) in orbits.items() if rep == d}
+def _scan(page: Page, window: Window) -> tuple[Callable, dict[Degree, list[TriDegree]]]:
+    """The lam^p-orbit rule of window on page (`_orbits`) and the live
+    spots of each orbit's representative (`live_tridegrees`)."""
+    orbit = _orbits(page, window)
+    return orbit, {d: live_tridegrees(page, d)
+                   for d in window.degrees() if orbit(d)[0] == d}
 
 
 def find_candidates(page: Page, window: Window, scans: dict | None = None
@@ -558,7 +551,7 @@ def find_candidates(page: Page, window: Window, scans: dict | None = None
                 g = page.state(tri).group
                 for r in shapes:
                     target = _add_tri(tri, (-r, r - 1, 0))
-                    if not page.monomials_at(target):
+                    if not page._solve(target):
                         continue
                     h = page.state(target).group
                     if has_nonzero_hom(g, h):
@@ -596,11 +589,12 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     spot_of: dict[Degree, TriDegree] = {}
     entries: dict[Degree, ChartEntry] = {}
     # a last round of shape _R_CAP or more leaves the last page unsearched
-    orbits, rep_live = scans.get(page) or _scan(page, window)
-    for d, (rep, shift) in orbits.items():
-        live = [_add_tri(tri, shift) for tri in rep_live[rep]]
-        if not live:
+    orbit, rep_live = scans.get(page) or _scan(page, window)
+    for d in window.degrees():
+        rep, shift = orbit(d)
+        if not rep_live[rep]:
             continue
+        live = [_add_tri(tri, shift) for tri in rep_live[rep]]
         # zero-band certificate: the bottom _ZERO_BAND filtrations of the
         # scan must be zero, so the cutoff provably lost nothing nearby
         if live[-1][0] < _scan_floor(d) + _ZERO_BAND:
@@ -611,45 +605,46 @@ def collapse_to_chart(page: Page, window: Window, name: str,
             raise CollapseError(f"degree {d} is spread over filtrations {live}")
         tri, rep_tri = live[0], rep_live[rep][0]
         st = page.state(tri)
-        # a spot in its representative's translation class shares its state
-        # object, so it is checked against a direct evaluation instead
-        own = (page._evaluate(tri) if tri != rep_tri
-               and page._class_of(tri) == page._class_of(rep_tri) else st)
+        # a spot in its representative's translation class (moved by a
+        # multiple of the class step) shares its state object, so it is
+        # checked against a direct evaluation instead
+        own = (page._evaluate(tri) if shift[1] and page._class_step
+               and not shift[1] % page._class_step else st)
         if own.group != page.state(rep_tri).group:
             raise CollapseError(
                 f"degree {d}: the group at {tri} differs from its orbit's at "
                 f"{rep_tri}, so lam^p is no isomorphism of the page")
-        gens = []
+        gens, monos = [], page.monomials_at(tri)
         for j in range(st.gens.cols):
             vec = st.gens.column(j)
             order = st.orders[j]
-            label = _rep_label(page.pres, page.monomials_at(tri), vec, label_of)
+            label = _rep_label(page.pres, monos, vec, label_of)
             gens.append(Generator(label, DOT if order else SQUARE, order))
         entries[d] = ChartEntry(tuple(gens))
         spot_of[d] = tri
 
     maps: dict[str, dict[Degree, IntMatrix]] = {}
+    families = []
     for mname, powers in (map_monos or {}).items():
         mono = page.pres.mono(powers)
-        mshift = page.pres.tridegree_of(mono)
-        dx, dy = mshift[0] + mshift[1], mshift[2]
-        per: dict[Degree, IntMatrix] = {}
-        for d, tri in spot_of.items():
-            target_deg = (d[0] + dx, d[1] + dy)
+        families.append((maps.setdefault(mname, {}), mono, page.pres.tridegree_of(mono)))
+    for d, tri in spot_of.items():
+        src, src_monos = page.state(tri), page.monomials_at(tri)
+        for per, mono, mshift in families:
+            target_deg = (d[0] + mshift[0] + mshift[1], d[1] + mshift[2])
             if target_deg not in spot_of or not window.contains(target_deg):
                 continue
             if spot_of[target_deg] != _add_tri(tri, mshift):
                 continue  # product lands in a different filtration: zero here
-            src, dst = page.state(tri), page.state(spot_of[target_deg])
+            dst = page.state(spot_of[target_deg])
             dst_monos = page.monomials_at(spot_of[target_deg])
             cols = []
-            for m in page.monomials_at(tri):
+            for m in src_monos:
                 col = [0] * len(dst_monos)
                 col[dst_monos.index(tuple(map(operator.add, m, mono)))] = 1
                 cols.append(col)
             mult = IntMatrix.from_columns(cols, len(dst_monos))
             per[d] = dst.induced(mult, src)
-        maps[mname] = per
     return Chart(name=name, window=window, entries=entries, maps=maps)
 
 

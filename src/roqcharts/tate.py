@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
-from .exactalg import (IntMatrix, PresentedGroup, image_contains,
+from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, mult_map, reduce_matrix)
@@ -75,11 +75,12 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
     columns: dict[int, ChartEntry] = {}
     loc: dict[Degree, IntMatrix] = {}
     for x in range(w.xmin, w.xmax + 1):
+        orders = [chart.orders((x, w.ymin + k)) for k in range(_STAB_BAND + 1)]
         for k in range(_STAB_BAND):
             src = (x, w.ymin + k + 1)
             mat = mult_map(chart, "a", src)
-            if chart.group(src) != chart.group((x, w.ymin + k)) or not map_is_iso(
-                    mat, chart.orders(src), chart.orders((x, w.ymin + k))):
+            if FgAbelian.from_orders(orders[k + 1]) != FgAbelian.from_orders(
+                    orders[k]) or not map_is_iso(mat, orders[k + 1], orders[k]):
                 raise StabilizationError(
                     f"a-column at x = {x} does not stabilize at the bottom of {w} "
                     f"(map out of {src} is not an isomorphism)")
@@ -94,7 +95,7 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
         for y in range(w.ymin, w.ymax + 1):
             if y > w.ymin:
                 acc = acc.mul(mult_map(chart, "a", (x, y)))
-            loc[(x, y)] = reduce_matrix(acc, columns[x].orders)
+            loc[(x, y)] = reduce_matrix(acc, orders[0])
     return _periodic_chart(chart.name + "-tate", w, columns), loc
 
 
@@ -164,13 +165,6 @@ def torsion_split_by_a(orders: tuple[int, ...],
         for j in torsion)
 
 
-def _orders_concat(charts: list[Chart], d: Degree) -> tuple[int, ...]:
-    out: list[int] = []
-    for c in charts:
-        out.extend(c.orders(d))
-    return tuple(out)
-
-
 def _labels_concat(charts: list[Chart], d: Degree) -> list[str]:
     out: list[str] = []
     for c in charts:
@@ -194,15 +188,18 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
         return IntMatrix.block_diag(*(mult_map(c, "a", d) for c in sources))
 
     @cache
-    def to_tate(d: Degree) -> IntMatrix:
-        nt = len(tate.orders(d))
-        return reduce(IntMatrix.hstack,
-                      [maps.get(d, IntMatrix.zero(nt, len(c.orders(d))))
-                       for c, maps in zip(sources, maps_into_tate)])
+    def to_tate(d: Degree) -> tuple[IntMatrix, tuple[int, ...], tuple[int, ...]]:
+        """The map into tate at d, with the sources' orders there (end to
+        end) and tate's."""
+        orders, tate_orders = [c.orders(d) for c in sources], tate.orders(d)
+        nt = len(tate_orders)
+        mat = reduce(IntMatrix.hstack, [maps.get(d, IntMatrix.zero(nt, len(o)))
+                                        for o, maps in zip(orders, maps_into_tate)])
+        return mat, sum(orders, ()), tate_orders
 
     @cache
     def kernel(d: Degree) -> PresentedGroup:
-        return presented_kernel(to_tate(d), _orders_concat(sources, d), tate.orders(d))
+        return presented_kernel(*to_tate(d))
 
     def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
         """a from the kernel one step up into ker, in its generators."""
@@ -216,7 +213,8 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
     for d in window.degrees():
         right = (d[0] + 1, d[1])
         ker = kernel(d)
-        coker = presented_cokernel(to_tate(right), tate.orders(right))
+        mat, _, tate_orders = to_tate(right)
+        coker = presented_cokernel(mat, tate_orders)
         covered = not coker.is_zero() and torsion_split_by_a(
             ker.orders, lambda: a_into_kernel(d, ker))
         entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,

@@ -19,7 +19,7 @@ from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_order, hz_summands,
-                      join_labels, mult_map, power_label)
+                      hz_support, join_labels, mult_map, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
@@ -63,6 +63,10 @@ def _class_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
     powers = dict(zip((g.name for g in pres.generators), mono))
     lam = powers["lam"]
     parts = ["" if coeff == 1 else str(coeff), power_label("a", powers["a"])]
+    if lam % 2:
+        # an odd lam power has no class name; its exponent is always shown
+        parts.append(f"lam^{lam}")
+        lam = 0
     if theory == "kr":
         n, rem = divmod(lam, 4)
         if rem == 2:
@@ -72,9 +76,7 @@ def _class_label(theory: str, pres: Presentation, mono, coeff: int) -> str:
                 parts.append("u")
         parts += [power_label("vb", powers["vb"]), power_label("U", n)]
     else:
-        n, rem = divmod(lam, 2)
-        # an odd lam power has no class name; its exponent is always shown
-        parts.append(f"lam^{lam}" if rem else power_label("u", n))
+        parts.append(power_label("u", lam // 2))
     return join_labels(*parts)
 
 
@@ -242,17 +244,17 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
     floors ascending.
 
     A floor group depends on its floor only through whether the floor is
-    0, so each nonzero base degree p is computed once for floor 0 and once
-    for the floors above, each only where its diagonal of total degrees
-    p + (s, s) reaches such a floor; its classes go only onto the floors
-    that have some, so no key holds an empty list.
+    0, so each base degree p with an hz summand (`hz_support`) is computed
+    once for floor 0 and once for the floors above, each only where its
+    diagonal of total degrees p + (s, s) reaches such a floor; its classes
+    go only onto the floors that have some, so no key holds an empty list.
     """
     w = Window(window.xmin - 1, window.xmax, window.ymin, window.ymax)
     table: dict[Degree, list[BssClass]] = {}
-    for p in Window(w.xmin - floors, w.xmax, w.ymin - floors, w.ymax).degrees():
+    for p in hz_support(Window(w.xmin - floors, w.xmax, w.ymin - floors, w.ymax)):
         lo = max(0, w.xmin - p[0], w.ymin - p[1])
         hi = min(floors, w.xmax - p[0], w.ymax - p[1])
-        if lo > hi or not hz_summands(*p):
+        if lo > hi:
             continue
         if lo == 0:
             ground = bss_floor_survivors(0, p)

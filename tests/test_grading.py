@@ -10,7 +10,7 @@ from roqcharts.exactalg import FgAbelian, IntMatrix, map_is_iso
 from roqcharts.grading import (DOT, MAP_DEGREES, SQUARE, ChartEntry, ChartError,
                                Generator, OutOfWindowError, Window,
                                closed_form_hz, closed_form_kr, desc_matrix,
-                               hz_map_image, hz_summands, kr_map_image,
+                               hz_map_image, hz_summands, hz_support, kr_map_image,
                                kr_summands, mult_map, reduce_matrix)
 
 
@@ -172,6 +172,15 @@ def test_charts_store_only_nonzero_entries(hz12, kr12):
     for chart in (hz12, kr12):
         for e in chart.entries.values():
             assert e.gens
+
+
+@pytest.mark.parametrize("window", [Window.square(12), Window(-60, 60, -60, 12),
+                                    Window(-7, -3, 2, 9), Window(1, 8, -20, -9),
+                                    Window(-4, 4, 3, 3), Window(-1, -1, -6, 6)])
+def test_hz_support_is_where_summands_live(window):
+    # the generated support is the brute-force set of degrees with an hz
+    # summand, in window order
+    assert list(hz_support(window)) == [d for d in window.degrees() if hz_summands(*d)]
 
 
 def test_empty_window_rejected():

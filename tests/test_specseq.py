@@ -3,11 +3,12 @@
 import functools
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roqcharts import specseq
+from roqcharts import exactalg, specseq
 from roqcharts.exactalg import FgAbelian, PresentedGroup, has_nonzero_hom
 from roqcharts.grading import (Window, hz_generator, hz_summands,
                                kr_generator, kr_summands)
@@ -426,9 +427,9 @@ def test_readout_checks_shared_spots_independently(monkeypatch):
     # there is caught and named
     page, w = build_pages(hz_seed())[-1], Window.square(6)
     chart = collapse_to_chart(page, w, "hz")
-    orbits, rep_live = specseq._scan(page, w)
-    d, (rep, shift) = next((d, o) for d, o in orbits.items()
-                           if o[0] != d and d in chart.entries)
+    orbit, rep_live = specseq._scan(page, w)
+    d, (rep, shift) = next((d, orbit(d)) for d in w.degrees()
+                           if orbit(d)[0] != d and d in chart.entries)
     spot = specseq._add_tri(rep_live[rep][0], shift)
     assert page.state(spot) is page.state(rep_live[rep][0])
     evaluate = page._evaluate
@@ -463,16 +464,49 @@ def test_scan_builds_nothing_for_empty_filtrations():
                 assert live == [tri for tri in full
                                 if not page.state(tri).group.is_zero()], (theory, d)
             assert spy.asked, theory
-            assert all(page._solve(s, t + b) for s, t, b in spy.asked), theory
+            assert all(page._solve(tri) for tri in spy.asked), theory
 
 
-def test_no_empty_basis_is_memoized():
-    # the certificate, the scan and the readout all ask for bases where
-    # there is no monomial; those are answered without a memo entry
+def test_chain_keeps_no_basis_table():
+    # after a full readout the chain keeps its spot states and the shared
+    # exponent solutions (one entry per (s, t + b), lam's t being 1) and
+    # no table of bases; the bases it builds from the solutions are still
+    # the brute-force enumeration
+    w = Window.square(6)
     for seed in (hz_seed(), kr_seed()):
-        page = build_pages(seed)[-1]
-        collapse_to_chart(page, Window.square(6), seed.name, map_monos=seed.map_monos)
-        assert page._mono_memo and all(page._mono_memo.values()), seed.name
+        chain = build_pages(seed)
+        collapse_to_chart(chain[-1], w, seed.name, map_monos=seed.map_monos)
+        for page in chain:
+            tables = {name for name, value in vars(page).items() if isinstance(value, dict)}
+            assert tables == {"_state_memo", "_solve_memo"}, seed.name
+            assert page._solve_memo is chain[0]._solve_memo
+            assert all(isinstance(st, PresentedGroup) for st in page._state_memo.values())
+        assert chain[0]._solve_memo and {key[2] for key in chain[0]._solve_memo} == {0}
+        pres = seed.presentation
+        by_tri: dict = {}
+        ranges = [range(-40, 41) if g.invertible else range(13) for g in pres.generators]
+        for mono in itertools.product(*ranges):
+            by_tri.setdefault(pres.tridegree_of(mono), []).append(mono)
+        for s in range(-12, 1):
+            for x, y in w.degrees():
+                tri = (s, x - s, y)
+                assert chain[-1].monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
+
+
+def test_hfpss_peak_memory_stays_under_ceiling():
+    # the chain keeps spot states and exponent solutions alone: a kr
+    # fixed-point run on the padded window of a radius-12 Tate job, cold
+    # caches, peaks at about 1.67 MB traced when run alone (1.47 MB after
+    # the other tests; 3.23 MB while the chain kept its bases and orbit
+    # tables)
+    exactalg.cache_clear()
+    tracemalloc.start()
+    try:
+        run_hfpss(kr_seed(), Window(-16, 16, -20, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 1.67e6, peak
 
 
 def test_period_comes_from_the_page():
@@ -485,14 +519,47 @@ def test_period_comes_from_the_page():
     assert lambda_period(pages("kr")[-1], 3) is None
 
 
+def _orbit_table(page, window):
+    """Every window degree with its orbit's representative and shift, as a
+    table built by walking the window: the first degree in window order
+    with the same key (x + y, y mod step) is the representative."""
+    lam = page.pres.invertible
+    extent = min(window.xmax - window.xmin, window.ymax - window.ymin)
+    p = lambda_period(page, extent // abs(lam.tridegree[1]) if lam else 0)
+    step = p * lam.tridegree[1] if p else window.ymax - window.ymin + 1
+    first, table = {}, {}
+    for d in window.degrees():
+        rep = first.setdefault((d[0] + d[1], d[1] % step), d)
+        k = (rep[1] - d[1]) // step
+        table[d] = (rep, (0, k * step, -k * step))
+    return table
+
+
+def test_orbit_rule_matches_the_orbit_table():
+    # the rule gives each degree the representative and shift a table
+    # walked over the window gives, on every searched hz and kr page, a
+    # page without an invertible generator and one whose lam has t < 0
+    no_lam = Page(Presentation((PageGenerator("a", (-1, 1, -1)),)))
+    neg_lam = Page(Presentation((PageGenerator("a", (-1, 1, -1)),
+                                 PageGenerator("lam", (0, -1, 1), invertible=True))))
+    windows = [Window.square(6), Window(-3, 4, -5, 2), Window(0, 3, 0, 9),
+               Window(-16, 16, -20, 16), Window(-2, 9, -14, -1), Window(5, 5, -3, 3)]
+    for page in (pages("hz")[1], pages("kr")[1], pages("kr")[2], no_lam, neg_lam):
+        for w in windows:
+            orbit = specseq._orbits(page, w)
+            assert {d: orbit(d) for d in w.degrees()} == _orbit_table(page, w), (page, w)
+
+
 def test_no_invertible_generator_gives_single_degree_orbits():
     page = Page(Presentation((PageGenerator("a", (-1, 1, -1)),)))
     assert lambda_period(page, 16) is None
     w = Window(-3, 4, -5, 2)
-    assert specseq._orbits(page, w) == {d: (d, (0, 0, 0)) for d in w.degrees()}
+    orbit = specseq._orbits(page, w)
+    assert all(orbit(d) == (d, (0, 0, 0)) for d in w.degrees())
     # a period longer than the window does the same
-    assert specseq._orbits(pages("kr")[-1], Window(0, 3, 0, 9)) == {
-        d: (d, (0, 0, 0)) for d in Window(0, 3, 0, 9).degrees()}
+    w = Window(0, 3, 0, 9)
+    orbit = specseq._orbits(pages("kr")[-1], w)
+    assert all(orbit(d) == (d, (0, 0, 0)) for d in w.degrees())
 
 
 def test_orbit_search_matches_exhaustive_search(monkeypatch):

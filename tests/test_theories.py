@@ -35,6 +35,17 @@ def test_seeds_parse_from_declarative_text():
     assert kr.rules[1].target == (("a", 3), ("vb", 1))
 
 
+def test_kr_labels_show_odd_lam_powers():
+    # an odd lam power has no kr class name, so its exponent is shown
+    # whole, as hz shows it; the even powers keep their names
+    kr = kr_seed()
+    assert kr.label_of((0, 0, 1), 1) == "lam^1"
+    assert kr.label_of((1, 0, 5), 1) == "a lam^5"
+    assert hz_seed().label_of((1, 5), 1) == "a lam^5"
+    assert kr.label_of((1, 0, 4), 1) == "a U"
+    assert kr.label_of((0, 1, -2), 2) == "2u vb U^-1"
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
