@@ -13,12 +13,12 @@ arbitrary precision is the contract, not an option.
 The pure kernels are memoized by bounded `functools.lru_cache`s keyed on
 their arguments: `smith_normal_form`, `preimage_lattice`,
 `column_space_basis`, `presented_homology`, `PresentedGroup.from_lattices`,
-`PresentedGroup.induced`, the normal form behind `FgAbelian.from_orders`,
-and the constants `IntMatrix.zero`, `IntMatrix.identity`,
-`PresentedGroup.full_free` and `_rel_columns`.  Equal inputs return one
-shared object; that is safe because every result is an immutable value
-(frozen dataclasses over tuples).  `cache_clear()` empties every memo
-for a cold start.
+`PresentedGroup.induced`, the normal form behind `FgAbelian.from_orders`
+and `FgAbelian.zero`, and the constants `IntMatrix.zero`,
+`IntMatrix.identity`, `PresentedGroup.full_free` and `_rel_columns`.
+Equal inputs return one shared object; that is safe because every
+result is an immutable value (frozen dataclasses over tuples).
+`cache_clear()` empties every memo for a cold start.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ class FgAbelian:
 
     @staticmethod
     def zero() -> "FgAbelian":
-        return FgAbelian(0, ())
+        return _normal_form(())
 
     @staticmethod
     def free(rank: int) -> "FgAbelian":

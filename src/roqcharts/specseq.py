@@ -324,45 +324,33 @@ class Page:
 
     # -- the Leibniz differential ---------------------------------------------
 
-    def _apply_rule(self, mono: Mono) -> tuple[int, Mono] | None:
-        """This page's round on one monomial; None means zero, an
-        exception means the monomial does not factor as key-power times
-        declared cycles."""
-        i = self._support
-        q, rem = divmod(mono[i], self._key[i])
-        if rem:
-            raise DifferentialError(
-                f"d undefined on {self.pres.mono_str(mono)}: leftover factor of "
-                f"{self.pres.generators[i].name} is not a declared cycle")
-        c = (q % 2) if self._parity else q
-        if c == 0:
-            return None
-        return (c * self._coeff, tuple(map(operator.add, mono, self._step)))
-
     def _d_of_cycles(self, st: PresentedGroup, src_monos: tuple[Mono, ...],
                      dst_monos: tuple[Mono, ...], what: str) -> IntMatrix | None:
         """This page's round on the cycle basis of st (in the monomial
         basis src_monos), in the monomial basis dst_monos, or None if it
-        is zero.  d must be defined on every monomial a cycle involves, and
-        every image must lie in dst_monos."""
+        is zero.  On a monomial whose support exponent is q times the key,
+        d is q (q mod 2 with odd parity) times the rule's image; d must be
+        defined (the key must divide the exponent) on every monomial a
+        cycle involves, and every image must lie in dst_monos."""
         i, key = self._support, self._key[self._support]
         cols = st.cycles.cols
         out = [(0,) * cols] * len(dst_monos)
         undefined = []
         for m, cyc in zip(src_monos, st.cycles.entries):
-            if m[i] % key:
+            q, rem = divmod(m[i], key)
+            if rem:
                 undefined.append((m, cyc))
                 continue
-            img = self._apply_rule(m)
-            if img is None:
+            c = (q % 2 if self._parity else q) * self._coeff
+            if c == 0:
                 continue
-            coeff, mono = img
+            mono = tuple(map(operator.add, m, self._step))
             if mono not in dst_monos:
                 raise DifferentialError(
                     f"image {self.pres.mono_str(mono)} missing from its tridegree "
                     f"(enumeration bug)")
             k = dst_monos.index(mono)
-            out[k] = tuple(x + coeff * c for x, c in zip(out[k], cyc))
+            out[k] = tuple(x + c * y for x, y in zip(out[k], cyc))
         for j in range(cols):
             for m, cyc in undefined:
                 if cyc[j] != 0:

@@ -1,10 +1,12 @@
 """The Tate-square pipeline.
 
 Starting from a homotopy-fixed-point chart with its a-multiplications:
-invert a column by column (Tate), read homotopy orbits off the long
-exact sequence of the lower cofibre sequence, truncate the integer line
-to get geometric fixed points, and assemble the genuine chart from the
-Mayer-Vietoris sequence of the pullback square.
+invert a column by column (Tate), truncate the integer line to get
+geometric fixed points (phi), and read two charts off the long exact
+sequence of one map: the homotopy orbits as the fibre of hfp -> tate,
+and the genuine chart as the fibre of hfp -> tate/phi, since the Tate
+square is a pullback.  Phi includes isomorphically into the Tate chart
+degree by degree, so tate/phi is the Tate chart off those degrees.
 
 Extension handling: an entry assembled from a nonzero kernel and a
 nonzero cokernel is determined exactly when the kernel part is free
@@ -18,8 +20,8 @@ else is reported up to extension and flagged on the entry.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
@@ -47,8 +49,7 @@ class TateSquareData:
     tate: Chart
     phi: Chart
     genuine: Chart
-    loc_maps: dict[Degree, IntMatrix] = field(default_factory=dict)
-    phi_maps: dict[Degree, IntMatrix] = field(default_factory=dict)
+    loc_maps: dict[Degree, IntMatrix]
 
     @cached_property
     def orbits(self) -> Chart:
@@ -165,60 +166,49 @@ def torsion_split_by_a(orders: tuple[int, ...],
         for j in torsion)
 
 
-def _labels_concat(charts: list[Chart], d: Degree) -> list[str]:
-    out: list[str] = []
-    for c in charts:
-        e = c.entry(d)
-        if e:
-            out.extend(g.label for g in e.gens)
-    return out
-
-
-def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix]],
-               tate: Chart, window: Window, name: str) -> Chart:
-    """Chart of the long exact sequence through the sum of sources -> tate.
+def _les_chart(source: Chart, into: dict[Degree, IntMatrix], target: Chart,
+               window: Window, name: str) -> Chart:
+    """Chart of the long exact sequence through the map source -> target.
 
     At each degree of window the group sits between the cokernel of the
     map one step to the right (integer direction) and its kernel at the
-    degree itself; a missing map is zero.  The attached a-multiplications
-    are blockwise along that filtration (the associated-graded action),
-    which is what the local-cohomology vanishing test consumes.
+    degree itself; a missing map is zero.  Kernel generators are named
+    after the source generator they are a multiple of.  The attached
+    a-multiplications are blockwise along that filtration (the
+    associated-graded action), which is what the local-cohomology
+    vanishing test consumes.
     """
-    def a_sources(d: Degree) -> IntMatrix:
-        return IntMatrix.block_diag(*(mult_map(c, "a", d) for c in sources))
-
     @cache
-    def to_tate(d: Degree) -> tuple[IntMatrix, tuple[int, ...], tuple[int, ...]]:
-        """The map into tate at d, with the sources' orders there (end to
-        end) and tate's."""
-        orders, tate_orders = [c.orders(d) for c in sources], tate.orders(d)
-        nt = len(tate_orders)
-        mat = reduce(IntMatrix.hstack, [maps.get(d, IntMatrix.zero(nt, len(o)))
-                                        for o, maps in zip(orders, maps_into_tate)])
-        return mat, sum(orders, ()), tate_orders
+    def to_target(d: Degree) -> tuple[IntMatrix, tuple[int, ...], tuple[int, ...]]:
+        """The map into target at d, with the source's orders there and
+        the target's."""
+        orders, target_orders = source.orders(d), target.orders(d)
+        mat = into.get(d, IntMatrix.zero(len(target_orders), len(orders)))
+        return mat, orders, target_orders
 
     @cache
     def kernel(d: Degree) -> PresentedGroup:
-        return presented_kernel(*to_tate(d))
+        return presented_kernel(*to_target(d))
 
     def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
         """a from the kernel one step up into ker, in its generators."""
         up = (d[0], d[1] + 1)
-        if not all(c.window.contains(up) for c in sources):
+        if not source.window.contains(up):
             return None
-        return ker.induced(a_sources(up), kernel(up))
+        return ker.induced(mult_map(source, "a", up), kernel(up))
 
     entries: dict[Degree, ChartEntry] = {}
     cokers: dict[Degree, PresentedGroup] = {}
     for d in window.degrees():
         right = (d[0] + 1, d[1])
         ker = kernel(d)
-        mat, _, tate_orders = to_tate(right)
-        coker = presented_cokernel(mat, tate_orders)
+        mat, _, target_orders = to_target(right)
+        coker = presented_cokernel(mat, target_orders)
         covered = not coker.is_zero() and torsion_split_by_a(
             ker.orders, lambda: a_into_kernel(d, ker))
+        src = source.entry(d)
         entry = _les_entry(coker, f"tow({d[0]},{d[1]})", ker,
-                           _labels_concat(sources, d), covered)
+                           [g.label for g in src.gens] if src else [], covered)
         if entry:
             entries[d] = entry
             cokers[d] = coker
@@ -229,8 +219,8 @@ def _les_chart(sources: list[Chart], maps_into_tate: list[dict[Degree, IntMatrix
         if down not in entries:
             continue
         amaps[d] = IntMatrix.block_diag(
-            cokers[down].induced(mult_map(tate, "a", (d[0] + 1, d[1])), cokers[d]),
-            kernel(down).induced(a_sources(d), kernel(d)))
+            cokers[down].induced(mult_map(target, "a", (d[0] + 1, d[1])), cokers[d]),
+            kernel(down).induced(mult_map(source, "a", d), kernel(d)))
     return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
 
 
@@ -243,7 +233,7 @@ def homotopy_orbits(hfp: Chart, tate: Chart,
     """Orbits from the long exact sequence through the localization map."""
     w = hfp.window
     out_w = Window(w.xmin, w.xmax - 1, w.ymin, w.ymax - 1)
-    return _les_chart([hfp], [loc_maps], tate, out_w, hfp.name + "-orbits")
+    return _les_chart(hfp, loc_maps, tate, out_w, hfp.name + "-orbits")
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +277,29 @@ def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
 # the genuine chart
 # ---------------------------------------------------------------------------
 
-def assemble_genuine(hfp: Chart, tate: Chart, phi: Chart,
-                     loc_maps: dict[Degree, IntMatrix],
-                     phi_maps: dict[Degree, IntMatrix],
+def assemble_genuine(hfp: Chart, tate: Chart, loc_maps: dict[Degree, IntMatrix],
+                     phi: Chart, phi_maps: dict[Degree, IntMatrix],
                      window: Window, name: str) -> Chart:
-    """Mayer-Vietoris assembly over the pullback square.
+    """The genuine chart as the fibre of hfp -> tate/phi.
 
-    Degreewise: the kernel of (hfp + phi -> tate, by loc - phi) plus the
-    cokernel one step to the right.  Wherever both contribute, the entry
-    is exact if the kernel part is free or its order-2 generators are
-    a-multiples; otherwise it is flagged.
+    The Tate square is a pullback, so the genuine chart is the fibre of
+    the localization map followed by the quotient by phi.  Each inclusion
+    of phi must be an isomorphism onto its degree of the Tate chart, so
+    tate/phi is the Tate chart off those degrees, with its generators.
     """
     w = hfp.window
     if not (w.contains((window.xmin, window.ymin))
             and w.contains((window.xmax + 1, window.ymax + 1))):
         raise TatePipelineError("input charts need one degree of margin around the window")
-    neg_phi_maps = {d: IntMatrix(m.rows, m.cols,
-                                 tuple(tuple(-x for x in row) for row in m.entries))
-                    for d, m in phi_maps.items()}
-    return _les_chart([hfp, phi], [loc_maps, neg_phi_maps], tate, window, name)
+    for d, inclusion in phi_maps.items():
+        if not map_is_iso(inclusion, phi.orders(d), tate.orders(d)):
+            raise TatePipelineError("phi does not include isomorphically into the "
+                                    f"Tate chart at {d}")
+    kept = {d: e for d, e in tate.entries.items() if d not in phi_maps}
+    quotient = Chart(name=tate.name + "/phi", window=tate.window, entries=kept,
+                     maps={"a": {d: m for d, m in tate.maps["a"].items() if d in kept}})
+    into = {d: m for d, m in loc_maps.items() if d in kept}
+    return _les_chart(hfp, into, quotient, window, name)
 
 
 def run_tate_square(hfp: Chart, connective: bool, window: Window,
@@ -313,6 +307,5 @@ def run_tate_square(hfp: Chart, connective: bool, window: Window,
     """The square from a homotopy-fixed-point chart, the orbits on demand."""
     tate, loc = invert_a_with_maps(hfp)
     phi, phi_maps = geometric_fixed_points_with_maps(tate, connective)
-    genuine = assemble_genuine(hfp, tate, phi, loc, phi_maps, window, name)
-    return TateSquareData(hfp=hfp, tate=tate, phi=phi, genuine=genuine,
-                          loc_maps=loc, phi_maps=phi_maps)
+    genuine = assemble_genuine(hfp, tate, loc, phi, phi_maps, window, name)
+    return TateSquareData(hfp=hfp, tate=tate, phi=phi, genuine=genuine, loc_maps=loc)

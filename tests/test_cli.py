@@ -1,11 +1,13 @@
 """The command-line contract: exit codes, documents, golden renders."""
 
+import os
 import pathlib
 import runpy
 import subprocess
 import sys
 from dataclasses import replace
 
+import roqcharts
 from roqcharts.chartio import diff as chart_diff, parse
 from roqcharts.cli import _parse_window, _verify_axes, main
 from roqcharts.grading import Window, closed_form_hz, closed_form_kr
@@ -16,8 +18,12 @@ HERE = pathlib.Path(__file__).parent
 
 
 def run_cli(*args):
+    """The CLI in a child process that imports the package under test."""
+    src = str(pathlib.Path(roqcharts.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "roqcharts.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 

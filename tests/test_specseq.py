@@ -617,8 +617,10 @@ def test_leibniz_mod_two_on_products(a1, l1, a2, l2):
     page = Page(hz_pres()).turn(D1)
 
     def d(mono):
-        img = page._apply_rule(mono)
-        return {} if img is None else {img[1]: img[0]}
+        # the round on the single monomial mono, as a one-cycle state
+        img = tuple(x + y for x, y in zip(mono, page._step))
+        mat = page._d_of_cycles(PresentedGroup.full_free(1), (mono,), (img,), "mono")
+        return {} if mat is None else {img: mat.entries[0][0]}
 
     def mul(mono, other):
         return tuple(x + y for x, y in zip(mono, other))

@@ -130,14 +130,45 @@ def test_phi_integer_line_connective():
 
 
 def test_degenerate_square_returns_fixed_points():
+    # phi = tate leaves tate/phi = 0, so the fibre is hfp itself
     data = square("hz", 6)
     hfp, tate = data.hfp, data.tate
     ident = {d: IntMatrix.identity(len(tate.orders(d)))
              for d in tate.window.degrees()}
     w = Window.square(4)
-    genuine = assemble_genuine(hfp, tate, tate, data.loc_maps, ident, w, "degen")
+    genuine = assemble_genuine(hfp, tate, data.loc_maps, tate, ident, w, "degen")
     for d in w.degrees():
         assert genuine.group(d) == hfp.group(d), d
+
+
+@pytest.mark.parametrize("theory", ["hz", "kr"])
+def test_genuine_names_kernel_generators_by_fixed_points(theory):
+    labels = [g.label for e in square(theory, 12).genuine.entries.values()
+              for g in e.gens]
+    assert labels and not [lab for lab in labels if "ker[" in lab]
+
+
+@pytest.mark.parametrize("theory", ["hz", "kr"])
+def test_genuine_is_fixed_points_where_phi_is_tate(theory):
+    # tate/phi vanishes for x >= 0, so there the genuine entry is the
+    # fixed-point entry: labels, glyphs and orders
+    data = square(theory, 12)
+    right = [d for d in data.genuine.window.degrees() if d[0] >= 0]
+    assert any(data.genuine.entry(d) for d in right)
+    for d in right:
+        mine, theirs = data.genuine.entry(d), data.hfp.entry(d)
+        assert (mine and mine.gens) == (theirs and theirs.gens), d
+
+
+def test_genuine_refuses_phi_inclusion_that_is_not_iso():
+    data = square("hz", 6)
+    phi, phi_maps = geometric_fixed_points_with_maps(data.tate, True)
+    d = (0, 0)
+    assert phi.orders(d) == (2,)
+    planted = {**phi_maps, d: IntMatrix.zero(1, 1)}
+    with pytest.raises(TatePipelineError, match=r"\(0, 0\)"):
+        assemble_genuine(data.hfp, data.tate, data.loc_maps, phi, planted,
+                         Window.square(4), "planted")
 
 
 def test_les_entry_flags_unresolvable_extension():
