@@ -8,8 +8,6 @@ byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactalg import ExactAlgebraError, FgAbelian
 from .grading import (Chart, ChartEntry, ChartError, Degree, Generator, Window,
                       CIRCLE, DOT, SQUARE)
@@ -132,12 +130,17 @@ def parse(text: str) -> Chart:
 # diffing
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DiffReport:
-    group_diffs: list[tuple[Degree, FgAbelian, FgAbelian, str]] = field(default_factory=list)
-    label_diffs: list[tuple[Degree, tuple, tuple]] = field(default_factory=list)
-    window_mismatch: bool = False
-    disjoint: tuple[Window, Window] | None = None
+    __slots__ = ("group_diffs", "label_diffs", "window_mismatch", "disjoint")
+
+    def __init__(self, group_diffs: list[tuple[Degree, FgAbelian, FgAbelian, str]] | None = None,
+                 label_diffs: list[tuple[Degree, tuple, tuple]] | None = None,
+                 window_mismatch: bool = False,
+                 disjoint: tuple[Window, Window] | None = None):
+        self.group_diffs = [] if group_diffs is None else group_diffs
+        self.label_diffs = [] if label_diffs is None else label_diffs
+        self.window_mismatch = window_mismatch
+        self.disjoint = disjoint
 
     @property
     def clean(self) -> bool:

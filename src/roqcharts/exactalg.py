@@ -17,7 +17,9 @@ their arguments: `smith_normal_form`, `preimage_lattice`,
 and `FgAbelian.zero`, and the constants `IntMatrix.zero`,
 `IntMatrix.identity`, `PresentedGroup.full_free` and `_rel_columns`.
 Equal inputs return one shared object; that is safe because every
-result is an immutable value (frozen dataclasses over tuples).
+result is an immutable value: a slotted class over tuples whose fields
+are set once in the constructor and whose `__setattr__` and
+`__delattr__` raise `AttributeError` (`read_only`).
 `cache_clear()` empties every memo for a cold start.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -42,11 +43,15 @@ class ShapeError(ExactAlgebraError):
     """Matrix dimensions do not match the requested operation."""
 
 
+def read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of the package's immutable values."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 # ---------------------------------------------------------------------------
 # Dense integer matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major, immutable.
 
@@ -56,18 +61,29 @@ class IntMatrix:
     already passed it go through `_of`, which does not check again.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ShapeError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ShapeError("ragged rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def _of(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
@@ -154,7 +170,6 @@ class IntMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SmithForm:
     """left * matrix * right == diag, with left/right unimodular.
 
@@ -162,11 +177,17 @@ class SmithForm:
     so no separate inversion step is needed.
     """
 
-    diag: IntMatrix
-    left: IntMatrix
-    right: IntMatrix
-    left_inv: IntMatrix
-    rank: int
+    __slots__ = ("diag", "left", "right", "left_inv", "rank")
+
+    def __init__(self, diag: IntMatrix, left: IntMatrix, right: IntMatrix,
+                 left_inv: IntMatrix, rank: int):
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left_inv", left_inv)
+        object.__setattr__(self, "rank", rank)
+
+    __setattr__ = __delattr__ = read_only
 
     def diagonal(self) -> list[int]:
         n = min(self.diag.rows, self.diag.cols)
@@ -356,7 +377,6 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
 class FgAbelian:
     """Finitely generated abelian group in invariant-factor normal form.
 
@@ -365,17 +385,28 @@ class FgAbelian:
     is isomorphism of groups.
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise ExactAlgebraError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ExactAlgebraError(f"torsion {self.torsion} is not a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+                raise ExactAlgebraError(f"torsion {torsion} is not a divisibility chain")
+        if any(d < 2 for d in torsion):
             raise ExactAlgebraError("torsion coefficients must be >= 2")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.torsion) == (other.rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion))
 
     @staticmethod
     def from_orders(orders: Iterable[int]) -> "FgAbelian":
@@ -455,7 +486,6 @@ def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
 # Presented subquotients of Z^n
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PresentedGroup:
     """A subquotient cycles/rels of an ambient Z^n with chosen generators.
 
@@ -467,12 +497,28 @@ class PresentedGroup:
     infinite).  Equality compares both lattices, not only the group.
     """
 
-    ambient: int
-    gens: IntMatrix
-    orders: tuple[int, ...]
-    rels: IntMatrix
-    group: FgAbelian
-    cycles: IntMatrix
+    __slots__ = ("ambient", "gens", "orders", "rels", "group", "cycles")
+
+    def __init__(self, ambient: int, gens: IntMatrix, orders: tuple[int, ...],
+                 rels: IntMatrix, group: FgAbelian, cycles: IntMatrix):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "rels", rels)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "cycles", cycles)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ambient, self.gens, self.orders, self.rels, self.group, self.cycles)
+                    == (other.ambient, other.gens, other.orders, other.rels, other.group,
+                        other.cycles))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.gens, self.orders, self.rels, self.group, self.cycles))
 
     @staticmethod
     @lru_cache(maxsize=250_000)
@@ -592,7 +638,6 @@ def image_contains(mat: IntMatrix, dst_orders: tuple[int, ...],
 # Chain complexes of free abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IntComplex:
     """Bounded chain complex of free abelian groups.
 
@@ -601,21 +646,24 @@ class IntComplex:
     construction, always.
     """
 
-    bottom: int
-    dims: tuple[int, ...]
-    diffs: tuple[IntMatrix, ...] = field(default=())
+    __slots__ = ("bottom", "dims", "diffs")
 
-    def __post_init__(self):
-        if len(self.diffs) != max(0, len(self.dims) - 1):
+    def __init__(self, bottom: int, dims: tuple[int, ...], diffs: tuple[IntMatrix, ...] = ()):
+        if len(diffs) != max(0, len(dims) - 1):
             raise ShapeError("number of differentials does not match dims")
-        for i, d in enumerate(self.diffs):
-            if d.rows != self.dims[i] or d.cols != self.dims[i + 1]:
+        for i, d in enumerate(diffs):
+            if d.rows != dims[i] or d.cols != dims[i + 1]:
                 raise ShapeError(f"differential {i} has shape {d.rows}x{d.cols}, "
-                                 f"expected {self.dims[i]}x{self.dims[i + 1]}")
-        for i in range(len(self.diffs) - 1):
-            if not self.diffs[i].mul(self.diffs[i + 1]).is_zero():
+                                 f"expected {dims[i]}x{dims[i + 1]}")
+        for i in range(len(diffs) - 1):
+            if not diffs[i].mul(diffs[i + 1]).is_zero():
                 raise ExactAlgebraError(f"d o d != 0 between degrees "
-                                        f"{self.bottom + i + 2} and {self.bottom + i}")
+                                        f"{bottom + i + 2} and {bottom + i}")
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "diffs", diffs)
+
+    __setattr__ = __delattr__ = read_only
 
     def dim(self, k: int) -> int:
         i = k - self.bottom

@@ -12,10 +12,9 @@ then that every image lands in a summand of its target degree.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import partial
 
-from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix
+from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix, read_only
 
 
 Degree = tuple[int, int]
@@ -41,16 +40,27 @@ class OutOfWindowError(ChartError):
     """A degree outside the chart window was queried where that matters."""
 
 
-@dataclass(frozen=True)
 class Window:
-    xmin: int
-    xmax: int
-    ymin: int
-    ymax: int
+    __slots__ = ("xmin", "xmax", "ymin", "ymax")
 
-    def __post_init__(self):
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+    def __init__(self, xmin: int, xmax: int, ymin: int, ymax: int):
+        if xmin > xmax or ymin > ymax:
             raise ChartError("empty window")
+        object.__setattr__(self, "xmin", xmin)
+        object.__setattr__(self, "xmax", xmax)
+        object.__setattr__(self, "ymin", ymin)
+        object.__setattr__(self, "ymax", ymax)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.xmin, self.xmax, self.ymin, self.ymax)
+                    == (other.xmin, other.xmax, other.ymin, other.ymax))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.xmin, self.xmax, self.ymin, self.ymax))
 
     @staticmethod
     def square(radius: int) -> "Window":
@@ -73,7 +83,6 @@ class Window:
         return f"[{self.xmin}..{self.xmax}]x[{self.ymin}..{self.ymax}]"
 
 
-@dataclass(frozen=True)
 class Generator:
     """One named generator of a chart entry.
 
@@ -81,32 +90,54 @@ class Generator:
     free generator that is twice the evident lattice element.
     """
 
-    label: str
-    annotation: str
-    order: int = 0
+    __slots__ = ("label", "annotation", "order")
 
-    def __post_init__(self):
-        if self.annotation not in (SQUARE, CIRCLE, DOT):
-            raise ChartError(f"unknown annotation {self.annotation!r}")
-        if self.annotation == DOT and self.order == 0:
+    def __init__(self, label: str, annotation: str, order: int = 0):
+        if annotation not in (SQUARE, CIRCLE, DOT):
+            raise ChartError(f"unknown annotation {annotation!r}")
+        if annotation == DOT and order == 0:
             raise ChartError("dots must carry torsion")
-        if self.annotation in (SQUARE, CIRCLE) and self.order != 0:
+        if annotation in (SQUARE, CIRCLE) and order != 0:
             raise ChartError("squares and circles are infinite cyclic")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "annotation", annotation)
+        object.__setattr__(self, "order", order)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.label, self.annotation, self.order)
+                    == (other.label, other.annotation, other.order))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.annotation, self.order))
 
 
-@dataclass(frozen=True)
 class ChartEntry:
     """The generators of one degree; the dot orders, in entry order, must
     form the group's torsion chain (the order the document format keeps)."""
 
-    gens: tuple[Generator, ...]
-    exact: bool = True
+    __slots__ = ("gens", "exact")
 
-    def __post_init__(self):
+    def __init__(self, gens: tuple[Generator, ...], exact: bool = True):
         try:
-            FgAbelian(0, tuple(g.order for g in self.gens if g.annotation == DOT))
+            FgAbelian(0, tuple(g.order for g in gens if g.annotation == DOT))
         except ExactAlgebraError as e:
-            raise ChartError(f"dot orders of {[g.label for g in self.gens]}: {e}") from e
+            raise ChartError(f"dot orders of {[g.label for g in gens]}: {e}") from e
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "exact", exact)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gens, self.exact) == (other.gens, other.exact)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gens, self.exact))
 
     @property
     def group(self) -> FgAbelian:
@@ -142,14 +173,18 @@ class MapFamilies(Mapping):
         return len(self._builders)
 
 
-@dataclass
 class Chart:
     """Windowed chart.  Treated as immutable once built."""
 
-    name: str
-    window: Window
-    entries: dict[Degree, ChartEntry] = field(default_factory=dict)
-    maps: Mapping[str, dict[Degree, IntMatrix]] = field(default_factory=dict)
+    __slots__ = ("name", "window", "entries", "maps")
+
+    def __init__(self, name: str, window: Window,
+                 entries: dict[Degree, ChartEntry] | None = None,
+                 maps: Mapping[str, dict[Degree, IntMatrix]] | None = None):
+        self.name = name
+        self.window = window
+        self.entries = {} if entries is None else entries
+        self.maps = {} if maps is None else maps
 
     def entry(self, d: Degree) -> ChartEntry | None:
         return self.entries.get(d)

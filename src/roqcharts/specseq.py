@@ -45,11 +45,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup,
                        column_space_basis, has_nonzero_hom, lattice_contains,
-                       preimage_lattice)
+                       preimage_lattice, read_only)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE,
                       join_labels, power_label)
 
@@ -75,14 +74,17 @@ class CollapseError(SpecSeqError):
     filtration collision, or an unconfirmed vanishing band)."""
 
 
-@dataclass(frozen=True)
 class PageGenerator:
-    name: str
-    tridegree: TriDegree
-    invertible: bool = False
+    __slots__ = ("name", "tridegree", "invertible")
+
+    def __init__(self, name: str, tridegree: TriDegree, invertible: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "tridegree", tridegree)
+        object.__setattr__(self, "invertible", invertible)
+
+    __setattr__ = __delattr__ = read_only
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Alphabet with tridegrees.
 
@@ -93,10 +95,10 @@ class Presentation:
     fit, and anything else is rejected up front rather than looping.
     """
 
-    generators: tuple[PageGenerator, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        inv = [g for g in self.generators if g.invertible]
+    def __init__(self, generators: tuple[PageGenerator, ...]):
+        inv = [g for g in generators if g.invertible]
         if len(inv) > 1:
             raise PresentationError("at most one invertible generator is supported")
         for g in inv:
@@ -104,7 +106,7 @@ class Presentation:
             if s != 0 or t + b != 0 or s + t == 0:
                 raise PresentationError(
                     f"invertible generator {g.name} must have s = 0, t + b = 0, s + t != 0")
-        for g in self.generators:
+        for g in generators:
             if g.invertible:
                 continue
             s, t, b = g.tridegree
@@ -112,6 +114,9 @@ class Presentation:
                 raise PresentationError(
                     f"generator {g.name} breaks monomial finiteness (needs s <= 0, "
                     f"t + b >= 0, strictly one of them)")
+        object.__setattr__(self, "generators", generators)
+
+    __setattr__ = __delattr__ = read_only
 
     @property
     def invertible(self) -> PageGenerator | None:
@@ -142,7 +147,6 @@ class Presentation:
                            *(power_label(g.name, e) for e, g in zip(mono, self.generators)))
 
 
-@dataclass(frozen=True)
 class DifferentialRule:
     """d(source) = coeff * target, everything else a cycle.
 
@@ -150,9 +154,15 @@ class DifferentialRule:
     the differential shape (-r, r-1, 0); r is the round's page.
     """
 
-    source: tuple[tuple[str, int], ...]
-    coeff: int
-    target: tuple[tuple[str, int], ...]
+    __slots__ = ("source", "coeff", "target")
+
+    def __init__(self, source: tuple[tuple[str, int], ...], coeff: int,
+                 target: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "target", target)
+
+    __setattr__ = __delattr__ = read_only
 
     def source_dict(self) -> dict[str, int]:
         return dict(self.source)

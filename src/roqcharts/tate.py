@@ -20,7 +20,6 @@ else is reported up to extension and flagged on the entry.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, image_contains,
@@ -41,15 +40,17 @@ class NotPeriodicError(TatePipelineError):
     """Geometric fixed points need an a-periodic input chart."""
 
 
-@dataclass
 class TateSquareData:
     """The charts of the square; the homotopy orbits, which no other chart
     or check reads, are built on first access."""
-    hfp: Chart
-    tate: Chart
-    phi: Chart
-    genuine: Chart
-    loc_maps: dict[Degree, IntMatrix]
+
+    def __init__(self, hfp: Chart, tate: Chart, phi: Chart, genuine: Chart,
+                 loc_maps: dict[Degree, IntMatrix]):
+        self.hfp = hfp
+        self.tate = tate
+        self.phi = phi
+        self.genuine = genuine
+        self.loc_maps = loc_maps
 
     @cached_property
     def orbits(self) -> Chart:

@@ -12,10 +12,8 @@ chart checkers (gap and connectivity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
-                       map_is_iso, presented_homology)
+                       map_is_iso, presented_homology, read_only)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_order, hz_summands,
@@ -29,13 +27,19 @@ class TheoryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class TheorySeed:
-    name: str
-    presentation: Presentation
-    rules: tuple[DifferentialRule, ...]
-    connective: bool
-    map_monos: dict[str, dict[str, int]]
+    __slots__ = ("name", "presentation", "rules", "connective", "map_monos")
+
+    def __init__(self, name: str, presentation: Presentation,
+                 rules: tuple[DifferentialRule, ...], connective: bool,
+                 map_monos: dict[str, dict[str, int]]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "connective", connective)
+        object.__setattr__(self, "map_monos", map_monos)
+
+    __setattr__ = __delattr__ = read_only
 
     def label_of(self, mono, coeff: int) -> str:
         return _class_label(self.name, self.presentation, mono, coeff)
@@ -191,7 +195,6 @@ def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
     return presented_homology(_theta_matrix(p), _hz_orders(dst), into, orders)
 
 
-@dataclass(frozen=True)
 class BssClass:
     """One surviving class on a Bockstein floor.
 
@@ -201,10 +204,27 @@ class BssClass:
     and descriptor alone.
     """
 
-    floor: int
-    desc: tuple
-    index2: bool
-    order: int = field(repr=False)
+    __slots__ = ("floor", "desc", "index2", "order")
+
+    def __init__(self, floor: int, desc: tuple, index2: bool, order: int):
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "index2", index2)
+        object.__setattr__(self, "order", order)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __repr__(self):
+        return f"BssClass(floor={self.floor!r}, desc={self.desc!r}, index2={self.index2!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.floor, self.desc, self.index2, self.order)
+                    == (other.floor, other.desc, other.index2, other.order))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.floor, self.desc, self.index2, self.order))
 
     def label(self) -> str:
         base = hz_generator(self.desc).label
@@ -270,11 +290,13 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
     return table
 
 
-@dataclass
 class BocksteinResult:
-    chart: Chart
-    absorbed: list[tuple[Degree, BssClass]]
-    candidates: list
+    __slots__ = ("chart", "absorbed", "candidates")
+
+    def __init__(self, chart: Chart, absorbed: list[tuple[Degree, BssClass]], candidates: list):
+        self.chart = chart
+        self.absorbed = absorbed
+        self.candidates = candidates
 
 
 # the longest differential d_r searched among the Bockstein survivors
@@ -398,10 +420,14 @@ def sss_entry_einf(n: int, s: int) -> FgAbelian:
 # structural checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CheckReport:
-    passed: bool
-    violations: tuple[tuple[Degree, str], ...]
+    __slots__ = ("passed", "violations")
+
+    def __init__(self, passed: bool, violations: tuple[tuple[Degree, str], ...]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "violations", violations)
+
+    __setattr__ = __delattr__ = read_only
 
 
 def gap_check(chart: Chart) -> CheckReport:

@@ -1,0 +1,144 @@
+"""The record types: immutability, equality, defaults, constructor checks."""
+
+import itertools
+
+import pytest
+
+from roqcharts import tate
+from roqcharts.chartio import DiffReport
+from roqcharts.exactalg import (FgAbelian, IntComplex, IntMatrix, PresentedGroup,
+                                ShapeError, SmithForm)
+from roqcharts.grading import DOT, SQUARE, Chart, ChartEntry, ChartError, Generator, Window
+from roqcharts.specseq import (DifferentialRule, PageGenerator, Presentation,
+                               PresentationError)
+from roqcharts.theories import (BocksteinResult, BssClass, CheckReport, hz_seed,
+                                run_tate_pipeline)
+
+
+def _matrix():
+    return IntMatrix(2, 2, ((2, 0), (0, 3)))
+
+
+# one builder per record type that is immutable; each call builds a new
+# instance from equal fields
+FROZEN = {
+    "IntMatrix": _matrix,
+    "SmithForm": lambda: SmithForm(*(IntMatrix.identity(1),) * 4, 1),
+    "FgAbelian": lambda: FgAbelian(1, (2,)),
+    "PresentedGroup": lambda: PresentedGroup(2, _matrix(), (2, 3), _matrix(),
+                                             FgAbelian(0, (6,)), IntMatrix.identity(2)),
+    "IntComplex": lambda: IntComplex(0, (1, 1), (IntMatrix(1, 1, ((2,),)),)),
+    "Window": lambda: Window(-1, 2, -3, 4),
+    "Generator": lambda: Generator("a^2", DOT, 2),
+    "ChartEntry": lambda: ChartEntry((Generator("u", SQUARE), Generator("a", DOT, 2))),
+    "PageGenerator": lambda: PageGenerator("lam", (0, 1, -1), invertible=True),
+    "Presentation": lambda: Presentation((PageGenerator("a", (-1, 1, -1)),)),
+    "DifferentialRule": lambda: DifferentialRule((("lam", 1),), 2, (("a", 1),)),
+    "TheorySeed": hz_seed,
+    "BssClass": lambda: BssClass(1, ("usq", 0), True, 0),
+    "CheckReport": lambda: CheckReport(False, (((0, 0), "why"),)),
+}
+
+# the immutable types that the package or its tests compare or hash
+VALUES = ("IntMatrix", "FgAbelian", "PresentedGroup", "Window", "Generator",
+          "ChartEntry", "BssClass")
+
+
+def test_builders_cover_their_types():
+    for name, build in FROZEN.items():
+        assert type(build()).__name__ == name
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_fields_can_be_neither_set_nor_deleted(name):
+    record = FROZEN[name]()
+    fields = type(record).__slots__
+    assert fields
+    for field in fields + ("unknown",):
+        before = getattr(record, field, None)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field, None) is before
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equal_fields_make_equal_values(name):
+    a, b = FROZEN[name](), FROZEN[name]()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_one_field_apart_is_unequal():
+    assert IntMatrix(1, 1, ((1,),)) != IntMatrix(1, 1, ((2,),))
+    assert FgAbelian(1, (2,)) != FgAbelian(1, (4,))
+    assert Window(0, 1, 0, 1) != Window(0, 1, 0, 2)
+    assert Generator("x", SQUARE) != Generator("y", SQUARE)
+    assert ChartEntry((Generator("x", SQUARE),)) != ChartEntry((Generator("x", SQUARE),),
+                                                               exact=False)
+    assert BssClass(1, ("usq", 0), True, 0) != BssClass(1, ("usq", 0), True, 2)
+
+
+def test_records_of_different_types_never_compare_equal():
+    w = Window(0, 1, 0, 1)
+    records = [build() for build in FROZEN.values()] + [
+        Chart("c", w), DiffReport(), BocksteinResult(Chart("c", w), [], []),
+        # same field values, other types
+        Window(0, 2, 0, 3), (0, 2, 0, 3), IntMatrix(0, 2, ()), (0, 2, ()),
+        FgAbelian(0, ()), (0, ()), Generator("x", SQUARE), ("x", SQUARE, 0)]
+    for a, b in itertools.combinations(records, 2):
+        assert a != b and b != a and not a == b, (a, b)
+
+
+def test_bss_class_repr_leaves_out_the_order():
+    assert repr(BssClass(5, ("utow", 5, 11), False, 2)) == \
+        "BssClass(floor=5, desc=('utow', 5, 11), index2=False)"
+
+
+def test_constructor_defaults_and_keywords():
+    assert FgAbelian(rank=2).torsion == ()
+    assert Generator(label="x", annotation=SQUARE).order == 0
+    assert ChartEntry(gens=()).exact is True
+    assert IntComplex(bottom=0, dims=(1,)).diffs == ()
+    assert PageGenerator("a", (-1, 1, -1)).invertible is False
+    # defaults built per instance, never shared
+    w = Window.square(1)
+    c1, c2 = Chart("a", w), Chart("b", w)
+    assert c1.entries == {} and c1.maps == {}
+    assert c1.entries is not c2.entries and c1.maps is not c2.maps
+    r1, r2 = DiffReport(), DiffReport()
+    assert (r1.group_diffs, r1.label_diffs, r1.window_mismatch, r1.disjoint) == \
+        ([], [], False, None)
+    assert r1.group_diffs is not r2.group_diffs and r1.label_diffs is not r2.label_diffs
+
+
+def test_constructors_still_validate():
+    with pytest.raises(ShapeError, match="ragged"):
+        IntMatrix(2, 2, ((1, 0), (1,)))
+    with pytest.raises(ChartError, match="empty window"):
+        Window(1, 0, 0, 0)
+    with pytest.raises(ChartError, match="dots must carry torsion"):
+        Generator("x", "dot", 0)
+    lam = PageGenerator("lam", (0, 1, -1), invertible=True)
+    mu = PageGenerator("mu", (0, 3, -3), invertible=True)
+    with pytest.raises(PresentationError, match="at most one invertible"):
+        Presentation((lam, mu))
+
+
+def test_tate_square_orbits_are_built_once_on_first_access(monkeypatch):
+    calls = []
+    orbits = tate.homotopy_orbits
+
+    def counted(*args):
+        calls.append(args)
+        return orbits(*args)
+    monkeypatch.setattr(tate, "homotopy_orbits", counted)
+    data = run_tate_pipeline(hz_seed(), Window.square(2), padding=1)
+    assert calls == []
+    first = data.orbits
+    assert data.orbits is first
+    assert len(calls) == 1
+    assert calls[0][0] is data.hfp and calls[0][1] is data.tate

@@ -1,7 +1,5 @@
 """Seeds, the theta operation, the Bockstein run, slices, checkers."""
 
-from dataclasses import replace
-
 import pytest
 
 from roqcharts import theories
@@ -10,7 +8,7 @@ from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_k
                                hz_degree, hz_generator, hz_order, hz_summands)
 from roqcharts.chartio import diff
 from roqcharts.specseq import find_candidates
-from roqcharts.theories import (TheoryError, bss_floor_survivors,
+from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
                                 bss_to_sss, build_pages, connectivity_check,
                                 gap_check, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
@@ -71,7 +69,8 @@ def test_declared_maps_are_classes_of_the_last_page():
     assert list(run_hfpss(hz_seed(), Window.square(4)).maps) == ["a", "u", "U"]
     assert list(run_hfpss(kr_seed(), Window.square(4)).maps) == ["a", "vbar", "U"]
     seed = kr_seed()
-    broken = replace(seed, map_monos={**seed.map_monos, "u": {"lam": 2}})
+    broken = TheorySeed(seed.name, seed.presentation, seed.rules, seed.connective,
+                        {**seed.map_monos, "u": {"lam": 2}})
     with pytest.raises(TheoryError, match="structure maps u are not"):
         run_hfpss(broken, Window.square(4))
 
