@@ -17,17 +17,23 @@ their arguments: `smith_normal_form`, `preimage_lattice`,
 and `FgAbelian.zero`, and the constants `IntMatrix.zero`,
 `IntMatrix.identity`, `PresentedGroup.full_free` and `_rel_columns`.
 Equal inputs return one shared object; that is safe because every
-result is an immutable value: a slotted class over tuples whose fields
-are set once in the constructor and whose `__setattr__` and
-`__delattr__` raise `AttributeError` (`read_only`).
+result is an immutable value.  `IntMatrix`, the hottest of them (the
+page engine builds and hashes thousands of 1x1 matrices per chart), is a
+tuple subclass with empty slots: its fields are tuple items read by
+C-level getters, so building one is a single `tuple.__new__` and its
+hash is `tuple.__hash__`, with no Python frame on either path.  The other
+values are slotted classes over tuples whose fields are set once in the
+constructor.  On all of them `__setattr__` and `__delattr__` raise
+`AttributeError` (`read_only`).
 `cache_clear()` empties every memo for a cold start.
 """
 
 from __future__ import annotations
 
 import operator
+from _collections import _tuplegetter
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 
@@ -48,22 +54,42 @@ def read_only(self, name, *value):
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
+def unordered(self, other):
+    """The ordering comparisons of a value that has no order."""
+    raise TypeError(f"{type(self).__name__} values are not ordered")
+
+
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
 # ---------------------------------------------------------------------------
 # Dense integer matrices
 # ---------------------------------------------------------------------------
 
-class IntMatrix:
+class IntMatrix(tuple):
     """Dense integer matrix, row-major, immutable.
 
     A 0-row or 0-column matrix is legal and shows up constantly here
     (empty bases, maps from or to the zero group).  The public
     constructor checks the shape; results built from matrices that
     already passed it go through `_of`, which does not check again.
+
+    The value is the tuple (rows, cols, entries), read through C-level
+    field getters, so building one is a single `tuple.__new__` and
+    hashing it (every `lru_cache` lookup does) is `tuple.__hash__`,
+    with no Python frame either way.  It still equals only another
+    `IntMatrix`, never the plain tuple of its fields, and is unordered.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
+    _fields = ("rows", "cols", "entries")
+    # namedtuple's field getter: it reads the item directly, past the
+    # m[i, j] `__getitem__` below (an itemgetter property would call it)
+    rows = _tuplegetter(0, "Number of rows.")
+    cols = _tuplegetter(1, "Number of columns.")
+    entries = _tuplegetter(2, "The rows, each a tuple of cols ints.")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
         if len(entries) != rows:
@@ -71,29 +97,23 @@ class IntMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ShapeError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, (rows, cols, entries))
 
     __setattr__ = __delattr__ = read_only
 
+    # a plain tuple holding the same fields is another value: these win
+    # over the reflected tuple comparison, which would call them equal
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        return NotImplemented
+        return other.__class__ is IntMatrix and _tuple_eq(self, other)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+    def __ne__(self, other):
+        return other.__class__ is not IntMatrix or _tuple_ne(self, other)
 
-    @staticmethod
-    def _of(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """The matrix with these fields, which the caller guarantees are a
-        rows x cols tuple of int tuples."""
-        m = object.__new__(IntMatrix)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        return m
+    __lt__ = __le__ = __gt__ = __ge__ = unordered
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"IntMatrix{tuple.__repr__(self)}"
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntMatrix":
@@ -113,8 +133,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: list[list[int]], rows: int) -> "IntMatrix":
-        return IntMatrix._of(rows, len(cols),
-                             tuple(tuple(col[i] for col in cols) for i in range(rows)))
+        return IntMatrix._of((rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows))
 
     @staticmethod
     def block_diag(*mats: "IntMatrix") -> "IntMatrix":
@@ -125,7 +144,7 @@ class IntMatrix:
         for m in mats:
             rows.extend((0,) * off + row + (0,) * (cols - off - m.cols) for row in m.entries)
             off += m.cols
-        return IntMatrix._of(len(rows), cols, tuple(rows))
+        return IntMatrix._of((len(rows), cols, tuple(rows)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -135,35 +154,42 @@ class IntMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> list[int]:
-        return [self.entries[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.entries]
 
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        rows, inner, entries = self
+        if inner != other.rows:
+            raise ShapeError(f"cannot multiply {rows}x{inner} by {other.rows}x{other.cols}")
         cols = tuple(zip(*other.entries)) or ((),) * other.cols
-        return IntMatrix._of(self.rows, other.cols,
-                             tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
-                                   for row in self.entries))
+        return IntMatrix._of((rows, other.cols,
+                              tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
+                                     for row in entries])))
 
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        return [sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(map(operator.mul, row, vec)) for row in self.entries]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
+        rows, cols, entries = self
+        if rows != other.rows:
             raise ShapeError("hstack row mismatch")
         if not other.cols:
             return self
-        return IntMatrix._of(self.rows, self.cols + other.cols,
-                             tuple(map(operator.add, self.entries, other.entries)))
+        return IntMatrix._of((rows, cols + other.cols,
+                              tuple(map(operator.add, entries, other.entries))))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
+
+
+# `IntMatrix._of((rows, cols, entries))`: the matrix with these fields,
+# which the caller guarantees are a rows x cols tuple of int tuples; a
+# bare `tuple.__new__`, so neither the checks nor a Python frame run
+IntMatrix._of = partial(tuple.__new__, IntMatrix)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ worked out by a rule when asked, and its one live spot is evaluated
 directly (not through a state it shares with the representative) and
 checked against the representative's group.  The readout reuses the
 certificate's scan of the last page.
+
+For hz and kr every tridegree holds at most one monomial, so the spot
+path runs on 1x1 matrices and its kernels (`_d_of_cycles`, the
+`IntMatrix` products) are written as single passes for that traffic; the
+engine stays general, and multi-monomial presentations go through the
+same code.
 """
 
 from __future__ import annotations
@@ -209,10 +215,6 @@ def _add_tri(a: TriDegree, b: TriDegree) -> TriDegree:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def _sub_tri(a: TriDegree, b: TriDegree) -> TriDegree:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 class Page:
     """A spectral-sequence page for a presentation: E_1 (every monomial a
     free generator), or the homology of previous under rule.
@@ -235,7 +237,7 @@ class Page:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self.shape = 0
             self._solve_memo: dict[tuple[int, int, int], tuple] = {}
-            self._tables = _enumeration_tables(pres)
+            self._steps, self._inv, self._lt = _enumeration_tables(pres)
             self.period = 1 if pres.invertible else None
             self._class_step = None
             return
@@ -245,7 +247,7 @@ class Page:
                                     f"rounds must come in increasing shape")
         self.rounds = previous.rounds + (rule,)
         self._solve_memo = previous._solve_memo
-        self._tables = previous._tables
+        self._steps, self._inv, self._lt = previous._steps, previous._inv, previous._lt
         self._key = pres.mono(rule.source_dict())
         # what d does to a monomial's exponents: key off, image on
         self._step = tuple(y - x for x, y in zip(self._key, pres.mono(rule.target_dict())))
@@ -279,10 +281,9 @@ class Page:
         """The monomial basis at tri, sorted, built on each call: the
         non-invertible exponents come from `_solve(tri)`, the invertible
         generator's from the t they leave over."""
-        inv, lt = self._tables[1:]
-        if inv is None:
+        if self._inv is None:
             return tuple([head for _, head, _ in self._solve(tri)])
-        q = tri[1] // lt
+        q = tri[1] // self._lt
         return tuple([head + (q + e,) + tail for e, head, tail in self._solve(tri)])
 
     def _solve(self, tri: TriDegree) -> tuple[tuple[int, Mono, Mono], ...]:
@@ -293,13 +294,13 @@ class Page:
         so the choices are solved once per (s, t + b) and class of t mod
         lam's t (per tri without lam)."""
         s, t, b = tri
-        lt = self._tables[2]
+        lt = self._lt
         key = (s, t + b, t % lt) if lt else tri
         try:
             return self._solve_memo[key]
         except KeyError:
             pass
-        steps, inv, _ = self._tables
+        steps, inv = self._steps, self._inv
         # exponents chosen so far, each with the s and t+b residuals left
         # over and the t they make up
         partial = [((), s, t + b, 0)]
@@ -341,35 +342,43 @@ class Page:
         is zero.  On a monomial whose support exponent is q times the key,
         d is q (q mod 2 with odd parity) times the rule's image; d must be
         defined (the key must divide the exponent) on every monomial a
-        cycle involves, and every image must lie in dst_monos."""
-        i, key = self._support, self._key[self._support]
-        cols = st.cycles.cols
+        cycle involves, and every image must lie in dst_monos.  A missing
+        image is reported before an undefined live class.  One pass: d
+        moves distinct monomials to distinct ones, so each destination row
+        takes at most one image, and a zero cycle row adds none, though
+        its image is still looked up."""
+        i, key, step, parity, coeff = (self._support, self._key[self._support],
+                                       self._step, self._parity, self._coeff)
+        _, cols, entries = st.cycles
         out = [(0,) * cols] * len(dst_monos)
         undefined = []
-        for m, cyc in zip(src_monos, st.cycles.entries):
+        for m, cyc in zip(src_monos, entries):
             q, rem = divmod(m[i], key)
             if rem:
-                undefined.append((m, cyc))
+                if any(cyc):
+                    undefined.append((m, cyc))
                 continue
-            c = (q % 2 if self._parity else q) * self._coeff
+            c = (q % 2 if parity else q) * coeff
             if c == 0:
                 continue
-            mono = tuple(map(operator.add, m, self._step))
-            if mono not in dst_monos:
+            mono = tuple(map(operator.add, m, step))
+            try:
+                k = dst_monos.index(mono)
+            except ValueError:
                 raise DifferentialError(
                     f"image {self.pres.mono_str(mono)} missing from its tridegree "
-                    f"(enumeration bug)")
-            k = dst_monos.index(mono)
-            out[k] = tuple(x + c * y for x, y in zip(out[k], cyc))
-        for j in range(cols):
-            for m, cyc in undefined:
-                if cyc[j] != 0:
-                    raise DifferentialError(
-                        f"d undefined on live class involving "
-                        f"{self.pres.mono_str(m)} ({what})")
+                    f"(enumeration bug)") from None
+            if any(cyc):
+                out[k] = tuple([c * y for y in cyc])
+        if undefined:
+            # the first cycle column with an undefined entry, and in it the
+            # first monomial
+            m = min(undefined, key=lambda mc: next(j for j, y in enumerate(mc[1]) if y))[0]
+            raise DifferentialError(f"d undefined on live class involving "
+                                    f"{self.pres.mono_str(m)} ({what})")
         if not any(map(any, out)):
             return None
-        return IntMatrix._of(len(dst_monos), cols, tuple(out))
+        return IntMatrix._of((len(dst_monos), cols, tuple(out)))
 
     # -- state evaluation ------------------------------------------------------
 
@@ -394,10 +403,12 @@ class Page:
         monos = self.monomials_at(tri)
         if not monos:
             return PresentedGroup.full_free(0)
-        down, up = _sub_tri(tri, self._shift), _add_tri(tri, self._shift)
-        here = self.previous.state(tri)
-        below = self.previous.state(down)
-        above = self.previous.state(up)
+        (s, t, b), (ds, dt, _) = tri, self._shift  # a round never moves b
+        down, up = (s - ds, t - dt, b), (s + ds, t + dt, b)
+        previous = self.previous
+        here = previous.state(tri)
+        below = previous.state(down)
+        above = previous.state(up)
 
         # new cycles: x in cycles with d(x) a boundary upstairs
         imgs = self._d_of_cycles(here, monos, self.monomials_at(up), "cycle basis")
@@ -547,8 +558,9 @@ def find_candidates(page: Page, window: Window, scans: dict | None = None
         for tris in scan[1].values():
             for tri in tris:
                 g = page.state(tri).group
+                s, t, b = tri
                 for r in shapes:
-                    target = _add_tri(tri, (-r, r - 1, 0))
+                    target = (s - r, t + r - 1, b)
                     if not page._solve(target):
                         continue
                     h = page.state(target).group

@@ -1,6 +1,7 @@
 """The record types: immutability, equality, defaults, constructor checks."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -52,7 +53,8 @@ def test_builders_cover_their_types():
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_frozen_fields_can_be_neither_set_nor_deleted(name):
     record = FROZEN[name]()
-    fields = type(record).__slots__
+    # a tuple-backed type has empty slots and lists its fields in _fields
+    fields = type(record)._fields if isinstance(record, tuple) else type(record).__slots__
     assert fields
     for field in fields + ("unknown",):
         before = getattr(record, field, None)
@@ -91,6 +93,36 @@ def test_records_of_different_types_never_compare_equal():
         FgAbelian(0, ()), (0, ()), Generator("x", SQUARE), ("x", SQUARE, 0)]
     for a, b in itertools.combinations(records, 2):
         assert a != b and b != a and not a == b, (a, b)
+
+
+def test_int_matrix_hashes_and_builds_without_python_frames():
+    # IntMatrix is a tuple value: hashing it (every lru_cache lookup does)
+    # and building one with _of run no Python code, and the public
+    # constructor runs only its own shape checks
+    m = _matrix()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        hash(m)
+        hashed = calls[:]
+        IntMatrix._of((1, 1, ((5,),)))
+        built = calls[:]
+        IntMatrix(1, 1, ((5,),))
+    finally:
+        sys.setprofile(None)
+    assert hashed == [] and built == []
+    assert calls == ["__new__"]
+    assert hash(m) == hash((m.rows, m.cols, m.entries))
+    assert (m[0, 0], m[0, 1], m[1, 1]) == (2, 0, 3)
+    for other in (m, (2, 2, ((2, 0), (0, 3)))):
+        with pytest.raises(TypeError):
+            m < other
+        with pytest.raises(TypeError):
+            other >= m
 
 
 def test_bss_class_repr_leaves_out_the_order():

@@ -209,6 +209,36 @@ def test_undefined_class_is_refused():
             f"d undefined on live class involving {name} (cycle basis)"
 
 
+def test_missing_image_is_an_enumeration_bug():
+    # d(lam) = 2a on lam's own basis, handed a destination basis without a
+    page = Page(hz_pres()).turn(D1)
+    src = page.monomials_at((0, 1, -1))
+    with pytest.raises(DifferentialError) as err:
+        page._d_of_cycles(PresentedGroup.full_free(1), src, ((2, -1),), "cycle basis")
+    assert str(err.value) == "image a missing from its tridegree (enumeration bug)"
+    # a zero cycle row still has its image looked up
+    with pytest.raises(DifferentialError, match="enumeration bug"):
+        page._d_of_cycles(PresentedGroup.from_lattices(exactalg.IntMatrix.zero(1, 0),
+                                                       exactalg.IntMatrix.zero(1, 0)),
+                          src, (), "cycle basis")
+
+
+def test_missing_image_wins_over_undefined_class():
+    # kr's d(lam^2) = a^3 vb straight from E_1: lam is a live class d is
+    # undefined on, and lam^2's image a^3 vb is left out of the basis; the
+    # missing image is reported even though lam comes first
+    seed = kr_seed()
+    page = Page(seed.presentation).turn(seed.rules[1])
+    src = ((0, 0, 1), (0, 0, 2))
+    both = PresentedGroup.full_free(2)
+    with pytest.raises(DifferentialError) as err:
+        page._d_of_cycles(both, src, ((2, 1, 0),), "cycle basis")
+    assert str(err.value) == "image a^3 vb missing from its tridegree (enumeration bug)"
+    with pytest.raises(DifferentialError) as err:
+        page._d_of_cycles(both, src, ((3, 1, 0),), "cycle basis")
+    assert str(err.value) == "d undefined on live class involving lam (cycle basis)"
+
+
 def test_square_nonzero_rejected_with_witness():
     # d(lam) = a^3 vb lam^-1 has the legal r = 3 shape but fails d o d = 0
     pres = Presentation((PageGenerator("a", (-1, 1, -1)),
@@ -491,6 +521,24 @@ def test_chain_keeps_no_basis_table():
             for x, y in w.degrees():
                 tri = (s, x - s, y)
                 assert chain[-1].monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
+
+
+def test_tate_lane_bases_hold_at_most_one_monomial(monkeypatch):
+    # the traffic the page kernels are tuned for: over the union of the
+    # padded fixed-point windows of the radius-20 Tate jobs (the window
+    # moved by (d, -d), |d| <= 2), every basis hz and kr enumerate has at
+    # most one monomial.  The engine is general; this pins what it is fed
+    sizes = set()
+    solve = Page._solve
+
+    def spy(page, tri):
+        choices = solve(page, tri)
+        sizes.add(len(choices))
+        return choices
+    monkeypatch.setattr(Page, "_solve", spy)
+    for seed in (hz_seed(), kr_seed()):
+        run_hfpss(seed, Window(-26, 26, -30, 26))
+    assert max(sizes) == 1
 
 
 def test_hfpss_peak_memory_stays_under_ceiling():
