@@ -17,15 +17,19 @@ their arguments: `smith_normal_form`, `preimage_lattice`,
 and `FgAbelian.zero`, and the constants `IntMatrix.zero`,
 `IntMatrix.identity`, `PresentedGroup.full_free` and `_rel_columns`.
 Equal inputs return one shared object; that is safe because every
-result is an immutable value.  `IntMatrix`, the hottest of them (the
-page engine builds and hashes thousands of 1x1 matrices per chart), is a
-tuple subclass with empty slots: its fields are tuple items read by
-C-level getters, so building one is a single `tuple.__new__` and its
-hash is `tuple.__hash__`, with no Python frame on either path.  The other
-values are slotted classes over tuples whose fields are set once in the
-constructor.  On all of them `__setattr__` and `__delattr__` raise
-`AttributeError` (`read_only`).
-`cache_clear()` empties every memo for a cold start.
+result is an immutable value.  `cache_clear()` empties every memo for a
+cold start.
+
+Every immutable value of the package, here and in `grading`, `specseq`
+and `theories`, is a `Record`: a tuple subclass with empty slots whose
+fields are its items, named in `_fields` and read by C-level getters.
+A subclass keeps only its own constructor checks.  The tuple backing is
+for speed: the page engine builds and hashes thousands of 1x1
+`IntMatrix`es and `PresentedGroup`s per chart, mostly as `lru_cache`
+keys, and building a record is a single `tuple.__new__` and hashing it
+is `tuple.__hash__`, with no Python frame on either path.  Records
+compare by their fields, only with records of their own class, and are
+unordered; setting or deleting an attribute raises `AttributeError`.
 """
 
 from __future__ import annotations
@@ -49,45 +53,66 @@ class ShapeError(ExactAlgebraError):
     """Matrix dimensions do not match the requested operation."""
 
 
-def read_only(self, name, *value):
-    """`__setattr__` and `__delattr__` of the package's immutable values."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-def unordered(self, other):
-    """The ordering comparisons of a value that has no order."""
-    raise TypeError(f"{type(self).__name__} values are not ordered")
-
-
 _tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+class Record(tuple):
+    """An immutable value: the tuple of its fields, named in `_fields`.
+
+    A subclass declares `__slots__ = ()` and `_fields`, and a `__new__`
+    that checks its arguments and ends in `tuple.__new__(cls, fields)`;
+    each field gets namedtuple's C-level getter.  A record equals only a
+    record of its own class with equal fields, never the plain tuple of
+    its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Field {i}, {name}."))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    # a plain tuple holding the same fields is another value: these win
+    # over the reflected tuple comparison, which would call them equal
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or _tuple_ne(self, other)
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self))})"
 
 
 # ---------------------------------------------------------------------------
 # Dense integer matrices
 # ---------------------------------------------------------------------------
 
-class IntMatrix(tuple):
+class IntMatrix(Record):
     """Dense integer matrix, row-major, immutable.
 
     A 0-row or 0-column matrix is legal and shows up constantly here
     (empty bases, maps from or to the zero group).  The public
     constructor checks the shape; results built from matrices that
     already passed it go through `_of`, which does not check again.
-
-    The value is the tuple (rows, cols, entries), read through C-level
-    field getters, so building one is a single `tuple.__new__` and
-    hashing it (every `lru_cache` lookup does) is `tuple.__hash__`,
-    with no Python frame either way.  It still equals only another
-    `IntMatrix`, never the plain tuple of its fields, and is unordered.
+    `m[i, j]` is an entry; the field getters read past it.
     """
 
     __slots__ = ()
     _fields = ("rows", "cols", "entries")
-    # namedtuple's field getter: it reads the item directly, past the
-    # m[i, j] `__getitem__` below (an itemgetter property would call it)
-    rows = _tuplegetter(0, "Number of rows.")
-    cols = _tuplegetter(1, "Number of columns.")
-    entries = _tuplegetter(2, "The rows, each a tuple of cols ints.")
 
     def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
         if rows < 0 or cols < 0:
@@ -98,22 +123,6 @@ class IntMatrix(tuple):
             if len(row) != cols:
                 raise ShapeError("ragged rows")
         return tuple.__new__(cls, (rows, cols, entries))
-
-    __setattr__ = __delattr__ = read_only
-
-    # a plain tuple holding the same fields is another value: these win
-    # over the reflected tuple comparison, which would call them equal
-    def __eq__(self, other):
-        return other.__class__ is IntMatrix and _tuple_eq(self, other)
-
-    def __ne__(self, other):
-        return other.__class__ is not IntMatrix or _tuple_ne(self, other)
-
-    __lt__ = __le__ = __gt__ = __ge__ = unordered
-    __hash__ = tuple.__hash__
-
-    def __repr__(self) -> str:
-        return f"IntMatrix{tuple.__repr__(self)}"
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntMatrix":
@@ -196,24 +205,19 @@ IntMatrix._of = partial(tuple.__new__, IntMatrix)
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-class SmithForm:
+class SmithForm(Record):
     """left * matrix * right == diag, with left/right unimodular.
 
     left_inv is the exact inverse of left, tracked during the reduction
     so no separate inversion step is needed.
     """
 
-    __slots__ = ("diag", "left", "right", "left_inv", "rank")
+    __slots__ = ()
+    _fields = ("diag", "left", "right", "left_inv", "rank")
 
-    def __init__(self, diag: IntMatrix, left: IntMatrix, right: IntMatrix,
-                 left_inv: IntMatrix, rank: int):
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_inv", left_inv)
-        object.__setattr__(self, "rank", rank)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, diag: IntMatrix, left: IntMatrix, right: IntMatrix,
+                left_inv: IntMatrix, rank: int):
+        return tuple.__new__(cls, (diag, left, right, left_inv, rank))
 
     def diagonal(self) -> list[int]:
         n = min(self.diag.rows, self.diag.cols)
@@ -403,7 +407,7 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-class FgAbelian:
+class FgAbelian(Record):
     """Finitely generated abelian group in invariant-factor normal form.
 
     rank is the free rank; torsion is (d_1, ..., d_k) with d_1 | d_2 | ...
@@ -411,9 +415,10 @@ class FgAbelian:
     is isomorphism of groups.
     """
 
-    __slots__ = ("rank", "torsion")
+    __slots__ = ()
+    _fields = ("rank", "torsion")
 
-    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+    def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
         if rank < 0:
             raise ExactAlgebraError("negative rank")
         for a, b in zip(torsion, torsion[1:]):
@@ -421,18 +426,7 @@ class FgAbelian:
                 raise ExactAlgebraError(f"torsion {torsion} is not a divisibility chain")
         if any(d < 2 for d in torsion):
             raise ExactAlgebraError("torsion coefficients must be >= 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.torsion) == (other.rank, other.torsion)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.torsion))
+        return tuple.__new__(cls, (rank, torsion))
 
     @staticmethod
     def from_orders(orders: Iterable[int]) -> "FgAbelian":
@@ -512,7 +506,7 @@ def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
 # Presented subquotients of Z^n
 # ---------------------------------------------------------------------------
 
-class PresentedGroup:
+class PresentedGroup(Record):
     """A subquotient cycles/rels of an ambient Z^n with chosen generators.
 
     cycles columns span the numerator lattice and rels columns the
@@ -523,28 +517,12 @@ class PresentedGroup:
     infinite).  Equality compares both lattices, not only the group.
     """
 
-    __slots__ = ("ambient", "gens", "orders", "rels", "group", "cycles")
+    __slots__ = ()
+    _fields = ("ambient", "gens", "orders", "rels", "group", "cycles")
 
-    def __init__(self, ambient: int, gens: IntMatrix, orders: tuple[int, ...],
-                 rels: IntMatrix, group: FgAbelian, cycles: IntMatrix):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "rels", rels)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "cycles", cycles)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ambient, self.gens, self.orders, self.rels, self.group, self.cycles)
-                    == (other.ambient, other.gens, other.orders, other.rels, other.group,
-                        other.cycles))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient, self.gens, self.orders, self.rels, self.group, self.cycles))
+    def __new__(cls, ambient: int, gens: IntMatrix, orders: tuple[int, ...],
+                rels: IntMatrix, group: FgAbelian, cycles: IntMatrix):
+        return tuple.__new__(cls, (ambient, gens, orders, rels, group, cycles))
 
     @staticmethod
     @lru_cache(maxsize=250_000)
@@ -664,7 +642,7 @@ def image_contains(mat: IntMatrix, dst_orders: tuple[int, ...],
 # Chain complexes of free abelian groups
 # ---------------------------------------------------------------------------
 
-class IntComplex:
+class IntComplex(Record):
     """Bounded chain complex of free abelian groups.
 
     dims[i] is the rank of C_{bottom+i}; diffs[i] is the boundary map
@@ -672,9 +650,10 @@ class IntComplex:
     construction, always.
     """
 
-    __slots__ = ("bottom", "dims", "diffs")
+    __slots__ = ()
+    _fields = ("bottom", "dims", "diffs")
 
-    def __init__(self, bottom: int, dims: tuple[int, ...], diffs: tuple[IntMatrix, ...] = ()):
+    def __new__(cls, bottom: int, dims: tuple[int, ...], diffs: tuple[IntMatrix, ...] = ()):
         if len(diffs) != max(0, len(dims) - 1):
             raise ShapeError("number of differentials does not match dims")
         for i, d in enumerate(diffs):
@@ -685,11 +664,7 @@ class IntComplex:
             if not diffs[i].mul(diffs[i + 1]).is_zero():
                 raise ExactAlgebraError(f"d o d != 0 between degrees "
                                         f"{bottom + i + 2} and {bottom + i}")
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "diffs", diffs)
-
-    __setattr__ = __delattr__ = read_only
+        return tuple.__new__(cls, (bottom, dims, diffs))
 
     def dim(self, k: int) -> int:
         i = k - self.bottom

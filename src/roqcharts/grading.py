@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 from functools import partial
 
-from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix, read_only
+from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix, Record
 
 
 Degree = tuple[int, int]
@@ -40,27 +40,14 @@ class OutOfWindowError(ChartError):
     """A degree outside the chart window was queried where that matters."""
 
 
-class Window:
-    __slots__ = ("xmin", "xmax", "ymin", "ymax")
+class Window(Record):
+    __slots__ = ()
+    _fields = ("xmin", "xmax", "ymin", "ymax")
 
-    def __init__(self, xmin: int, xmax: int, ymin: int, ymax: int):
+    def __new__(cls, xmin: int, xmax: int, ymin: int, ymax: int):
         if xmin > xmax or ymin > ymax:
             raise ChartError("empty window")
-        object.__setattr__(self, "xmin", xmin)
-        object.__setattr__(self, "xmax", xmax)
-        object.__setattr__(self, "ymin", ymin)
-        object.__setattr__(self, "ymax", ymax)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.xmin, self.xmax, self.ymin, self.ymax)
-                    == (other.xmin, other.xmax, other.ymin, other.ymax))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.xmin, self.xmax, self.ymin, self.ymax))
+        return tuple.__new__(cls, (xmin, xmax, ymin, ymax))
 
     @staticmethod
     def square(radius: int) -> "Window":
@@ -83,61 +70,39 @@ class Window:
         return f"[{self.xmin}..{self.xmax}]x[{self.ymin}..{self.ymax}]"
 
 
-class Generator:
+class Generator(Record):
     """One named generator of a chart entry.
 
     order 0 means an infinite cyclic summand; a circle annotation marks a
     free generator that is twice the evident lattice element.
     """
 
-    __slots__ = ("label", "annotation", "order")
+    __slots__ = ()
+    _fields = ("label", "annotation", "order")
 
-    def __init__(self, label: str, annotation: str, order: int = 0):
+    def __new__(cls, label: str, annotation: str, order: int = 0):
         if annotation not in (SQUARE, CIRCLE, DOT):
             raise ChartError(f"unknown annotation {annotation!r}")
         if annotation == DOT and order == 0:
             raise ChartError("dots must carry torsion")
         if annotation in (SQUARE, CIRCLE) and order != 0:
             raise ChartError("squares and circles are infinite cyclic")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "annotation", annotation)
-        object.__setattr__(self, "order", order)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.label, self.annotation, self.order)
-                    == (other.label, other.annotation, other.order))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.annotation, self.order))
+        return tuple.__new__(cls, (label, annotation, order))
 
 
-class ChartEntry:
+class ChartEntry(Record):
     """The generators of one degree; the dot orders, in entry order, must
     form the group's torsion chain (the order the document format keeps)."""
 
-    __slots__ = ("gens", "exact")
+    __slots__ = ()
+    _fields = ("gens", "exact")
 
-    def __init__(self, gens: tuple[Generator, ...], exact: bool = True):
+    def __new__(cls, gens: tuple[Generator, ...], exact: bool = True):
         try:
             FgAbelian(0, tuple(g.order for g in gens if g.annotation == DOT))
         except ExactAlgebraError as e:
             raise ChartError(f"dot orders of {[g.label for g in gens]}: {e}") from e
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "exact", exact)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.gens, self.exact) == (other.gens, other.exact)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gens, self.exact))
+        return tuple.__new__(cls, (gens, exact))
 
     @property
     def group(self) -> FgAbelian:

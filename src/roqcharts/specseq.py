@@ -52,9 +52,9 @@ import math
 import operator
 from collections.abc import Callable
 
-from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup,
+from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup, Record,
                        column_space_basis, has_nonzero_hom, lattice_contains,
-                       preimage_lattice, read_only)
+                       preimage_lattice)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE,
                       join_labels, power_label)
 
@@ -80,18 +80,15 @@ class CollapseError(SpecSeqError):
     filtration collision, or an unconfirmed vanishing band)."""
 
 
-class PageGenerator:
-    __slots__ = ("name", "tridegree", "invertible")
+class PageGenerator(Record):
+    __slots__ = ()
+    _fields = ("name", "tridegree", "invertible")
 
-    def __init__(self, name: str, tridegree: TriDegree, invertible: bool = False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "tridegree", tridegree)
-        object.__setattr__(self, "invertible", invertible)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, name: str, tridegree: TriDegree, invertible: bool = False):
+        return tuple.__new__(cls, (name, tridegree, invertible))
 
 
-class Presentation:
+class Presentation(Record):
     """Alphabet with tridegrees.
 
     Enumeration of the monomials at a fixed tridegree must terminate, so
@@ -101,9 +98,10 @@ class Presentation:
     fit, and anything else is rejected up front rather than looping.
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ()
+    _fields = ("generators",)
 
-    def __init__(self, generators: tuple[PageGenerator, ...]):
+    def __new__(cls, generators: tuple[PageGenerator, ...]):
         inv = [g for g in generators if g.invertible]
         if len(inv) > 1:
             raise PresentationError("at most one invertible generator is supported")
@@ -120,9 +118,7 @@ class Presentation:
                 raise PresentationError(
                     f"generator {g.name} breaks monomial finiteness (needs s <= 0, "
                     f"t + b >= 0, strictly one of them)")
-        object.__setattr__(self, "generators", generators)
-
-    __setattr__ = __delattr__ = read_only
+        return tuple.__new__(cls, (generators,))
 
     @property
     def invertible(self) -> PageGenerator | None:
@@ -153,22 +149,19 @@ class Presentation:
                            *(power_label(g.name, e) for e, g in zip(mono, self.generators)))
 
 
-class DifferentialRule:
+class DifferentialRule(Record):
     """d(source) = coeff * target, everything else a cycle.
 
     The tridegree shift is inferred from source and target and must have
     the differential shape (-r, r-1, 0); r is the round's page.
     """
 
-    __slots__ = ("source", "coeff", "target")
+    __slots__ = ()
+    _fields = ("source", "coeff", "target")
 
-    def __init__(self, source: tuple[tuple[str, int], ...], coeff: int,
-                 target: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "target", target)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, source: tuple[tuple[str, int], ...], coeff: int,
+                target: tuple[tuple[str, int], ...]):
+        return tuple.__new__(cls, (source, coeff, target))
 
     def source_dict(self) -> dict[str, int]:
         return dict(self.source)

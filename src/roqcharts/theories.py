@@ -12,8 +12,8 @@ chart checkers (gap and connectivity).
 
 from __future__ import annotations
 
-from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom,
-                       map_is_iso, presented_homology, read_only)
+from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, Record,
+                       has_nonzero_hom, map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_order, hz_summands,
@@ -27,19 +27,14 @@ class TheoryError(Exception):
     pass
 
 
-class TheorySeed:
-    __slots__ = ("name", "presentation", "rules", "connective", "map_monos")
+class TheorySeed(Record):
+    __slots__ = ()
+    _fields = ("name", "presentation", "rules", "connective", "map_monos")
 
-    def __init__(self, name: str, presentation: Presentation,
-                 rules: tuple[DifferentialRule, ...], connective: bool,
-                 map_monos: dict[str, dict[str, int]]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "connective", connective)
-        object.__setattr__(self, "map_monos", map_monos)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, name: str, presentation: Presentation,
+                rules: tuple[DifferentialRule, ...], connective: bool,
+                map_monos: dict[str, dict[str, int]]):
+        return tuple.__new__(cls, (name, presentation, rules, connective, map_monos))
 
     def label_of(self, mono, coeff: int) -> str:
         return _class_label(self.name, self.presentation, mono, coeff)
@@ -195,7 +190,7 @@ def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
     return presented_homology(_theta_matrix(p), _hz_orders(dst), into, orders)
 
 
-class BssClass:
+class BssClass(Record):
     """One surviving class on a Bockstein floor.
 
     index2 marks the infinite cyclic classes surviving as twice the
@@ -204,27 +199,14 @@ class BssClass:
     and descriptor alone.
     """
 
-    __slots__ = ("floor", "desc", "index2", "order")
+    __slots__ = ()
+    _fields = ("floor", "desc", "index2", "order")
 
-    def __init__(self, floor: int, desc: tuple, index2: bool, order: int):
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "index2", index2)
-        object.__setattr__(self, "order", order)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, floor: int, desc: tuple, index2: bool, order: int):
+        return tuple.__new__(cls, (floor, desc, index2, order))
 
     def __repr__(self):
         return f"BssClass(floor={self.floor!r}, desc={self.desc!r}, index2={self.index2!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.floor, self.desc, self.index2, self.order)
-                    == (other.floor, other.desc, other.index2, other.order))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.floor, self.desc, self.index2, self.order))
 
     def label(self) -> str:
         base = hz_generator(self.desc).label
@@ -420,14 +402,12 @@ def sss_entry_einf(n: int, s: int) -> FgAbelian:
 # structural checkers
 # ---------------------------------------------------------------------------
 
-class CheckReport:
-    __slots__ = ("passed", "violations")
+class CheckReport(Record):
+    __slots__ = ()
+    _fields = ("passed", "violations")
 
-    def __init__(self, passed: bool, violations: tuple[tuple[Degree, str], ...]):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "violations", violations)
-
-    __setattr__ = __delattr__ = read_only
+    def __new__(cls, passed: bool, violations: tuple[tuple[Degree, str], ...]):
+        return tuple.__new__(cls, (passed, violations))
 
 
 def gap_check(chart: Chart) -> CheckReport:

@@ -39,6 +39,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (code, out, err) == (0, "[]\n", "")
 
 
+def test_benchmark_tracer_finds_every_target():
+    # the benchmark wraps package functions by name and reads 0 for any
+    # it cannot find; a refactor that renames one must fail here instead
+    code, out, err = run_child(
+        "-c", "import sys; from roqcharts import cli; "
+        f"sys.path.insert(0, {str(HERE.parent / 'perfbench')!r}); "
+        "from tracer import Tracer; print(Tracer().install().missing)")
+    assert (code, out, err) == (0, "[]\n", "")
+
+
 def test_invalid_pipeline_combination_is_usage_error():
     code, _, err = run_cli("compute", "--theory", "hz",
                            "--pipeline", "bockstein", "--window=-2..2")

@@ -1,14 +1,17 @@
 """The record types: immutability, equality, defaults, constructor checks."""
 
+import importlib
 import itertools
+import pkgutil
 import sys
 
 import pytest
 
+import roqcharts
 from roqcharts import tate
 from roqcharts.chartio import DiffReport
 from roqcharts.exactalg import (FgAbelian, IntComplex, IntMatrix, PresentedGroup,
-                                ShapeError, SmithForm)
+                                Record, ShapeError, SmithForm)
 from roqcharts.grading import DOT, SQUARE, Chart, ChartEntry, ChartError, Generator, Window
 from roqcharts.specseq import (DifferentialRule, PageGenerator, Presentation,
                                PresentationError)
@@ -20,8 +23,8 @@ def _matrix():
     return IntMatrix(2, 2, ((2, 0), (0, 3)))
 
 
-# one builder per record type that is immutable; each call builds a new
-# instance from equal fields
+# one builder per record type; each call builds a new instance from
+# equal fields
 FROZEN = {
     "IntMatrix": _matrix,
     "SmithForm": lambda: SmithForm(*(IntMatrix.identity(1),) * 4, 1),
@@ -40,22 +43,25 @@ FROZEN = {
     "CheckReport": lambda: CheckReport(False, (((0, 0), "why"),)),
 }
 
-# the immutable types that the package or its tests compare or hash
-VALUES = ("IntMatrix", "FgAbelian", "PresentedGroup", "Window", "Generator",
-          "ChartEntry", "BssClass")
+# every record type; a new one without a builder above fails here
+RECORDS = sorted(cls.__name__ for cls in Record.__subclasses__())
+# a TheorySeed holds a dict (map_monos), so it has no hash
+HASHABLE = [name for name in RECORDS if name != "TheorySeed"]
 
 
 def test_builders_cover_their_types():
+    assert sorted(FROZEN) == RECORDS
     for name, build in FROZEN.items():
         assert type(build()).__name__ == name
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("name", RECORDS)
 def test_frozen_fields_can_be_neither_set_nor_deleted(name):
     record = FROZEN[name]()
-    # a tuple-backed type has empty slots and lists its fields in _fields
-    fields = type(record)._fields if isinstance(record, tuple) else type(record).__slots__
-    assert fields
+    fields = type(record)._fields
+    assert fields and len(record) == len(fields)
+    # a subclass that forgets __slots__ = () gets a __dict__
+    assert not hasattr(record, "__dict__")
     for field in fields + ("unknown",):
         before = getattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -65,13 +71,21 @@ def test_frozen_fields_can_be_neither_set_nor_deleted(name):
         assert getattr(record, field, None) is before
 
 
-@pytest.mark.parametrize("name", VALUES)
+@pytest.mark.parametrize("name", HASHABLE)
 def test_equal_fields_make_equal_values(name):
     a, b = FROZEN[name](), FROZEN[name]()
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_theory_seed_compares_by_fields_but_has_no_hash():
+    a, b = hz_seed(), hz_seed()
+    assert a is not b and a.map_monos is not b.map_monos
+    assert a == b and not a != b
+    with pytest.raises(TypeError, match="dict"):
+        hash(a)
 
 
 def test_one_field_apart_is_unequal():
@@ -95,11 +109,8 @@ def test_records_of_different_types_never_compare_equal():
         assert a != b and b != a and not a == b, (a, b)
 
 
-def test_int_matrix_hashes_and_builds_without_python_frames():
-    # IntMatrix is a tuple value: hashing it (every lru_cache lookup does)
-    # and building one with _of run no Python code, and the public
-    # constructor runs only its own shape checks
-    m = _matrix()
+def _profiled_calls(action, *args):
+    """The names of the Python frames that action(*args) runs."""
     calls = []
 
     def profile(frame, event, arg):
@@ -107,15 +118,20 @@ def test_int_matrix_hashes_and_builds_without_python_frames():
             calls.append(frame.f_code.co_name)
     sys.setprofile(profile)
     try:
-        hash(m)
-        hashed = calls[:]
-        IntMatrix._of((1, 1, ((5,),)))
-        built = calls[:]
-        IntMatrix(1, 1, ((5,),))
+        action(*args)
     finally:
         sys.setprofile(None)
-    assert hashed == [] and built == []
-    assert calls == ["__new__"]
+    return calls
+
+
+def test_int_matrix_hashes_and_builds_without_python_frames():
+    # IntMatrix is a tuple value: hashing it (every lru_cache lookup does)
+    # and building one with _of run no Python code, and the public
+    # constructor runs only its own shape checks
+    m = _matrix()
+    assert _profiled_calls(hash, m) == []
+    assert _profiled_calls(IntMatrix._of, (1, 1, ((5,),))) == []
+    assert _profiled_calls(IntMatrix, 1, 1, ((5,),)) == ["__new__"]
     assert hash(m) == hash((m.rows, m.cols, m.entries))
     assert (m[0, 0], m[0, 1], m[1, 1]) == (2, 0, 3)
     for other in (m, (2, 2, ((2, 0), (0, 3)))):
@@ -125,9 +141,43 @@ def test_int_matrix_hashes_and_builds_without_python_frames():
             other >= m
 
 
+@pytest.mark.parametrize("name", HASHABLE)
+def test_record_hashes_without_python_frames(name):
+    # every lru_cache lookup keyed on a record hashes it
+    record = FROZEN[name]()
+    assert _profiled_calls(hash, record) == []
+    assert hash(record) == hash(tuple(record))
+
+
+def test_only_the_base_defines_value_semantics():
+    # one definition site: no record type, and no other class of the
+    # package, spells out immutability, equality, hashing or order again
+    own = {"__eq__", "__ne__", "__hash__", "__setattr__", "__delattr__",
+           "__lt__", "__le__", "__gt__", "__ge__", "__repr__"}
+    allowed = {("BssClass", "__repr__")}
+    records = set()
+    for info in pkgutil.iter_modules(roqcharts.__path__):
+        module = importlib.import_module(f"roqcharts.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__ \
+                    or cls is Record:
+                continue
+            assert {(cls.__name__, name) for name in own & set(vars(cls))} <= allowed
+            if issubclass(cls, Record):
+                records.add(cls.__name__)
+                assert vars(cls)["__slots__"] == () and "_fields" in vars(cls)
+    assert sorted(records) == RECORDS
+
+
 def test_bss_class_repr_leaves_out_the_order():
     assert repr(BssClass(5, ("utow", 5, 11), False, 2)) == \
         "BssClass(floor=5, desc=('utow', 5, 11), index2=False)"
+
+
+def test_record_repr_lists_the_fields():
+    assert repr(Window(-1, 2, -3, 4)) == "Window(-1, 2, -3, 4)"
+    assert repr(FROZEN["Presentation"]()) == \
+        "Presentation((PageGenerator('a', (-1, 1, -1), False),))"
 
 
 def test_constructor_defaults_and_keywords():
