@@ -2,7 +2,8 @@
 
 Smith normal form with unimodular transforms, integer lattice utilities
 (solve / kernel / preimage / column space), finitely generated abelian
-groups in invariant-factor normal form, and presented subquotients with
+groups in invariant-factor normal form, whose invariant factors are
+always read off a Smith form's diagonal, and presented subquotients with
 the maps induced on them: kernels, cokernels and the homology of a pair
 of composable maps, which also gives the homology of bounded chain
 complexes of free abelian groups.
@@ -466,25 +467,12 @@ class FgAbelian(Record):
 
 @lru_cache(maxsize=4096)
 def _normal_form(orders: tuple[int, ...]) -> FgAbelian:
-    """`FgAbelian.from_orders`, keyed on the orders tuple."""
-    rank = sum(1 for d in orders if d == 0)
-    primes: dict[int, list[int]] = {}
-    for d in orders:
-        if d in (0, 1):
-            continue
-        for p, e in _factorint(abs(d)).items():
-            primes.setdefault(p, []).append(e)
-    length = max((len(v) for v in primes.values()), default=0)
-    factors = []
-    for i in range(length):
-        f = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        factors.append(f)
-    # factors currently largest-first; the chain wants smallest-first
-    return FgAbelian(rank, tuple(reversed(factors)))
+    """`FgAbelian.from_orders`, keyed on the orders tuple: the invariant
+    factors are the Smith form's diagonal of the diagonal matrix of orders."""
+    n = len(orders)
+    diag = smith_normal_form(IntMatrix.from_rows(
+        [[d if i == j else 0 for j in range(n)] for i, d in enumerate(orders)])).diagonal()
+    return FgAbelian(diag.count(0), tuple(d for d in diag if d > 1))
 
 
 def has_nonzero_hom(src: FgAbelian, dst: FgAbelian) -> bool:
@@ -549,7 +537,7 @@ class PresentedGroup(Record):
             gens_cols.append(cycles.apply(snf.left_inv.column(i)))
             orders.append(di if i < snf.rank else 0)
         gens = IntMatrix.from_columns(gens_cols, ambient)
-        group = FgAbelian.from_orders(orders)
+        group = FgAbelian(orders.count(0), tuple(o for o in orders if o))
         return PresentedGroup(ambient, gens, tuple(orders), bounds, group, cycles)
 
     @staticmethod

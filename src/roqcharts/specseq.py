@@ -218,7 +218,10 @@ class Page:
     power of one generator is rejected here, at turn time.  period is
     the lam-period of the rounds (1 on E_1; None without an invertible
     generator or after a round that never repeats in the lam exponent),
-    by which `state` shares states between translates.
+    by which `state` shares states between translates.  A state is the
+    homology of previous's states under the round; the previous state at
+    the target of d_r is fetched only where d_r of the cycles is nonzero,
+    and the one at the source below only where its basis is nonempty.
     """
 
     def __init__(self, pres: Presentation, previous: Page | None = None,
@@ -400,22 +403,21 @@ class Page:
         down, up = (s - ds, t - dt, b), (s + ds, t + dt, b)
         previous = self.previous
         here = previous.state(tri)
-        below = previous.state(down)
-        above = previous.state(up)
 
         # new cycles: x in cycles with d(x) a boundary upstairs
         imgs = self._d_of_cycles(here, monos, self.monomials_at(up), "cycle basis")
         if imgs is None:
             new_cycles = here.cycles
         else:
-            new_cycles = here.cycles.mul(preimage_lattice(imgs, above.rels))
+            new_cycles = here.cycles.mul(preimage_lattice(imgs, previous.state(up).rels))
 
         # new boundaries: old ones plus images of cycles downstairs
         pieces = here.rels
         grew = False
         below_monos = self.monomials_at(down)
         if below_monos:
-            incoming = self._d_of_cycles(below, below_monos, monos, "incoming cycle basis")
+            incoming = self._d_of_cycles(previous.state(down), below_monos, monos,
+                                         "incoming cycle basis")
             if incoming is not None:
                 pieces = pieces.hstack(incoming)
                 grew = True

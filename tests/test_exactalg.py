@@ -224,6 +224,37 @@ def test_normal_form_idempotent(orders):
     assert g == again
 
 
+def regrouped_normal_form(orders):
+    """The invariant-factor form by primary decomposition: split each
+    order into prime powers, then multiply the largest power of every
+    prime into the last factor, the next largest into the one before, and
+    so on.  A route independent of the Smith form."""
+    powers: dict[int, list[int]] = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d, e = d // p, e + 1
+            if e:
+                powers.setdefault(p, []).append(p ** e)
+            p += 1
+    factors = []
+    for i in range(max(map(len, powers.values()), default=0)):
+        f = 1
+        for qs in powers.values():
+            qs = sorted(qs, reverse=True)
+            f *= qs[i] if i < len(qs) else 1
+        factors.append(f)
+    return FgAbelian(orders.count(0), tuple(reversed(factors)))
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 18, 36, 60]), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_against_prime_power_regrouping(orders):
+    assert FgAbelian.from_orders(orders) == regrouped_normal_form(orders)
+
+
 def test_normal_form_recombination():
     assert FgAbelian.from_orders([2, 3]) == FgAbelian.cyclic(6)
     assert FgAbelian.from_orders([2, 4]) == FgAbelian(0, (2, 4))

@@ -393,6 +393,32 @@ def _shift(tri, k, p):
     return (tri[0], tri[1] + k * p, tri[2] - k * p)
 
 
+def test_evaluation_fetches_only_the_states_the_round_reads(monkeypatch):
+    # on hz E_2, d_1 moves (s, t, b) to (s - 1, t, b); d_1(lam^j) is
+    # 2 a lam^(j-1) for odd j and 0 for even j, and no monomial has s > 0,
+    # so none lies below lam^j.  So lam^2 needs no neighbour, lam^3 only
+    # its target, a lam^2 only its source and a lam both.  The states are
+    # those an evaluation that fetches both neighbours everywhere gives
+    M = exactalg.IntMatrix.from_rows
+    none, one = exactalg.IntMatrix.zero(1, 0), M([[1]])
+    cases = [((0, 2, -2), [], (one, none)),
+             ((0, 3, -3), [(-1, 3, -3)], (none, none)),
+             ((-1, 3, -3), [(0, 3, -3)], (one, M([[2]]))),
+             ((-1, 2, -2), [(-2, 2, -2), (0, 2, -2)], (none, none))]
+    for tri, neighbours, (cycles, bounds) in cases:
+        e1 = Page(hz_pres())
+        asked = []
+
+        def spy(t, e1=e1):
+            asked.append(t)
+            return Page.state(e1, t)
+
+        monkeypatch.setattr(e1, "state", spy)
+        state = e1.turn(D1).state(tri)
+        assert asked == [tri] + neighbours, tri
+        assert state == PresentedGroup.from_lattices(cycles, bounds), tri
+
+
 def test_periodic_lookup_matches_direct_evaluation():
     # the premise of the orbit search: lam^p moves every spot state to an
     # isomorphic one, also far below the antidiagonal

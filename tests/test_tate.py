@@ -1,12 +1,13 @@
 """The Tate square: localization, orbits, fixed points, assembly."""
 
 import functools
+import re
 
 import pytest
 
 from roqcharts.exactalg import (FgAbelian, IntMatrix, presented_cokernel,
                                 presented_kernel)
-from roqcharts.grading import (Chart, ChartEntry, Generator, Window, SQUARE,
+from roqcharts.grading import (Chart, ChartEntry, Generator, Window, DOT, SQUARE,
                                mult_map)
 from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareData,
                             assemble_genuine, geometric_fixed_points_with_maps,
@@ -52,14 +53,18 @@ def test_invert_a_is_a_periodic_and_idempotent():
 
 
 def test_invert_a_instability_error():
-    # a column of Z's with multiplication by 2 never stabilizes
     w = Window(0, 0, -3, 0)
-    entries = {(0, y): ChartEntry((Generator("g", SQUARE, 0),))
-               for y in range(-3, 1)}
-    amaps = {(0, y): IntMatrix.from_rows([[2]]) for y in range(-2, 1)}
-    chart = Chart(name="bad", window=w, entries=entries, maps={"a": amaps})
-    with pytest.raises(StabilizationError):
-        invert_a_with_maps(chart)
+    message = re.escape(f"a-column at x = 0 does not stabilize at the bottom of {w} "
+                        f"(map out of (0, -2) is not an isomorphism)")
+    # a column of Z's with multiplication by 2 never stabilizes; nor does
+    # Z/2 under Z's with a the reduction mod 2 (the bottom groups differ)
+    z = Generator("g", SQUARE, 0)
+    for bottom, a in ((z, 2), (Generator("g", DOT, 2), 1)):
+        entries = {(0, y): ChartEntry((bottom if y == -3 else z,)) for y in range(-3, 1)}
+        amaps = {(0, y): IntMatrix.from_rows([[a]]) for y in range(-2, 1)}
+        chart = Chart(name="bad", window=w, entries=entries, maps={"a": amaps})
+        with pytest.raises(StabilizationError, match=message):
+            invert_a_with_maps(chart)
 
 
 def test_localization_maps_hit_the_colimit():
