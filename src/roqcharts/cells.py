@@ -34,19 +34,21 @@ def sphere_complex(n: int, variance: str) -> IntComplex:
     if n == 0:
         return IntComplex(bottom=0, dims=(1,), diffs=())
 
+    # the 1x1 attaching maps, built without the shape check
+    one, two, zero = [IntMatrix._of((1, 1, ((e,),))) for e in (1, 2, 0)]
     if variance == HOMOLOGICAL:
-        # boundary C_k -> C_{k-1}: ind = 2 for k = 1, then 1 - (-1)^k weyl
+        # boundary C_k -> C_{k-1}: ind = 2 for k = 1, then 1 - (-1)^k weyl,
+        # that is 2, 0, 2, 0, ...
         bottom = 0
-        entries = [2 if k % 2 else 0 for k in range(1, n + 1)]
+        diffs = ((two, zero) * n)[:n]
     else:
         # cochains encoded as a chain complex in degrees -n..0 with
         # C_{-k} the k-cochains, so homology at -k is H^k; the map
-        # C^k -> C^{k+1} is res = 1 for k = 0, then 1 + (-1)^k weyl
+        # C^k -> C^{k+1} is res = 1 for k = 0, then 1 + (-1)^k weyl,
+        # that is 1, 0, 2, 0, 2, ..., listed from the top degree down
         bottom = -n
-        entries = [1] + [0 if k % 2 else 2 for k in range(1, n)]
-        entries.reverse()
-    return IntComplex(bottom=bottom, dims=(1,) * (n + 1),
-                      diffs=tuple(IntMatrix.from_rows([[e]]) for e in entries))
+        diffs = ((one,) + (zero, two) * n)[n - 1::-1]
+    return IntComplex(bottom=bottom, dims=(1,) * (n + 1), diffs=diffs)
 
 
 def bredon_row(b: int) -> dict[Degree, FgAbelian]:

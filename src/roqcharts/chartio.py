@@ -1,9 +1,20 @@
 """Serialization, parsing, rendering and diffing of charts.
 
 The chart document format is line-based, versioned, and canonical:
-serializing any chart and parsing it back is the identity, and parsing
+serializing a chart and parsing it back is the identity, and parsing
 a canonical document and serializing it again reproduces it byte for
-byte.
+byte.  An entry record reads
+
+    entry: x y | rank r torsion t1,t2,... | label:annotation; ... [| inexact]
+
+where r counts the squares and circles and the torsion field ("-" when
+empty) is the entry's dot orders in entry order, which `ChartEntry`
+checks form the invariant-factor chain, so the field is the entry's
+group.  A chart name is one line; a label is any string with no line
+break, "; " or " | " (colons are fine), and only the first label of an
+entry may start with "| ".  Rather than write a document that `parse`
+rejects, `serialize` refuses a chart that breaks these rules or has an
+entry with no generators or outside its window.
 """
 
 from __future__ import annotations
@@ -27,21 +38,55 @@ class ChartParseError(Exception):
 
 def serialize(chart: Chart) -> str:
     """Canonical text form: header, then one record per nonzero degree,
-    sorted by x and then y."""
-    lines = [CHART_MAGIC,
-             f"name: {chart.name}",
-             f"window: {chart.window.xmin} {chart.window.xmax} "
-             f"{chart.window.ymin} {chart.window.ymax}"]
-    for d in sorted(chart.entries):
-        e = chart.entries[d]
-        g = e.group
-        torsion = ",".join(str(t) for t in g.torsion) if g.torsion else "-"
-        gens = "; ".join(f"{gen.label}:{gen.annotation}" for gen in e.gens)
-        rec = f"entry: {d[0]} {d[1]} | rank {g.rank} torsion {torsion} | {gens}"
+    sorted by x and then y, each group field read off the entry's own
+    generators.  A chart that breaks the rules in the module docstring
+    raises ChartError naming the degree, name or label at fault."""
+    w = chart.window
+    xmin, xmax, ymin, ymax = w
+    if _breaks_line(chart.name):
+        raise ChartError(f"chart name {chart.name!r} has a line break")
+    lines = [CHART_MAGIC, f"name: {chart.name}", f"window: {xmin} {xmax} {ymin} {ymax}"]
+    entries = chart.entries
+    for d in sorted(entries):
+        x, y = d
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
+            raise ChartError(f"entry at {d} outside window {w}")
+        e = entries[d]
+        chunks = []
+        torsion = []
+        for label, annotation, order in e.gens:
+            chunks.append(f"{label}:{annotation}")
+            if annotation == DOT:
+                torsion.append(str(order))
+        gens = "; ".join(chunks)
+        # a label's "; " adds a separator, its " | " ends the field and its
+        # line break the record; no generators at all leave an empty field
+        if " | " in gens or gens.count("; ") >= len(chunks) or len(gens.splitlines()) > 1:
+            raise _unwritable(d, e)
+        rec = (f"entry: {x} {y} | rank {len(chunks) - len(torsion)} "
+               f"torsion {','.join(torsion) or '-'} | {gens}")
         if not e.exact:
             rec += " | inexact"
         lines.append(rec)
     return "\n".join(lines) + "\n"
+
+
+def _unwritable(d: Degree, entry: ChartEntry) -> ChartError:
+    """The error naming what in the entry at d `parse` could not read back."""
+    if not entry.gens:
+        return ChartError(f"entry at {d} has no generators")
+    for i, g in enumerate(entry.gens):
+        label = g.label
+        if _breaks_line(label) or "; " in label or " | " in label \
+                or (i and label.startswith("| ")):
+            return ChartError(f"label {label!r} at {d} cannot be written: a label "
+                              "has no line break, '; ' or ' | ', and only the "
+                              "first may start with '| '")
+    return ChartError(f"entry at {d} would not parse back")
+
+
+def _breaks_line(s: str) -> bool:
+    return len(f"{s}.".splitlines()) > 1
 
 
 def parse(text: str) -> Chart:

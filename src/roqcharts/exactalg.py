@@ -129,7 +129,7 @@ class IntMatrix(Record):
     def from_rows(rows: list[list[int]]) -> "IntMatrix":
         r = len(rows)
         c = len(rows[0]) if rows else 0
-        return IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(r, c, tuple(tuple(map(int, row)) for row in rows))
 
     @staticmethod
     @lru_cache(maxsize=1024)

@@ -92,16 +92,27 @@ class Generator(Record):
 
 class ChartEntry(Record):
     """The generators of one degree; the dot orders, in entry order, must
-    form the group's torsion chain (the order the document format keeps)."""
+    form the group's torsion chain (the order the document format keeps).
+
+    The check is `FgAbelian`'s, made one dot at a time: each order is at
+    least 2 and a multiple of the one before.  A valid entry builds no
+    group; only a dot that fails builds `FgAbelian(0, dots)`, whose error
+    the `ChartError` carries."""
 
     __slots__ = ()
     _fields = ("gens", "exact")
 
     def __new__(cls, gens: tuple[Generator, ...], exact: bool = True):
-        try:
-            FgAbelian(0, tuple(g.order for g in gens if g.annotation == DOT))
-        except ExactAlgebraError as e:
-            raise ChartError(f"dot orders of {[g.label for g in gens]}: {e}") from e
+        prev = 1
+        for g in gens:
+            if g.annotation == DOT:
+                order = g.order
+                if order < 2 or order % prev:
+                    try:
+                        FgAbelian(0, tuple(g.order for g in gens if g.annotation == DOT))
+                    except ExactAlgebraError as e:
+                        raise ChartError(f"dot orders of {[g.label for g in gens]}: {e}") from e
+                prev = order
         return tuple.__new__(cls, (gens, exact))
 
     @property
@@ -214,8 +225,7 @@ def power_label(sym: str, e: int) -> str:
 
 def join_labels(*parts: str) -> str:
     """The nonempty parts joined by spaces, or "1" if there are none."""
-    s = " ".join(p for p in parts if p)
-    return s if s else "1"
+    return " ".join(filter(None, parts)) or "1"
 
 
 # ---- integral Eilenberg-MacLane theory -----------------------------------
@@ -459,14 +469,15 @@ def kr_map_image(name: str, desc: tuple) -> list[tuple[tuple, int]]:
 def desc_matrix(src_descs: list[tuple], dst_descs: list[tuple], image) -> IntMatrix:
     """The map from the summands src_descs to the summands dst_descs, from
     each source descriptor's image as (descriptor, coefficient) pairs; an
-    image outside dst_descs raises ChartError."""
+    image outside dst_descs raises ChartError.  The rows are rectangular by
+    construction, so the matrix is built without the shape check."""
     rows = [[0] * len(src_descs) for _ in dst_descs]
     for col, desc in enumerate(src_descs):
         for img, coeff in image(desc):
             if img not in dst_descs:
                 raise ChartError(f"{desc!r} maps to {img!r}, not a target summand")
             rows[dst_descs.index(img)][col] += coeff
-    return IntMatrix(len(dst_descs), len(src_descs), tuple(tuple(row) for row in rows))
+    return IntMatrix._of((len(dst_descs), len(src_descs), tuple(map(tuple, rows))))
 
 
 def _map_family(window: Window, descs: dict[Degree, list[tuple]], map_image,
@@ -494,7 +505,7 @@ def _build_chart(name: str, window: Window, summands, generator_of,
         ds = summands(d[0], d[1])
         if ds:
             descs[d] = ds
-            entries[d] = ChartEntry(tuple(generator_of(s) for s in ds))
+            entries[d] = ChartEntry(tuple(map(generator_of, ds)))
     maps = MapFamilies({m: partial(_map_family, window, descs, map_image, m)
                         for m in map_names})
     return Chart(name=name, window=window, entries=entries, maps=maps)

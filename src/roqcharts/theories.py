@@ -173,7 +173,7 @@ def _theta_matrix(p: Degree) -> IntMatrix:
 
 
 def _hz_orders(p: Degree) -> tuple[int, ...]:
-    return tuple(hz_order(desc) for desc in hz_summands(*p))
+    return tuple(map(hz_order, hz_summands(*p)))
 
 
 def _theta_homology(floor: int, p: Degree) -> PresentedGroup:

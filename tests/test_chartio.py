@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from roqcharts.cells import cellular_chart_hz
 from roqcharts.chartio import ChartParseError, diff, parse, render, serialize
-from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
-                               DOT, SQUARE, closed_form_hz, closed_form_kr)
+from roqcharts.grading import (Chart, ChartEntry, ChartError, Generator, Window,
+                               CIRCLE, DOT, SQUARE, closed_form_hz, closed_form_kr)
+from roqcharts.theories import hz_seed, kr_seed, run_bockstein, run_tate_pipeline
 
 
 def random_chart(rng: random.Random) -> Chart:
@@ -103,6 +105,86 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ChartParseError) as e4:
             parse(doc)
         assert e4.value.line_no == line_no, doc
+
+
+def _one_entry_chart(*labels: str, name: str = "c", at=(0, 0)) -> Chart:
+    gens = tuple(Generator(label, SQUARE) for label in labels)
+    return Chart(name, Window.square(1), {at: ChartEntry(gens)}, {})
+
+
+@pytest.mark.parametrize("labels", [("x; y",), ("g", "x | y"), ("x |", "| y"),
+                                    ("x\ny",), ("g", "x\r"), ("x\r\ny",),
+                                    ("x\u2028y",), ("x\x85",)],
+                         ids=["semicolon", "bar", "bar-start", "newline",
+                              "carriage-return", "crlf", "line-separator", "nel"])
+def test_serialize_refuses_a_label_parse_cannot_read(labels):
+    # each of these used to be written and then fail to parse back, e.g.
+    # "x; y" as "line 4: malformed generator 'x'"; a label after the
+    # first that starts with "| " ends the generator field just as " | " does
+    with pytest.raises(ChartError) as e:
+        serialize(_one_entry_chart(*labels))
+    assert str(e.value).startswith(f"label {labels[-1]!r} at (0, 0) ")
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\r", "a\x0cb"],
+                         ids=["newline", "carriage-return", "form-feed"])
+def test_serialize_refuses_a_name_with_a_line_break(name):
+    # "a\nb" used to be written and then read as "line 3: unrecognized line 'b'"
+    with pytest.raises(ChartError) as e:
+        serialize(_one_entry_chart("g", name=name))
+    assert str(e.value) == f"chart name {name!r} has a line break"
+
+
+def test_serialize_refuses_an_entry_outside_the_window():
+    # used to be written and then rejected by parse at the entry's line
+    chart = _one_entry_chart("g", at=(5, 5))
+    chart.window = Window(0, 1, 0, 1)
+    with pytest.raises(ChartError) as e:
+        serialize(chart)
+    assert str(e.value) == "entry at (5, 5) outside window [0..1]x[0..1]"
+
+
+def test_serialize_refuses_an_entry_without_generators():
+    # its generator field would be empty, which parse reads as a malformed
+    # generator ''
+    chart = Chart("c", Window.square(1), {(0, 0): ChartEntry(())}, {})
+    with pytest.raises(ChartError) as e:
+        serialize(chart)
+    assert str(e.value) == "entry at (0, 0) has no generators"
+
+
+@pytest.mark.parametrize("labels", [("a:b",), ("a:dot", "b:square:circle"), ("| x", "y"),
+                                    ("x;", ";y", "a|b", " z ", ""), ("tab\tx",)])
+def test_labels_parse_can_read_round_trip(labels):
+    # parse splits a generator at its last colon, so colons in labels are
+    # fine; a first label may start with "| "
+    chart = _one_entry_chart(*labels)
+    text = serialize(chart)
+    back = parse(text)
+    assert back.entries == chart.entries and serialize(back) == text
+
+
+@pytest.fixture(scope="module")
+def charts8():
+    w = Window.square(8)
+    bss = run_bockstein(w, padding=4)
+    assert not bss.candidates
+    return [closed_form_hz(w), closed_form_kr(w), cellular_chart_hz(w), bss.chart,
+            run_tate_pipeline(hz_seed(), w, padding=4).genuine,
+            run_tate_pipeline(kr_seed(), w, padding=4).genuine]
+
+
+def test_written_group_is_the_entry_group(charts8):
+    # serialize reads the group field off the generators (squares and
+    # circles for the rank, dot orders for the torsion); that is the
+    # entry's group because ChartEntry checked the dots form its chain
+    for chart in charts8:
+        records = serialize(chart).splitlines()[3:]
+        assert len(records) == len(chart.entries) > 0, chart.name
+        for rec, d in zip(records, sorted(chart.entries)):
+            g = chart.entries[d].group
+            assert rec.split(" | ")[1] == \
+                f"rank {g.rank} torsion {','.join(map(str, g.torsion)) or '-'}", (chart.name, d)
 
 
 def test_inexact_flag_survives_round_trip():

@@ -6,8 +6,8 @@ import pytest
 
 from roqcharts import grading
 from roqcharts.cli import main
-from roqcharts.exactalg import FgAbelian, IntMatrix, map_is_iso
-from roqcharts.grading import (DOT, MAP_DEGREES, SQUARE, ChartEntry, ChartError,
+from roqcharts.exactalg import ExactAlgebraError, FgAbelian, IntMatrix, map_is_iso
+from roqcharts.grading import (CIRCLE, DOT, MAP_DEGREES, SQUARE, ChartEntry, ChartError,
                                Generator, OutOfWindowError, Window,
                                closed_form_hz, closed_form_kr, desc_matrix,
                                hz_map_image, hz_summands, hz_support, kr_map_image,
@@ -188,16 +188,31 @@ def test_empty_window_rejected():
         Window(3, 2, 0, 0)
 
 
-@pytest.mark.parametrize("orders, chain", [((2, 3), False), ((4, 2), False),
-                                           ((2, 4), True)])
+@pytest.mark.parametrize("orders, chain", [
+    ((2, 3), False), ((4, 2), False), ((2, 4), True), ((), True), ((2,), True),
+    ((3,), True), ((1,), False), ((-2,), False), ((2, 2), True), ((2, 4, 8), True),
+    ((2, 4, 6), False), ((1, 3), False), ((1, 1), False), ((-2, 4), False),
+    ((4, -2), False), ((2, 1), False), ((6, 3, 2), False)])
 def test_entry_dots_must_form_the_torsion_chain(orders, chain):
-    gens = (Generator("g", SQUARE),) + tuple(Generator(f"t{i}", DOT, o)
-                                             for i, o in enumerate(orders))
-    if chain:
-        assert ChartEntry(gens).group == FgAbelian(1, orders)
-    else:
-        with pytest.raises(ChartError):
-            ChartEntry(gens)
+    # the entry check is FgAbelian's: the same verdict, and on rejection
+    # its message, wherever squares and circles stand among the dots
+    try:
+        FgAbelian(0, orders)
+        error = None
+    except ExactAlgebraError as e:
+        error = str(e)
+    assert (error is None) == chain
+    dots = tuple(Generator(f"t{i}", DOT, o) for i, o in enumerate(orders))
+    square, circle = Generator("g", SQUARE), Generator("c", CIRCLE)
+    interleaved = tuple(g for dot in dots for g in (circle, dot))
+    for gens in ((square,) + dots, dots, dots + (circle,), interleaved + (square,)):
+        if chain:
+            assert ChartEntry(gens).group == \
+                FgAbelian(len(gens) - len(orders), orders)
+        else:
+            with pytest.raises(ChartError) as e:
+                ChartEntry(gens)
+            assert str(e.value) == f"dot orders of {[g.label for g in gens]}: {error}"
 
 
 def test_desc_matrix_rejects_images_outside_the_target():

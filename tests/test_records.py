@@ -12,7 +12,8 @@ from roqcharts import tate
 from roqcharts.chartio import DiffReport
 from roqcharts.exactalg import (FgAbelian, IntComplex, IntMatrix, PresentedGroup,
                                 Record, ShapeError, SmithForm)
-from roqcharts.grading import DOT, SQUARE, Chart, ChartEntry, ChartError, Generator, Window
+from roqcharts.grading import (CIRCLE, DOT, SQUARE, Chart, ChartEntry, ChartError,
+                               Generator, Window)
 from roqcharts.specseq import (DifferentialRule, PageGenerator, Presentation,
                                PresentationError)
 from roqcharts.theories import (BocksteinResult, BssClass, CheckReport, hz_seed,
@@ -109,19 +110,20 @@ def test_records_of_different_types_never_compare_equal():
         assert a != b and b != a and not a == b, (a, b)
 
 
-def _profiled_calls(action, *args):
-    """The names of the Python frames that action(*args) runs."""
+def _profiled_calls(action, *args, codes=False):
+    """The names of the Python frames that action(*args) runs, or with
+    codes=True their code objects."""
     calls = []
 
     def profile(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_name)
+            calls.append(frame.f_code)
     sys.setprofile(profile)
     try:
         action(*args)
     finally:
         sys.setprofile(None)
-    return calls
+    return calls if codes else [code.co_name for code in calls]
 
 
 def test_int_matrix_hashes_and_builds_without_python_frames():
@@ -139,6 +141,22 @@ def test_int_matrix_hashes_and_builds_without_python_frames():
             m < other
         with pytest.raises(TypeError):
             other >= m
+
+
+def test_a_valid_entry_builds_no_group():
+    # the entry check walks the dots itself: a valid entry runs only its
+    # own constructor, and only an invalid one builds FgAbelian for the error
+    square, circle = Generator("u", SQUARE), Generator("2u", CIRCLE)
+    two, four = Generator("a", DOT, 2), Generator("b", DOT, 4)
+    fg_new = FgAbelian.__new__.__code__
+    for gens in ((two,), (square,), (square, two), (two, four), (circle, two, square, four)):
+        assert _profiled_calls(ChartEntry, gens) == ["__new__"], gens
+
+    def rejected(gens):
+        with pytest.raises(ChartError):
+            ChartEntry(gens)
+    for gens in ((four, two), (Generator("c", DOT, 1),), (square, two, Generator("c", DOT, 3))):
+        assert fg_new in _profiled_calls(rejected, gens, codes=True), gens
 
 
 @pytest.mark.parametrize("name", HASHABLE)
