@@ -11,7 +11,7 @@ then that every image lands in a summand of its target degree.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import partial
 
 from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix, Record
@@ -495,13 +495,14 @@ def _map_family(window: Window, descs: dict[Degree, list[tuple]], map_image,
     return family
 
 
-def _build_chart(name: str, window: Window, summands, generator_of,
-                 map_image, map_names: tuple[str, ...]) -> Chart:
-    """Entries now; each map family on its first read (`MapFamilies`),
-    when `desc_matrix` checks every image of the family's degrees."""
+def _build_chart(name: str, window: Window, degrees: Iterable[Degree], summands,
+                 generator_of, map_image, map_names: tuple[str, ...]) -> Chart:
+    """Entries at the degrees of window that have summands, walked in
+    window order; each map family on its first read (`MapFamilies`), when
+    `desc_matrix` checks every image of the family's degrees."""
     entries: dict[Degree, ChartEntry] = {}
     descs: dict[Degree, list[tuple]] = {}
-    for d in window.degrees():
+    for d in degrees:
         ds = summands(d[0], d[1])
         if ds:
             descs[d] = ds
@@ -512,14 +513,15 @@ def _build_chart(name: str, window: Window, summands, generator_of,
 
 
 def closed_form_hz(window: Window) -> Chart:
-    """The integral theory from its block decomposition, degree by degree;
-    the a and u maps are built on first read (`_build_chart`)."""
-    return _build_chart("hz-closed", window, hz_summands, hz_generator,
-                        hz_map_image, ("a", "u"))
+    """The integral theory from its block decomposition, degree by degree
+    over its support (`hz_support`); the a and u maps are built on first
+    read (`_build_chart`)."""
+    return _build_chart("hz-closed", window, hz_support(window), hz_summands,
+                        hz_generator, hz_map_image, ("a", "u"))
 
 
 def closed_form_kr(window: Window) -> Chart:
     """Connective Real K-theory from its block decomposition; the a, vbar
     and U maps are built on first read (`_build_chart`)."""
-    return _build_chart("kr-closed", window, kr_summands, kr_generator,
-                        kr_map_image, ("a", "vbar", "U"))
+    return _build_chart("kr-closed", window, window.degrees(), kr_summands,
+                        kr_generator, kr_map_image, ("a", "vbar", "U"))

@@ -166,28 +166,56 @@ def _is_stub_top(desc: tuple) -> bool:
     return desc[0] == "utow" and desc[1] % 2 == 1 and desc[2] == 2 * desc[1] + 3
 
 
-def _theta_matrix(p: Degree) -> IntMatrix:
-    return desc_matrix(hz_summands(*p),
-                       hz_summands(p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]),
-                       lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+class _BaseTable:
+    """What one Bockstein run reads at each base degree p, each worked out
+    once: the hz summands with their orders, theta out of p (theta into p
+    is theta out of p - theta), checked against theta's laws as it is
+    built, and the floor group on floor 0 and on the floors above it."""
 
+    __slots__ = ("_summands", "_out", "_floors")
 
-def _hz_orders(p: Degree) -> tuple[int, ...]:
-    return tuple(map(hz_order, hz_summands(*p)))
+    def __init__(self):
+        self._summands: dict[Degree, tuple[list[tuple], tuple[int, ...]]] = {}
+        self._out: dict[Degree, IntMatrix] = {}
+        # floor 0, and the floors above it
+        self._floors: tuple[dict[Degree, PresentedGroup], ...] = ({}, {})
 
+    def summands(self, p: Degree) -> tuple[list[tuple], tuple[int, ...]]:
+        """The hz summand descriptors at p and their orders."""
+        got = self._summands.get(p)
+        if got is None:
+            descs = hz_summands(*p)
+            got = self._summands[p] = (descs, tuple(map(hz_order, descs)))
+        return got
 
-def _theta_homology(floor: int, p: Degree) -> PresentedGroup:
-    """The collapsed Bockstein group on one floor at base degree p.
+    def theta_out(self, p: Degree) -> IntMatrix:
+        mat = self._out.get(p)
+        if mat is None:
+            descs = self.summands(p)[0]
+            bad = _theta_laws(self, descs)
+            if bad:
+                raise TheoryError(f"theta law violations: {bad[:3]}")
+            dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[0]
+            mat = self._out[p] = desc_matrix(
+                descs, dst, lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+        return mat
 
-    The first differential is theta pushed up one floor, so floor 0
-    keeps ker(theta out of p) and every higher floor also divides by
-    im(theta into p).  Generators are in the hz coordinates at p.
-    """
-    orders = _hz_orders(p)
-    src = (p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1])
-    dst = (p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1])
-    into = _theta_matrix(src) if floor else IntMatrix.zero(len(orders), 0)
-    return presented_homology(_theta_matrix(p), _hz_orders(dst), into, orders)
+    def floor_group(self, floor: int, p: Degree) -> PresentedGroup:
+        """The collapsed Bockstein group on one floor at base degree p.
+
+        The first differential is theta pushed up one floor, so floor 0
+        keeps ker(theta out of p) and every higher floor also divides by
+        im(theta into p).  Generators are in the hz coordinates at p.
+        """
+        groups = self._floors[floor > 0]
+        group = groups.get(p)
+        if group is None:
+            orders = self.summands(p)[1]
+            dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[1]
+            into = (self.theta_out((p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1]))
+                    if floor else IntMatrix.zero(len(orders), 0))
+            group = groups[p] = presented_homology(self.theta_out(p), dst, into, orders)
+        return group
 
 
 class BssClass(Record):
@@ -214,12 +242,15 @@ class BssClass(Record):
         return join_labels(two, power_label("vh", self.floor), "" if base == "1" else base)
 
 
-def bss_floor_survivors(floor: int, p: Degree) -> list[BssClass]:
+def bss_floor_survivors(floor: int, p: Degree,
+                        table: _BaseTable | None = None) -> list[BssClass]:
     """Classes of the collapsed Bockstein page on one floor at one base
     degree: one per generator of the theta-homology there, named by the
-    hz generator it is a multiple of."""
-    descs = hz_summands(*p)
-    group = _theta_homology(floor, p)
+    hz generator it is a multiple of, read through table (a fresh one if
+    none is given)."""
+    table = _BaseTable() if table is None else table
+    descs = table.summands(p)[0]
+    group = table.floor_group(floor, p)
     out = []
     for gen, order in zip(group.gens.columns(), group.orders):
         i, coeff = next((i, c) for i, c in enumerate(gen) if c)
@@ -227,20 +258,21 @@ def bss_floor_survivors(floor: int, p: Degree) -> list[BssClass]:
     return out
 
 
-def _splits_on_floor(floor: int, p: Degree) -> bool:
+def _splits_on_floor(table: _BaseTable, floor: int, p: Degree) -> bool:
     """The Tate side's splitting rule on one floor: the torsion at p
     must be a-multiples of the classes on the same floor at p + (0, 1)."""
-    here = _theta_homology(floor, p)
+    here = table.floor_group(floor, p)
     up = (p[0], p[1] + 1)
 
     def induced_a() -> IntMatrix:
-        amat = desc_matrix(hz_summands(*up), hz_summands(*p),
+        amat = desc_matrix(table.summands(up)[0], table.summands(p)[0],
                            lambda desc: hz_map_image("a", desc))
-        return here.induced(amat, _theta_homology(floor, up))
+        return here.induced(amat, table.floor_group(floor, up))
     return torsion_split_by_a(here.orders, induced_a)
 
 
-def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]:
+def _survivor_table(window: Window, floors: int,
+                    table: _BaseTable) -> dict[Degree, list[BssClass]]:
     """Every surviving class of floors 0..floors whose total degree lies
     in window or one column left of it, keyed by total degree with the
     floors ascending.
@@ -252,24 +284,24 @@ def _survivor_table(window: Window, floors: int) -> dict[Degree, list[BssClass]]
     go only onto the floors that have some, so no key holds an empty list.
     """
     w = Window(window.xmin - 1, window.xmax, window.ymin, window.ymax)
-    table: dict[Degree, list[BssClass]] = {}
+    survivors: dict[Degree, list[BssClass]] = {}
     for p in hz_support(Window(w.xmin - floors, w.xmax, w.ymin - floors, w.ymax)):
         lo = max(0, w.xmin - p[0], w.ymin - p[1])
         hi = min(floors, w.xmax - p[0], w.ymax - p[1])
         if lo > hi:
             continue
         if lo == 0:
-            ground = bss_floor_survivors(0, p)
+            ground = bss_floor_survivors(0, p, table)
             if ground:
-                table.setdefault(p, []).extend(ground)
-        upper = bss_floor_survivors(1, p) if hi >= 1 else []
+                survivors.setdefault(p, []).extend(ground)
+        upper = bss_floor_survivors(1, p, table) if hi >= 1 else []
         if upper:
             for s in range(max(lo, 1), hi + 1):
-                table.setdefault((p[0] + s, p[1] + s), []).extend(
+                survivors.setdefault((p[0] + s, p[1] + s), []).extend(
                     BssClass(s, cls.desc, cls.index2, cls.order) for cls in upper)
-    for classes in table.values():
+    for classes in survivors.values():
         classes.sort(key=lambda cls: cls.floor)
-    return table
+    return survivors
 
 
 class BocksteinResult:
@@ -296,7 +328,8 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     extension split by the Tate side's a-divisibility rule.  Higher
     differentials are not assumed away: every surviving class is
     searched against every later differential shape, and any possible
-    hit is reported as a hard error by the caller.
+    hit is reported as a hard error by the caller.  Each base degree is
+    read once, through the run's `_BaseTable`.
     """
     if padding < 0:
         raise TheoryError("the Bockstein run needs a non-negative padding")
@@ -304,11 +337,8 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
 
-    violations = _theta_laws(window)
-    if violations:
-        raise TheoryError(f"theta law violations: {violations[:3]}")
-
-    table = _survivor_table(window, floors)
+    base_table = _BaseTable()
+    table = _survivor_table(window, floors, base_table)
     for d in window.degrees():
         gens: list[Generator] = []
         flagged = False
@@ -317,8 +347,8 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
             if _is_stub_top(cls.desc):
                 absorbed.append((d, cls))
                 continue
-            base = (d[0] - cls.floor, d[1] - cls.floor)
-            if len(contributions) > 1 and not _splits_on_floor(cls.floor, base):
+            p = (d[0] - cls.floor, d[1] - cls.floor)
+            if len(contributions) > 1 and not _splits_on_floor(base_table, cls.floor, p):
                 flagged = True
             annot = DOT if cls.order else (CIRCLE if cls.index2 else SQUARE)
             gens.append(Generator(cls.label(), annot, cls.order))
@@ -330,21 +360,21 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     return BocksteinResult(chart=chart, absorbed=absorbed, candidates=candidates)
 
 
-def _theta_laws(window: Window) -> list[str]:
-    """theta has exact degree -(2,1) and squares to zero, everywhere."""
+def _theta_laws(table: _BaseTable, descs: list[tuple]) -> list[str]:
+    """Where theta breaks its laws on descs: it must have exact degree
+    -(2,1), land in a nonzero group and square to zero."""
     bad = []
-    for d in window.degrees():
-        for desc in hz_summands(d[0], d[1]):
-            img = theta_apply(desc)
-            if img is None:
-                continue
-            src, dst = hz_degree(desc), hz_degree(img)
-            if (dst[0] - src[0], dst[1] - src[1]) != THETA_DEGREE:
-                bad.append(f"theta degree wrong on {desc}")
-            if not hz_summands(dst[0], dst[1]):
-                bad.append(f"theta image of {desc} lands in a zero group")
-            if theta_apply(img) is not None:
-                bad.append(f"theta squared nonzero on {desc}")
+    for desc in descs:
+        img = theta_apply(desc)
+        if img is None:
+            continue
+        src, dst = hz_degree(desc), hz_degree(img)
+        if (dst[0] - src[0], dst[1] - src[1]) != THETA_DEGREE:
+            bad.append(f"theta degree wrong on {desc}")
+        if not table.summands(dst)[0]:
+            bad.append(f"theta image of {desc} lands in a zero group")
+        if theta_apply(img) is not None:
+            bad.append(f"theta squared nonzero on {desc}")
     return bad
 
 
@@ -354,16 +384,24 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
     A d_r lowers the total degree by (1, 0) and raises the floor by r,
     so the targets of a class at d in window are the classes of the
     survivor table at d - (1, 0) between 2 and _BSS_R_CAP floors above it.
+    Hom is decided once per pair of source and target orders.
     """
+    hom: dict[tuple[int, int], bool] = {}
     out = []
-    for d in window.degrees():
-        targets = table.get((d[0] - 1, d[1]), [])
-        for cls in table.get(d, []):
-            src_group = FgAbelian.from_orders([cls.order])
+    for d, sources in sorted(table.items()):  # window order
+        targets = table.get((d[0] - 1, d[1]))
+        if not targets or not window.contains(d):
+            continue
+        for cls in sources:
             for tgt in targets:
                 r = tgt.floor - cls.floor
-                if 2 <= r <= _BSS_R_CAP and has_nonzero_hom(
-                        src_group, FgAbelian.from_orders([tgt.order])):
+                if not 2 <= r <= _BSS_R_CAP:
+                    continue
+                orders = (cls.order, tgt.order)
+                if orders not in hom:
+                    hom[orders] = has_nonzero_hom(FgAbelian.from_orders([cls.order]),
+                                                  FgAbelian.from_orders([tgt.order]))
+                if hom[orders]:
                     out.append((r, d, cls, tgt))
     return out
 
@@ -387,7 +425,7 @@ def sss_entry_e1(n: int, s: int) -> FgAbelian:
     if (n + s) % 2 or s < 0 or (n + s) // 2 < 0:
         return FgAbelian.zero()
     k = (n + s) // 2
-    return FgAbelian.from_orders(_hz_orders((k - s, -k)))
+    return FgAbelian.from_orders(map(hz_order, hz_summands(k - s, -k)))
 
 
 def sss_entry_einf(n: int, s: int) -> FgAbelian:
@@ -395,7 +433,7 @@ def sss_entry_einf(n: int, s: int) -> FgAbelian:
     if (n + s) % 2 or s < 0 or (n + s) // 2 < 0:
         return FgAbelian.zero()
     k = (n + s) // 2
-    return _theta_homology(k, (k - s, -k)).group
+    return _BaseTable().floor_group(k, (k - s, -k)).group
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,20 @@ def test_hz_support_is_where_summands_live(window):
     assert list(hz_support(window)) == [d for d in window.degrees() if hz_summands(*d)]
 
 
+@pytest.mark.parametrize("window", [Window.square(12), Window(-7, -3, 2, 9),
+                                    Window(1, 8, -20, -9), Window(-20, 20, 4, 4),
+                                    Window(-9, 9, -1, -1)])
+def test_closed_hz_walks_its_support_as_the_full_window_would(window):
+    # walking hz_support instead of every window degree changes no entry,
+    # no map and no insertion order
+    walked = grading._build_chart("hz-closed", window, window.degrees(), hz_summands,
+                                  grading.hz_generator, hz_map_image, ("a", "u"))
+    chart = closed_form_hz(window)
+    assert list(chart.entries.items()) == list(walked.entries.items())
+    for name in ("a", "u"):
+        assert list(chart.maps[name].items()) == list(walked.maps[name].items())
+
+
 def test_empty_window_rejected():
     with pytest.raises(Exception):
         Window(3, 2, 0, 0)

@@ -1,9 +1,11 @@
 """Seeds, the theta operation, the Bockstein run, slices, checkers."""
 
+from collections import Counter
+
 import pytest
 
 from roqcharts import theories
-from roqcharts.exactalg import FgAbelian
+from roqcharts.exactalg import FgAbelian, has_nonzero_hom
 from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_kr,
                                hz_degree, hz_generator, hz_order, hz_summands)
 from roqcharts.chartio import diff
@@ -14,7 +16,7 @@ from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
                                 inject_class, kr_seed, run_bockstein,
                                 run_hfpss, run_tate_pipeline,
                                 sss_entry_e1, sss_entry_einf, sss_to_bss,
-                                theta_apply)
+                                THETA_DEGREE, theta_apply)
 
 Z = FgAbelian.free(1)
 F2 = FgAbelian.cyclic(2)
@@ -210,7 +212,7 @@ def test_floors_follow_theta(monkeypatch):
 def test_survivor_table_holds_only_survivors():
     w = Window(-8, 8, -8, 6)
     floors = w.xmax + w.ymax + 4
-    table = theories._survivor_table(w, floors)
+    table = theories._survivor_table(w, floors, theories._BaseTable())
     brute = {}
     for d in Window(w.xmin - 1, w.xmax, w.ymin, w.ymax).degrees():
         for s in range(floors + 1):
@@ -222,6 +224,91 @@ def test_survivor_table_holds_only_survivors():
     for classes in table.values():
         seen = [cls.floor for cls in classes]
         assert seen == sorted(seen)
+
+
+def _plant_theta(monkeypatch, desc, img):
+    real = theories.theta_apply
+    monkeypatch.setattr(theories, "theta_apply",
+                        lambda d: img if d == desc else real(d))
+
+
+def test_theta_laws_hold_in_the_window(monkeypatch):
+    _plant_theta(monkeypatch, ("ucol", 2, 2), ("ucol", 5, 1))
+    with pytest.raises(TheoryError) as err:
+        run_bockstein(Window.square(8))
+    assert str(err.value) == ("theta law violations: "
+                              "[\"theta squared nonzero on ('ucol', 2, 2)\"]")
+
+
+def test_theta_laws_hold_wherever_the_run_reads_theta(monkeypatch):
+    # (4, -10) lies below the window, but the floors above it reach into it
+    w = Window.square(8)
+    assert not w.contains(hz_degree(("ucol", 6, 2)))
+    _plant_theta(monkeypatch, ("ucol", 6, 2), ("ucol", 9, 1))
+    with pytest.raises(TheoryError) as err:
+        run_bockstein(w)
+    assert str(err.value) == ("theta law violations: "
+                              "[\"theta squared nonzero on ('ucol', 6, 2)\"]")
+
+
+def test_bockstein_reads_each_base_degree_once(monkeypatch):
+    # one run asks for the summands of a degree once, builds theta out of
+    # a degree once, and computes each floor group (floor 0, or the floors
+    # above, at one base degree) once
+    class At(list):
+        """A summand list that remembers its degree."""
+
+    real_summands = theories.hz_summands
+    real_matrix = theories.desc_matrix
+    real_homology = theories.presented_homology
+    asked, theta_out, groups = Counter(), Counter(), Counter()
+    built = {}  # id of each theta matrix -> (degree, matrix), which keeps the id
+
+    def summands(x, y):
+        asked[x, y] += 1
+        out = At(real_summands(x, y))
+        out.degree = (x, y)
+        return out
+
+    def matrix(src, dst, image):
+        mat = real_matrix(src, dst, image)
+        if (dst.degree[0] - src.degree[0], dst.degree[1] - src.degree[1]) == THETA_DEGREE:
+            theta_out[src.degree] += 1
+            built[id(mat)] = (src.degree, mat)
+        return mat
+
+    def homology(out, out_orders, into, orders):
+        p = built[id(out)][0]
+        upper = id(into) in built
+        if upper:
+            assert built[id(into)][0] == (p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1])
+        groups[upper, p] += 1
+        return real_homology(out, out_orders, into, orders)
+
+    monkeypatch.setattr(theories, "hz_summands", summands)
+    monkeypatch.setattr(theories, "desc_matrix", matrix)
+    monkeypatch.setattr(theories, "presented_homology", homology)
+    run_bockstein(Window(-40, 40, -40, 12))
+    assert theta_out and groups
+    assert max(asked.values()) == 1
+    assert max(theta_out.values()) == 1
+    assert max(groups.values()) == 1
+
+
+def test_higher_candidates_decide_hom_per_pair():
+    # the candidate list is the pairwise Hom test's, in content and order
+    w = Window.square(16)
+    table = theories._survivor_table(w, w.xmax + w.ymax + 4, theories._BaseTable())
+    brute = []
+    for d in w.degrees():
+        for cls in table.get(d, []):
+            for tgt in table.get((d[0] - 1, d[1]), []):
+                r = tgt.floor - cls.floor
+                if 2 <= r <= 12 and has_nonzero_hom(FgAbelian.from_orders([cls.order]),
+                                                    FgAbelian.from_orders([tgt.order])):
+                    brute.append((r, d, cls, tgt))
+    assert brute
+    assert theories.bss_higher_candidates(w, table) == brute
 
 
 def test_hz_order_is_the_generator_order():
