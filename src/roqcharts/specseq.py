@@ -24,8 +24,10 @@ under its round; E_1 memoizes none and hands out
 treat the lam exponents e and e + P alike (the page's
 `period` P), a page keeps one state per lam^P-translation class, so hz
 E_2 and kr E_2 share theirs; kr E_4, whose d_3 on lam^2 has the
-coefficient e // 2, keeps one per tridegree.  The filtration scan passes
-over a filtration with no monomial before it builds a state.
+coefficient e // 2, keeps one per tridegree.  The filtration scan visits
+only the filtrations that hold a monomial, listed once per chain in
+`_scan_memo` for each (x + y, x mod lam's t), on which the scan floor
+and the exponent solutions depend.
 
 Reading the last page off as a chart (`collapse_to_chart`) certifies the
 whole chain: `find_candidates` searches each page at the shapes d_r
@@ -37,7 +39,8 @@ Every other degree takes its representative's scan moved by lam^p, both
 worked out by a rule when asked, and its one live spot is evaluated
 directly (not through a state it shares with the representative) and
 checked against the representative's group.  The readout reuses the
-certificate's scan of the last page.
+certificate's scan of the last page, and builds each structure-map
+family on its first read from the live spots' states and bases.
 
 For hz and kr every tridegree holds at most one monomial, so the spot
 path runs on 1x1 matrices and its kernels (`_d_of_cycles`, the
@@ -51,12 +54,13 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
+from functools import partial
 
 from .exactalg import (IntMatrix, NotInLatticeError, PresentedGroup, Record,
                        column_space_basis, has_nonzero_hom, lattice_contains,
                        preimage_lattice)
-from .grading import (Chart, ChartEntry, Degree, Generator, Window, DOT, SQUARE,
-                      join_labels, power_label)
+from .grading import (Chart, ChartEntry, Degree, Generator, MapFamilies, Window, DOT,
+                      SQUARE, join_labels, power_label)
 
 
 TriDegree = tuple[int, int, int]
@@ -233,6 +237,7 @@ class Page:
             self.rounds: tuple[DifferentialRule, ...] = ()
             self.shape = 0
             self._solve_memo: dict[tuple[int, int, int], tuple] = {}
+            self._scan_memo: dict[tuple[int, int], tuple[int, ...]] = {}
             self._steps, self._inv, self._lt = _enumeration_tables(pres)
             self.period = 1 if pres.invertible else None
             self._class_step = None
@@ -242,7 +247,7 @@ class Page:
             raise DifferentialError(f"d_{self.shape} after d_{previous.shape}: "
                                     f"rounds must come in increasing shape")
         self.rounds = previous.rounds + (rule,)
-        self._solve_memo = previous._solve_memo
+        self._solve_memo, self._scan_memo = previous._solve_memo, previous._scan_memo
         self._steps, self._inv, self._lt = previous._steps, previous._inv, previous._lt
         self._key = pres.mono(rule.source_dict())
         # what d does to a monomial's exponents: key off, image on
@@ -277,10 +282,14 @@ class Page:
         """The monomial basis at tri, sorted, built on each call: the
         non-invertible exponents come from `_solve(tri)`, the invertible
         generator's from the t they leave over."""
+        choices = self._solve(tri)
         if self._inv is None:
-            return tuple([head for _, head, _ in self._solve(tri)])
+            return tuple([head for _, head, _ in choices])
         q = tri[1] // self._lt
-        return tuple([head + (q + e,) + tail for e, head, tail in self._solve(tri)])
+        if len(choices) == 1:
+            (e, head, tail), = choices
+            return (head + (q + e,) + tail,)
+        return tuple([head + (q + e,) + tail for e, head, tail in choices])
 
     def _solve(self, tri: TriDegree) -> tuple[tuple[int, Mono, Mono], ...]:
         """Every choice of non-invertible exponents of a monomial at tri, as
@@ -342,11 +351,12 @@ class Page:
         image is reported before an undefined live class.  One pass: d
         moves distinct monomials to distinct ones, so each destination row
         takes at most one image, and a zero cycle row adds none, though
-        its image is still looked up."""
+        its image is still looked up; the output rows are allocated at the
+        first nonzero image."""
         i, key, step, parity, coeff = (self._support, self._key[self._support],
                                        self._step, self._parity, self._coeff)
         _, cols, entries = st.cycles
-        out = [(0,) * cols] * len(dst_monos)
+        out = None
         undefined = []
         for m, cyc in zip(src_monos, entries):
             q, rem = divmod(m[i], key)
@@ -365,6 +375,8 @@ class Page:
                     f"image {self.pres.mono_str(mono)} missing from its tridegree "
                     f"(enumeration bug)") from None
             if any(cyc):
+                if out is None:
+                    out = [(0,) * cols] * len(dst_monos)
                 out[k] = tuple([c * y for y in cyc])
         if undefined:
             # the first cycle column with an undefined entry, and in it the
@@ -372,7 +384,7 @@ class Page:
             m = min(undefined, key=lambda mc: next(j for j, y in enumerate(mc[1]) if y))[0]
             raise DifferentialError(f"d undefined on live class involving "
                                     f"{self.pres.mono_str(m)} ({what})")
-        if not any(map(any, out)):
+        if out is None:
             return None
         return IntMatrix._of((len(dst_monos), cols, tuple(out)))
 
@@ -458,15 +470,17 @@ def _scan_floor(d: Degree) -> int:
 def live_tridegrees(page: Page, d: Degree) -> list[TriDegree]:
     """Tridegrees with chart shadow d and a nonzero group, scanned from
     filtration 0 down to _SCAN_DEPTH below the last structural bound.
-    A filtration with no monomial is passed over before any state is
-    built for it."""
+    Only the filtrations that hold a monomial are scanned: the chain's
+    `_scan_memo` lists them once per key (x + y, x mod lam's t), d itself
+    without lam, on which both `_scan_floor` and `_solve`'s keys depend."""
     x, y = d
-    out = []
-    for s in range(0, _scan_floor(d) - 1, -1):
-        tri = (s, x - s, y)
-        if page._solve(tri) and not page.state(tri).group.is_zero():
-            out.append(tri)
-    return out
+    key = (x + y, x % page._lt) if page._lt else d
+    held = page._scan_memo.get(key)
+    if held is None:
+        held = page._scan_memo[key] = tuple(
+            s for s in range(0, _scan_floor(d) - 1, -1) if page._solve((s, x - s, y)))
+    return [tri for tri in [(s, x - s, y) for s in held]
+            if not page.state(tri).group.is_zero()]
 
 
 def lambda_period(page: Page, limit: int) -> int | None:
@@ -579,8 +593,9 @@ def collapse_to_chart(page: Page, window: Window, name: str,
     lam^p.  Each degree's one live spot is then evaluated directly, and a
     group that differs from its representative's is a `CollapseError`,
     so every chart entry is checked against an independent evaluation.
-    Structure maps are computed by multiplying representatives by the
-    given monomials.
+    Structure maps multiply representatives by the given monomials
+    (`_map_family`), each family on its first read (`MapFamilies`), from
+    the live spots' states and bases kept at readout, not the page.
     """
     scans: dict[Page, tuple] = {}
     leftovers = find_candidates(page, window, scans)
@@ -591,7 +606,9 @@ def collapse_to_chart(page: Page, window: Window, name: str,
             f"possible nonzero d_{r} remains from {src} to {dst} "
             f"({len(leftovers)} candidate pairs over {len(orbits)} orbits)")
 
-    spot_of: dict[Degree, TriDegree] = {}
+    # each live degree's spot with its state and basis, all the map
+    # families read
+    spots: dict[Degree, tuple[TriDegree, PresentedGroup, tuple[Mono, ...]]] = {}
     entries: dict[Degree, ChartEntry] = {}
     # a last round of shape _R_CAP or more leaves the last page unsearched
     orbit, rep_live = scans.get(page) or _scan(page, window)
@@ -626,31 +643,32 @@ def collapse_to_chart(page: Page, window: Window, name: str,
             label = _rep_label(page.pres, monos, vec, label_of)
             gens.append(Generator(label, DOT if order else SQUARE, order))
         entries[d] = ChartEntry(tuple(gens))
-        spot_of[d] = tri
+        spots[d] = (tri, st, monos)
 
-    maps: dict[str, dict[Degree, IntMatrix]] = {}
-    families = []
-    for mname, powers in (map_monos or {}).items():
-        mono = page.pres.mono(powers)
-        families.append((maps.setdefault(mname, {}), mono, page.pres.tridegree_of(mono)))
-    for d, tri in spot_of.items():
-        src, src_monos = page.state(tri), page.monomials_at(tri)
-        for per, mono, mshift in families:
-            target_deg = (d[0] + mshift[0] + mshift[1], d[1] + mshift[2])
-            if target_deg not in spot_of or not window.contains(target_deg):
-                continue
-            if spot_of[target_deg] != _add_tri(tri, mshift):
-                continue  # product lands in a different filtration: zero here
-            dst = page.state(spot_of[target_deg])
-            dst_monos = page.monomials_at(spot_of[target_deg])
-            cols = []
-            for m in src_monos:
-                col = [0] * len(dst_monos)
-                col[dst_monos.index(tuple(map(operator.add, m, mono)))] = 1
-                cols.append(col)
-            mult = IntMatrix.from_columns(cols, len(dst_monos))
-            per[d] = dst.induced(mult, src)
+    maps = MapFamilies({mname: partial(_map_family, page.pres, spots, page.pres.mono(powers))
+                        for mname, powers in (map_monos or {}).items()})
     return Chart(name=name, window=window, entries=entries, maps=maps)
+
+
+def _map_family(pres: Presentation, spots: dict, mono: Mono) -> dict[Degree, IntMatrix]:
+    """Multiplication by mono out of each live spot of spots, induced on
+    its state into the live spot at the product's tridegree; a product
+    that lands in another filtration than its degree's live spot is
+    zero there."""
+    mshift = pres.tridegree_of(mono)
+    family: dict[Degree, IntMatrix] = {}
+    for d, (tri, src, src_monos) in spots.items():
+        target = spots.get((d[0] + mshift[0] + mshift[1], d[1] + mshift[2]))
+        if target is None or target[0] != _add_tri(tri, mshift):
+            continue
+        _, dst, dst_monos = target
+        cols = []
+        for m in src_monos:
+            col = [0] * len(dst_monos)
+            col[dst_monos.index(tuple(map(operator.add, m, mono)))] = 1
+            cols.append(col)
+        family[d] = dst.induced(IntMatrix.from_columns(cols, len(dst_monos)), src)
+    return family
 
 
 def _rep_label(pres: Presentation, monos: tuple[Mono, ...], vec: list[int],

@@ -257,9 +257,11 @@ def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
     if not (w.ymin <= 0 <= w.ymax):
         raise NotPeriodicError("window must contain the integer line")
     for x in range(w.xmin, w.xmax + 1):
-        base = tate.group((x, w.ymin))
+        bottom = (x, w.ymin)
+        base = tate.orders(bottom)
         for y in range(w.ymin, w.ymax + 1):
-            if tate.group((x, y)) != base:
+            # equal orders give equal groups; only others build them
+            if tate.orders((x, y)) != base and tate.group((x, y)) != tate.group(bottom):
                 raise NotPeriodicError(f"input chart is not a-periodic at x = {x}")
     columns: dict[int, ChartEntry] = {}
     for x in range(max(0, w.xmin), w.xmax + 1):

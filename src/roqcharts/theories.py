@@ -339,10 +339,13 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
 
     base_table = _BaseTable()
     table = _survivor_table(window, floors, base_table)
-    for d in window.degrees():
+    # sorted order is window order; the table also holds the column
+    # left of the window
+    for d, contributions in sorted(table.items()):
+        if not window.contains(d):
+            continue
         gens: list[Generator] = []
         flagged = False
-        contributions = table.get(d, [])
         for cls in contributions:
             if _is_stub_top(cls.desc):
                 absorbed.append((d, cls))

@@ -1,15 +1,17 @@
 """The page engine: monomial bases, Leibniz differentials, page turns."""
 
 import functools
+import gc
 import itertools
 import re
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roqcharts import exactalg, specseq
-from roqcharts.exactalg import FgAbelian, PresentedGroup, has_nonzero_hom
+from roqcharts import exactalg, specseq, theories
+from roqcharts.exactalg import FgAbelian, IntMatrix, PresentedGroup, has_nonzero_hom
 from roqcharts.grading import (Window, hz_generator, hz_summands,
                                kr_generator, kr_summands)
 from roqcharts.specseq import (CollapseError, DifferentialError,
@@ -456,16 +458,21 @@ def test_class_memo_matches_direct_evaluation():
                 assert shared.group == direct.group, (theory, page.shape, tri)
 
 
+def no_lam_chain() -> tuple[Page, Page]:
+    """E_1 and E_2 of a presentation with no invertible generator, under
+    the odd round d(c) = a e."""
+    e1 = Page(Presentation((PageGenerator("a", (-1, 1, -1)),
+                            PageGenerator("c", (0, 1, 0)),
+                            PageGenerator("e", (0, 0, 1)))))
+    return e1, e1.turn(DifferentialRule((("c", 1),), 1, (("a", 1), ("e", 1))))
+
+
 def test_page_without_invertible_generator_keeps_states_per_tridegree():
     # with no invertible generator there is no translation class: the
     # odd round d(c) = a e still turns, every state is memoized under its
     # own tridegree, and the page certifies and reads off Z[c^2] (x) Z[a, e]
     # / (a e) at the even columns x >= 0
-    pres = Presentation((PageGenerator("a", (-1, 1, -1)),
-                         PageGenerator("c", (0, 1, 0)),
-                         PageGenerator("e", (0, 0, 1))))
-    e1 = Page(pres)
-    e2 = e1.turn(DifferentialRule((("c", 1),), 1, (("a", 1), ("e", 1))))
+    e1, e2 = no_lam_chain()
     assert e1.period is None and e2.period is None
     w = Window.square(4)
     chart = collapse_to_chart(e2, w, "x")
@@ -534,8 +541,11 @@ def test_chain_keeps_no_basis_table():
         collapse_to_chart(chain[-1], w, seed.name, map_monos=seed.map_monos)
         for page in chain:
             tables = {name for name, value in vars(page).items() if isinstance(value, dict)}
-            assert tables == {"_state_memo", "_solve_memo"}, seed.name
+            assert tables == {"_state_memo", "_solve_memo", "_scan_memo"}, seed.name
             assert page._solve_memo is chain[0]._solve_memo
+            # the filtration table holds filtrations, never bases
+            assert all(type(held) is tuple and all(type(s) is int for s in held)
+                       for held in page._scan_memo.values()), seed.name
             assert all(isinstance(st, PresentedGroup) for st in page._state_memo.values())
         assert chain[0]._solve_memo and {key[2] for key in chain[0]._solve_memo} == {0}
         pres = seed.presentation
@@ -547,6 +557,127 @@ def test_chain_keeps_no_basis_table():
             for x, y in w.degrees():
                 tri = (s, x - s, y)
                 assert chain[-1].monomials_at(tri) == tuple(sorted(by_tri.get(tri, []))), tri
+
+
+def _scan_chains():
+    """Fresh page chains with cold tables: hz, kr, the presentation with
+    no invertible generator, and E_1 pages whose lam has t = 2 and t = -2,
+    where the filtrations that hold a monomial depend on x mod lam's t."""
+    def lam2(t):
+        return (Page(Presentation((PageGenerator("a", (-1, 1, -1)),
+                                   PageGenerator("c", (0, 1, 0)),
+                                   PageGenerator("lam", (0, t, -t), invertible=True)))),)
+    return [build_pages(hz_seed()), build_pages(kr_seed()), no_lam_chain(), lam2(2), lam2(-2)]
+
+
+def test_filtration_table_matches_brute_force():
+    # after a scan of a box of degrees the chain's table holds one entry
+    # per key (x + y, x mod lam's t), the degree itself without lam, and
+    # each degree's entry lists the scan filtrations that hold a monomial
+    box = Window(-10, 10, -12, 9)
+    for chain in _scan_chains():
+        page = chain[-1]
+        for d in box.degrees():
+            specseq.live_tridegrees(page, d)
+        lt = page._lt
+
+        def key(d):
+            return (d[0] + d[1], d[0] % lt) if lt else d
+        assert set(page._scan_memo) == {key(d) for d in box.degrees()}
+        assert all(p._scan_memo is page._scan_memo for p in chain)
+        for x, y in box.degrees():
+            brute = [s for s in range(0, specseq._scan_floor((x, y)) - 1, -1)
+                     if page._solve((s, x - s, y))]
+            assert page._scan_memo[key((x, y))] == tuple(brute), (page.pres, (x, y))
+
+
+def test_scan_solves_only_to_build_the_filtration_table(monkeypatch):
+    # outside the states it asks for, live_tridegrees calls _solve only
+    # while it builds a table entry, once per filtration of that scan, so
+    # at most once per _solve key; a second scan of the box calls none
+    asked, depth = [], [0]
+    solve, state = Page._solve, Page.state
+
+    def solve_spy(page, tri):
+        if not depth[0]:
+            asked.append(tri)
+        return solve(page, tri)
+
+    def state_spy(page, tri):
+        depth[0] += 1
+        try:
+            return state(page, tri)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(Page, "_solve", solve_spy)
+    monkeypatch.setattr(Page, "state", state_spy)
+    box = Window.square(8)
+    for chain in _scan_chains():
+        for page in chain:
+            for d in box.degrees():
+                known = len(page._scan_memo)
+                asked.clear()
+                specseq.live_tridegrees(page, d)
+                if len(page._scan_memo) == known:
+                    assert asked == [], (page.pres, d)
+                else:
+                    assert asked == [(s, d[0] - s, d[1]) for s in
+                                     range(0, specseq._scan_floor(d) - 1, -1)], (page.pres, d)
+        asked.clear()
+        for page in chain:
+            for d in box.degrees():
+                specseq.live_tridegrees(page, d)
+        assert asked == []
+
+
+def _eager_families(seed, window):
+    """Every structure-map family of seed's fixed-point chart on window,
+    built degree by degree from a fresh chain's states."""
+    page = build_pages(seed)[-1]
+    pres = page.pres
+    live = {d: specseq.live_tridegrees(page, d) for d in window.degrees()}
+    spot = {d: tris[0] for d, tris in live.items() if tris}
+    families = {}
+    for name, powers in seed.map_monos.items():
+        mono = pres.mono(powers)
+        shift = pres.tridegree_of(mono)
+        family = families[name] = {}
+        for d, tri in spot.items():
+            target = (d[0] + shift[0] + shift[1], d[1] + shift[2])
+            if spot.get(target) != specseq._add_tri(tri, shift):
+                continue
+            src, dst = page.monomials_at(tri), page.monomials_at(spot[target])
+            cols = [[int(dm == tuple(a + b for a, b in zip(m, mono))) for dm in dst]
+                    for m in src]
+            family[d] = page.state(spot[target]).induced(
+                IntMatrix.from_columns(cols, len(dst)), page.state(tri))
+    return families
+
+
+def test_map_families_are_built_on_first_read(monkeypatch):
+    # run_hfpss keeps no page alive, reading a builds only a, and every
+    # family equals an eager build through the states of a fresh chain
+    built, chains = [], []
+    family, build = specseq._map_family, theories.build_pages
+    monkeypatch.setattr(specseq, "_map_family",
+                        lambda pres, spots, mono: built.append(mono) or family(pres, spots, mono))
+    monkeypatch.setattr(theories, "build_pages",
+                        lambda seed: chains.append(build(seed)) or chains[-1])
+    for seed in (hz_seed(), kr_seed()):
+        a = seed.presentation.mono(seed.map_monos["a"])
+        for w in (Window.square(6), Window(-3, 9, -14, 2)):
+            built.clear()
+            chart = run_hfpss(seed, w)
+            refs = [weakref.ref(page) for page in chains.pop()]
+            gc.collect()
+            assert all(ref() is None for ref in refs), (seed.name, w)
+            assert built == []
+            assert chart.maps["a"] and built == [a]
+            eager = _eager_families(seed, w)
+            assert list(chart.maps) == list(eager)
+            for name in eager:
+                assert chart.maps[name] == eager[name], (seed.name, w, name)
+            assert any(eager[name] for name in eager if name != "a"), (seed.name, w)
 
 
 def test_tate_lane_bases_hold_at_most_one_monomial(monkeypatch):

@@ -124,6 +124,27 @@ def test_geometric_fixed_points_requires_periodicity():
         geometric_fixed_points_with_maps(single_class_chart(), True)
 
 
+def test_periodicity_check_compares_groups_where_orders_differ():
+    # a planted entry breaks a-periodicity at its own column, the first
+    # such column named; a column holding Z + Z/2 in either generator
+    # order has different orders but equal groups, so it is periodic
+    from roqcharts.tate import NotPeriodicError
+    tate = square("kr", 6).tate
+    w = tate.window
+    planted = {**tate.entries, (2, w.ymax): ChartEntry((Generator("p", DOT, 3),)),
+               (4, 0): ChartEntry((Generator("p", DOT, 3),))}
+    chart = Chart(name="planted", window=w, entries=planted, maps=tate.maps)
+    with pytest.raises(NotPeriodicError, match=re.escape("not a-periodic at x = 2")):
+        geometric_fixed_points_with_maps(chart, True)
+
+    w = Window(-1, 1, -2, 2)
+    z, two = Generator("z", SQUARE, 0), Generator("t", DOT, 2)
+    entries = {(x, y): ChartEntry((z, two) if y else (two, z))
+               for x in range(-1, 2) for y in range(-2, 3)}
+    phi, _ = geometric_fixed_points_with_maps(Chart("mixed", w, entries, {"a": {}}), True)
+    assert phi.group((1, 2)) == FgAbelian(1, (2,))
+
+
 def test_phi_integer_line_connective():
     for theory, step in (("hz", 2), ("kr", 4)):
         p = square(theory, 8).phi
