@@ -1,5 +1,6 @@
 """The record types: immutability, equality, defaults, constructor checks."""
 
+import gc
 import importlib
 import itertools
 import pkgutil
@@ -112,17 +113,24 @@ def test_records_of_different_types_never_compare_equal():
 
 def _profiled_calls(action, *args, codes=False):
     """The names of the Python frames that action(*args) runs, or with
-    codes=True their code objects."""
+    codes=True their code objects.  The collector is held off meanwhile: a
+    collection that the profiler's own allocations set off would run the
+    `gc.callbacks` of other libraries (Hypothesis keeps one) as frames
+    that action never called."""
     calls = []
 
     def profile(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code)
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         action(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls if codes else [code.co_name for code in calls]
 
 
