@@ -28,7 +28,7 @@ def main(out: pathlib.Path = ROOT / "out") -> int:
         (out / f"{name}.chart").write_text(serialize(chart))
         print(f"wrote {name}.{{svg,txt,chart}}")
     for seed in (hz_seed(), kr_seed()):
-        data = run_tate_pipeline(seed, window, padding=4)
+        data = run_tate_pipeline(seed, window)
         for stage, chart in (("hfp", data.hfp), ("tate", data.tate),
                              ("orbits", data.orbits), ("phi", data.phi),
                              ("genuine", data.genuine)):

@@ -35,9 +35,12 @@ def _parse_window(spec: str) -> Window:
     """-12..12 for a square window, or -12..12,-4..8 for x and y ranges."""
     def span(s: str) -> tuple[int, int]:
         lo, sep, hi = s.partition("..")
-        if not sep:
-            raise ValueError(f"bad range {s!r}")
-        return int(lo), int(hi)
+        try:
+            if sep:
+                return int(lo), int(hi)
+        except ValueError:
+            pass
+        raise ValueError(f"bad range {s!r}")
 
     parts = spec.split(",")
     if len(parts) not in (1, 2):
@@ -49,25 +52,27 @@ def _parse_window(spec: str) -> Window:
 
 
 def _positive_int(s: str) -> int:
-    if not s.lstrip("-").isdigit() or int(s) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {s!r}")
-    return int(s)
+    try:
+        if int(s) >= 1:
+            return int(s)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {s!r}")
 
 
 def _seed(theory: str):
     return hz_seed() if theory == "hz" else kr_seed()
 
 
-def _compute(theory: str, pipeline: str, window: Window, padding: int,
-             threads: int) -> "chartio.Chart":
+def _compute(theory: str, pipeline: str, window: Window, threads: int) -> "chartio.Chart":
     if pipeline == "closed":
         return closed_form_hz(window) if theory == "hz" else closed_form_kr(window)
     if pipeline == "cells":
         return cellular_chart_hz(window, threads=threads)
     if pipeline == "tate":
-        return run_tate_pipeline(_seed(theory), window, padding=padding).genuine
+        return run_tate_pipeline(_seed(theory), window).genuine
     if pipeline == "bockstein":
-        res = run_bockstein(window, padding=padding)
+        res = run_bockstein(window)
         if res.candidates:
             raise CandidatesRemainError(f"surviving higher differential candidates: "
                                         f"{res.candidates[:3]}")
@@ -83,21 +88,10 @@ def cmd_compute(args) -> int:
         return 2
     window = _parse_window(args.window)
     try:
-        chart = _compute(args.theory, args.pipeline, window, args.padding, args.threads)
-        again = None
-        if args.paranoid and args.pipeline in ("tate", "bockstein"):
-            again = _compute(args.theory, args.pipeline, window, 2 * args.padding,
-                             args.threads)
+        chart = _compute(args.theory, args.pipeline, window, args.threads)
     except CandidatesRemainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if again is not None:
-        rep = chart_diff(chart, again)
-        if not rep.clean:
-            print("paranoid check failed: doubled padding changed the chart",
-                  file=sys.stderr)
-            print(rep.summary(), file=sys.stderr)
-            return 1
     text = chartio.serialize(chart)
     if args.output:
         with open(args.output, "w") as fh:
@@ -114,19 +108,20 @@ def _verify_closed(title: str, check, closed: dict[str, Chart], report) -> None:
                "" if rep.passed else f"violations {rep.violations[:3]}")
 
 
-# fixed window of the negative and mutation controls, whatever the user's
+# fixed window of the mutation control, whatever the user's
 _CONTROL_WINDOW = Window.square(4)
 
 
 def _verify_connectivity(hz: TheorySeed, closed: dict[str, Chart], report) -> None:
     _verify_closed("connectivity", connectivity_check, closed, report)
-    # negative control: an a-periodic chart must fail the first clause
-    tate = run_tate_pipeline(hz, _CONTROL_WINDOW, padding=2).tate
+    # negative control: an a-periodic chart must fail the first clause; on
+    # its own fixed window, whose Tate chart spans [-6,6]x[-10,6]
+    tate = run_tate_pipeline(hz, Window.square(2)).tate
     rep = connectivity_check(tate)
     report("connectivity negative control (tate chart fails)", not rep.passed, "")
 
 
-def _verify_cross(window: Window, padding: int, squares: dict[str, TateSquareData],
+def _verify_cross(window: Window, squares: dict[str, TateSquareData],
                   closed: dict[str, Chart], report) -> None:
     def compare(name: str, chart, reference, candidates: list) -> None:
         rep = chart_diff(chart, reference)
@@ -139,7 +134,7 @@ def _verify_cross(window: Window, padding: int, squares: dict[str, TateSquareDat
     compare("hz cells == closed", cellular_chart_hz(window), closed["hz"], [])
     compare("hz tate == closed", squares["hz"].genuine, closed["hz"], [])
     compare("kr tate == closed", squares["kr"].genuine, closed["kr"], [])
-    bss = run_bockstein(window, padding=padding)
+    bss = run_bockstein(window)
     compare("kr bockstein == closed", bss.chart, closed["kr"], bss.candidates)
     rows = all(quotient_row_check(n) for n in range(1, max(2, window.ymax)))
     report("hz quotient rows", rows, "")
@@ -188,8 +183,7 @@ def cmd_verify(args) -> int:
     scope = args.scope
     hz = hz_seed()
     if scope in ("all", "cross", "axes"):
-        squares = {seed.name: run_tate_pipeline(seed, window, padding=args.padding)
-                   for seed in (hz, kr_seed())}
+        squares = {seed.name: run_tate_pipeline(seed, window) for seed in (hz, kr_seed())}
     if scope in ("all", "gap", "connectivity", "cross"):
         closed = {"hz": closed_form_hz(window), "kr": closed_form_kr(window)}
     if scope in ("all", "gap"):
@@ -197,7 +191,7 @@ def cmd_verify(args) -> int:
     if scope in ("all", "connectivity"):
         _verify_connectivity(hz, closed, report)
     if scope in ("all", "cross"):
-        _verify_cross(window, args.padding, squares, closed, report)
+        _verify_cross(window, squares, closed, report)
     if scope in ("all", "axes"):
         _verify_axes(squares, report)
     if scope == "all":
@@ -246,17 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pipeline", choices=("cells", "tate", "bockstein", "closed"),
                    required=True)
     c.add_argument("--window", default="-12..12")
-    c.add_argument("--padding", type=_positive_int, default=4)
     c.add_argument("--threads", type=_positive_int, default=1)
-    c.add_argument("--paranoid", action="store_true",
-                   help="recompute with doubled padding and require identity")
     c.add_argument("--output", default=None)
     c.set_defaults(func=cmd_compute)
 
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("scope", choices=("all", "gap", "connectivity", "cross", "axes"))
     v.add_argument("--window", default="-12..12")
-    v.add_argument("--padding", type=_positive_int, default=4)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="render a chart document")

@@ -109,21 +109,21 @@ def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
                              label_of=seed.label_of, map_monos=seed.map_monos)
 
 
-def run_tate_pipeline(seed: TheorySeed, window: Window,
-                      padding: int = 4) -> TateSquareData:
-    """Homotopy fixed points on a padded window, then the Tate square.
+_TATE_MARGIN = 4
 
-    The fixed-point window is extended far enough below the antidiagonal
-    that every a-column has room to stabilize before the bottom edge;
-    a too-small extension is caught by the stabilization check anyway.
-    It always reaches the integer line y = 0, which the geometric fixed
-    points are read from, also for windows that lie off it.
+
+def run_tate_pipeline(seed: TheorySeed, window: Window) -> TateSquareData:
+    """Homotopy fixed points on a wider window, then the Tate square.
+
+    The fixed-point window reaches _TATE_MARGIN degrees past window, and
+    further below the antidiagonal, so that every a-column has room to
+    stabilize before the bottom edge, which the stabilization check
+    certifies.  It always reaches the integer line y = 0, which the
+    geometric fixed points are read from, also for windows off it.
     """
-    if padding < 1:
-        raise TheoryError("the Tate square needs at least one degree of padding")
-    xmin, xmax = window.xmin - padding, window.xmax + padding
-    ymin = min(window.ymin - padding, -xmax - 4, 0)
-    ymax = max(window.ymax + padding, 0)
+    xmin, xmax = window.xmin - _TATE_MARGIN, window.xmax + _TATE_MARGIN
+    ymin = min(window.ymin - _TATE_MARGIN, -xmax - 4, 0)
+    ymax = max(window.ymax + _TATE_MARGIN, 0)
     hfp = run_hfpss(seed, Window(xmin, xmax, ymin, ymax))
     return run_tate_square(hfp, seed.connective, window, f"{seed.name}-tate")
 
@@ -315,9 +315,24 @@ class BocksteinResult:
 
 # the longest differential d_r searched among the Bockstein survivors
 _BSS_R_CAP = 12
+# the floors read reach _FLOOR_SURPLUS above x_max + y_max, a cutoff
+# certified on the _FLOOR_BAND floors above it
+_FLOOR_SURPLUS = 4
+_FLOOR_BAND = 2
 
 
-def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
+def _check_floor_band(window: Window, floors: int, table: _BaseTable) -> None:
+    """No floor of the band above the cutoff holds a class whose total
+    degree lies in window or one column left of it."""
+    for s in range(floors + 1, floors + _FLOOR_BAND + 1):
+        band = Window(window.xmin - 1 - s, window.xmax - s, window.ymin - s, window.ymax - s)
+        for p in hz_support(band):
+            if table.floor_group(s, p).orders:
+                raise TheoryError(f"Bockstein floor {s}, above the cutoff at floor "
+                                  f"{floors}, holds a class at {(p[0] + s, p[1] + s)}")
+
+
+def run_bockstein(window: Window) -> BocksteinResult:
     """The Real K-theory chart from the integral theory and theta.
 
     Floors are copies of the integral chart shifted along the diagonal;
@@ -329,16 +344,16 @@ def run_bockstein(window: Window, padding: int = 4) -> BocksteinResult:
     differentials are not assumed away: every surviving class is
     searched against every later differential shape, and any possible
     hit is reported as a hard error by the caller.  Each base degree is
-    read once, through the run's `_BaseTable`.
+    read once, through the run's `_BaseTable`, and a class above the
+    floor cutoff is a `TheoryError` (`_check_floor_band`).
     """
-    if padding < 0:
-        raise TheoryError("the Bockstein run needs a non-negative padding")
-    floors = max(0, window.xmax + window.ymax + padding)
+    floors = max(0, window.xmax + window.ymax + _FLOOR_SURPLUS)
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
 
     base_table = _BaseTable()
     table = _survivor_table(window, floors, base_table)
+    _check_floor_band(window, floors, base_table)
     # sorted order is window order; the table also holds the column
     # left of the window
     for d, contributions in sorted(table.items()):
@@ -387,9 +402,7 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
     A d_r lowers the total degree by (1, 0) and raises the floor by r,
     so the targets of a class at d in window are the classes of the
     survivor table at d - (1, 0) between 2 and _BSS_R_CAP floors above it.
-    Hom is decided once per pair of source and target orders.
     """
-    hom: dict[tuple[int, int], bool] = {}
     out = []
     for d, sources in sorted(table.items()):  # window order
         targets = table.get((d[0] - 1, d[1]))
@@ -398,13 +411,9 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
         for cls in sources:
             for tgt in targets:
                 r = tgt.floor - cls.floor
-                if not 2 <= r <= _BSS_R_CAP:
-                    continue
-                orders = (cls.order, tgt.order)
-                if orders not in hom:
-                    hom[orders] = has_nonzero_hom(FgAbelian.from_orders([cls.order]),
-                                                  FgAbelian.from_orders([tgt.order]))
-                if hom[orders]:
+                if 2 <= r <= _BSS_R_CAP and has_nonzero_hom(
+                        FgAbelian.from_orders([cls.order]),
+                        FgAbelian.from_orders([tgt.order])):
                     out.append((r, d, cls, tgt))
     return out
 

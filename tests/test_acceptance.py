@@ -36,7 +36,7 @@ F2 = FgAbelian.cyclic(2)
 def _square(theory: str) -> TateSquareData:
     """The Tate square on WINDOW, built once for the criteria that read it."""
     seed = hz_seed() if theory == "hz" else kr_seed()
-    return run_tate_pipeline(seed, WINDOW, padding=4)
+    return run_tate_pipeline(seed, WINDOW)
 
 
 def _cold():
@@ -62,7 +62,7 @@ def test_criterion_01_hz_triple_equality():
 def test_criterion_02_kr_double_equality():
     _cold()
     t0 = time.monotonic()
-    bss = run_bockstein(WINDOW, padding=4)
+    bss = run_bockstein(WINDOW)
     tate = _square("kr").genuine
     closed = closed_form_kr(WINDOW)
     assert bss.candidates == []
@@ -165,7 +165,7 @@ def test_criterion_08_theta_laws():
     # 85 window generators in all; the 31 with nonzero image are the
     # columns under the three odd powers plus two odd tower ranges
     assert (count, total) == (31, 85)
-    res = run_bockstein(WINDOW, padding=4)
+    res = run_bockstein(WINDOW)
     assert res.candidates == []
     print(f"PASS criterion 8: theta squares to zero with degree -(2,1) "
           f"({count} nonzero instances over {total} window generators); "
@@ -240,6 +240,6 @@ def test_criterion_10_infrastructure(tmp_path):
         blobs.append(render(chart, "svg") + render(chart, "text"))
     assert blobs[0] == blobs[1]
     # the full verification suite exits cleanly
-    assert main(["verify", "all", "--window=-12..12", "--padding", "4"]) == 0
+    assert main(["verify", "all", "--window=-12..12"]) == 0
     print("PASS criterion 10: 1000 serialization round trips, renders "
           "independent of thread count, full verify suite exit 0")

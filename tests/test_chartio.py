@@ -167,11 +167,11 @@ def test_labels_parse_can_read_round_trip(labels):
 @pytest.fixture(scope="module")
 def charts8():
     w = Window.square(8)
-    bss = run_bockstein(w, padding=4)
+    bss = run_bockstein(w)
     assert not bss.candidates
     return [closed_form_hz(w), closed_form_kr(w), cellular_chart_hz(w), bss.chart,
-            run_tate_pipeline(hz_seed(), w, padding=4).genuine,
-            run_tate_pipeline(kr_seed(), w, padding=4).genuine]
+            run_tate_pipeline(hz_seed(), w).genuine,
+            run_tate_pipeline(kr_seed(), w).genuine]
 
 
 def test_written_group_is_the_entry_group(charts8):

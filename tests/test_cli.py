@@ -1,5 +1,6 @@
 """The command-line contract: exit codes, documents, golden renders."""
 
+import argparse
 import os
 import pathlib
 import runpy
@@ -8,7 +9,7 @@ import sys
 
 import roqcharts
 from roqcharts.chartio import diff as chart_diff, parse
-from roqcharts.cli import _parse_window, _verify_axes, main
+from roqcharts.cli import _parse_window, _verify_axes, build_parser, main
 from roqcharts.grading import Window, closed_form_hz, closed_form_kr
 from roqcharts.tate import TateSquareData
 from roqcharts.theories import (BocksteinResult, BssClass, hz_seed, inject_class,
@@ -62,6 +63,46 @@ def test_invalid_pipeline_combination_is_usage_error():
 def test_unknown_flags_are_usage_errors():
     assert main(["compute", "--theory", "hz"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_surface_is_pinned():
+    # every option and positional of every subcommand: adding a knob is a
+    # test edit; the window is the only input of the pipelines
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: ({s for a in p._actions for s in a.option_strings},
+                      [a.dest for a in p._actions if not a.option_strings])
+               for name, p in sub.choices.items()}
+    assert surface == {
+        "compute": ({"-h", "--help", "--theory", "--pipeline", "--window", "--threads",
+                     "--output"}, []),
+        "verify": ({"-h", "--help", "--window"}, ["scope"]),
+        "render": ({"-h", "--help", "--format", "--output"}, ["chart"]),
+        "diff": ({"-h", "--help"}, ["a", "b"]),
+    }
+    for args, flag in ((("compute", "--theory", "kr", "--pipeline", "tate",
+                         "--padding", "4"), "--padding 4"),
+                       (("compute", "--theory", "kr", "--pipeline", "bockstein",
+                         "--paranoid"), "--paranoid"),
+                       (("verify", "cross", "--padding", "4"), "--padding 4")):
+        code, out, err = run_cli(*args, "--window=-2..2")
+        assert (code, out) == (2, ""), args
+        assert [line for line in err.splitlines() if "error" in line] == \
+            [f"roqcharts: error: unrecognized arguments: {flag}"]
+
+
+def test_numbers_take_a_plus_sign(tmp_path):
+    out = tmp_path / "hz.chart"
+    assert main(["compute", "--theory", "hz", "--pipeline", "cells", "--threads", "+2",
+                 "--window=-2..+2", "--output", str(out)]) == 0
+    assert parse(out.read_text()).window == Window.square(2)
+
+
+def test_malformed_range_is_named(capsys):
+    for spec, bad in (("a..b", "a..b"), ("-2..2,1..x", "1..x"), ("3", "3"), ("..", "..")):
+        assert main(["compute", "--theory", "hz", "--pipeline", "closed",
+                     f"--window={spec}"]) == 2
+        assert capsys.readouterr() == ("", f"error: bad range {bad!r}\n"), spec
 
 
 def test_compute_writes_parseable_document(tmp_path):
@@ -146,12 +187,6 @@ def test_verify_subsets(tmp_path):
     assert main(["verify", "connectivity", "--window=-5..5"]) == 0
 
 
-def test_paranoid_compute(tmp_path):
-    out = tmp_path / "kr.chart"
-    assert main(["compute", "--theory", "kr", "--pipeline", "bockstein",
-                 "--window=-4..4", "--paranoid", "--output", str(out)]) == 0
-
-
 def test_bockstein_surviving_candidates_exit_1_without_traceback():
     # windows reaching row 16 keep d_5 candidates between dual towers
     code, out, err = run_cli("compute", "--theory", "kr", "--pipeline", "bockstein",
@@ -166,7 +201,7 @@ def test_bockstein_surviving_candidates_exit_1_without_traceback():
 def test_verify_cross_names_the_first_bockstein_candidate(monkeypatch, capsys):
     source = BssClass(0, ("usq", 0), False, 0)
     planted = (3, (0, 0), source, BssClass(3, source.desc, source.index2, source.order))
-    monkeypatch.setattr("roqcharts.cli.run_bockstein", lambda window, padding:
+    monkeypatch.setattr("roqcharts.cli.run_bockstein", lambda window:
                         BocksteinResult(closed_form_kr(window), [], [planted]))
     assert main(["verify", "cross", "--window=-2..2"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines()
@@ -186,20 +221,6 @@ def _assert_usage_error(*args):
 def test_empty_window_is_usage_error():
     _assert_usage_error("compute", "--theory", "hz", "--pipeline", "closed",
                         "--window=5..1")
-
-
-def test_tate_padding_zero_is_usage_error():
-    _assert_usage_error("compute", "--theory", "hz", "--pipeline", "tate",
-                        "--padding", "0", "--window=-2..2")
-
-
-def test_verify_padding_zero_is_usage_error():
-    _assert_usage_error("verify", "cross", "--padding", "0", "--window=-3..3")
-
-
-def test_bockstein_negative_padding_is_usage_error():
-    _assert_usage_error("compute", "--theory", "kr", "--pipeline", "bockstein",
-                        "--padding", "-50", "--window=-2..2")
 
 
 def test_cells_threads_below_one_is_usage_error():
@@ -225,7 +246,7 @@ def test_verify_all_on_a_window_off_the_axes(tmp_path):
 
 
 def test_axis_check_fails_on_wrong_in_window_group():
-    squares = {seed.name: run_tate_pipeline(seed, Window.square(1), padding=1)
+    squares = {seed.name: run_tate_pipeline(seed, Window.square(1))
                for seed in (hz_seed(), kr_seed())}
     hz = squares["hz"]
     squares["hz"] = TateSquareData(inject_class(hz.hfp, (-2, 0)), hz.tate, hz.phi,
@@ -235,7 +256,8 @@ def test_axis_check_fails_on_wrong_in_window_group():
         (name, passed, detail)))
     failed = [(name, detail) for name, passed, detail in results if not passed]
     assert failed == [("hz fixed-point negative axis Z,0,Z/2,...",
-                       "x in [0, -1, -2]: ['Z', '0', 'Z/2 + Z/2']")]
+                       "x in [0, -1, -2, -3, -4, -5]: "
+                       "['Z', '0', 'Z/2 + Z/2', '0', 'Z/2', '0']")]
 
 
 def _assert_parse_error(tmp_path, capsys, text, line_no):

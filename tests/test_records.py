@@ -244,7 +244,7 @@ def test_tate_square_orbits_are_built_once_on_first_access(monkeypatch):
         calls.append(args)
         return orbits(*args)
     monkeypatch.setattr(tate, "homotopy_orbits", counted)
-    data = run_tate_pipeline(hz_seed(), Window.square(2), padding=1)
+    data = run_tate_pipeline(hz_seed(), Window.square(2))
     assert calls == []
     first = data.orbits
     assert data.orbits is first

@@ -25,10 +25,10 @@ F2 = FgAbelian.cyclic(2)
 
 @functools.cache
 def square(theory: str, radius: int) -> TateSquareData:
-    """The Tate square on Window.square(radius) with padding 2, built once
-    per theory and radius for all the tests here."""
+    """The Tate square on Window.square(radius), built once per theory
+    and radius for all the tests here."""
     seed = hz_seed() if theory == "hz" else kr_seed()
-    return run_tate_pipeline(seed, Window.square(radius), padding=2)
+    return run_tate_pipeline(seed, Window.square(radius))
 
 
 def single_class_chart(window=Window(-3, 3, -3, 3)):
@@ -94,7 +94,7 @@ def test_orbits_are_built_on_demand(monkeypatch):
     calls = []
     monkeypatch.setattr("roqcharts.tate.homotopy_orbits",
                         lambda *args: calls.append(args) or homotopy_orbits(*args))
-    data = run_tate_pipeline(kr_seed(), Window.square(4), padding=2)
+    data = run_tate_pipeline(kr_seed(), Window.square(4))
     assert cli.main(["compute", "--theory", "hz", "--pipeline", "tate",
                      "--window=-4..4"]) == 0
     assert calls == []

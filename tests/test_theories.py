@@ -8,7 +8,7 @@ from roqcharts import theories
 from roqcharts.exactalg import FgAbelian, has_nonzero_hom
 from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_kr,
                                hz_degree, hz_generator, hz_order, hz_summands)
-from roqcharts.chartio import diff
+from roqcharts.chartio import diff, serialize
 from roqcharts.specseq import find_candidates
 from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
                                 bss_to_sss, build_pages, connectivity_check,
@@ -75,6 +75,22 @@ def test_declared_maps_are_classes_of_the_last_page():
                         {**seed.map_monos, "u": {"lam": 2}})
     with pytest.raises(TheoryError, match="structure maps u are not"):
         run_hfpss(broken, Window.square(4))
+
+
+# windows on the axes, on both sides of them, and off them on either side
+TATE_SCOPE_WINDOWS = (Window.square(6), Window(-8, -6, -8, -6), Window(-12, -9, 5, 9),
+                      Window(-3, 9, -14, 2))
+
+
+@pytest.mark.parametrize("margin", (1, 8))
+@pytest.mark.parametrize("seed", (hz_seed(), kr_seed()), ids=("hz", "kr"))
+def test_tate_margin_does_not_change_the_genuine_chart(monkeypatch, seed, margin):
+    # the fixed-point margin is a constant, not an input; the scope of the
+    # committed value: a margin of 1 or 8 gives the same genuine charts
+    want = [serialize(run_tate_pipeline(seed, w).genuine) for w in TATE_SCOPE_WINDOWS]
+    monkeypatch.setattr(theories, "_TATE_MARGIN", margin)
+    assert [serialize(run_tate_pipeline(seed, w).genuine)
+            for w in TATE_SCOPE_WINDOWS] == want
 
 
 def test_collapse_certificates_empty():
@@ -154,9 +170,32 @@ def test_bockstein_floor_zero_keeps_even_towers():
     assert ("utow", 2, 9) not in gone
 
 
-def test_bockstein_rejects_negative_padding():
-    with pytest.raises(TheoryError):
-        run_bockstein(Window.square(2), padding=-1)
+# [4..9]x[-14..-9] is the window whose class (9, -9) lies on floor 1,
+# one above x_max + y_max; square(16) keeps its one d_5 candidate
+FLOOR_SCOPE_WINDOWS = (Window.square(12), Window.square(16), Window(4, 9, -14, -9))
+
+
+def _bockstein_outputs(window):
+    res = run_bockstein(window)
+    return serialize(res.chart), repr(res.candidates), repr(res.absorbed)
+
+
+@pytest.mark.parametrize("surplus", (1, 8))
+def test_floor_surplus_does_not_change_the_run(monkeypatch, surplus):
+    want = [_bockstein_outputs(w) for w in FLOOR_SCOPE_WINDOWS]
+    assert "BssClass(floor=0, desc=('utow', 2, 16)" in want[1][1]
+    monkeypatch.setattr(theories, "_FLOOR_SURPLUS", surplus)
+    assert [_bockstein_outputs(w) for w in FLOOR_SCOPE_WINDOWS] == want
+
+
+def test_floor_band_catches_a_cutoff_that_drops_a_class(monkeypatch):
+    # with no surplus the run reads floor 0 only, and the class at (9, -9)
+    # on floor 1 would be missing from the chart without a word
+    w = Window(4, 9, -14, -9)
+    assert run_bockstein(w).chart.entry((9, -9)) is not None
+    monkeypatch.setattr(theories, "_FLOOR_SURPLUS", 0)
+    with pytest.raises(TheoryError, match=r"floor 1, .* at \(9, -9\)$"):
+        run_bockstein(w)
 
 
 def _hand_floor_survivors(floor, p):
@@ -375,6 +414,6 @@ def test_mutation_is_caught_with_its_degree():
 
 
 def test_tate_chart_fails_connectivity():
-    data = run_tate_pipeline(hz_seed(), Window.square(4), padding=2)
+    data = run_tate_pipeline(hz_seed(), Window.square(4))
     rep = connectivity_check(data.tate)
     assert not rep.passed
