@@ -4,9 +4,9 @@ A degree x + y*sigma is stored as the integer pair (x, y) and displayed
 at cartesian (x, y).  Charts associate finitely generated abelian groups
 with named generators to degrees inside a finite window; absent degrees
 are the zero group.  Structure maps (multiplication by a, u, U, vbar)
-are stored as integer matrices between the chosen generator bases.  The
-closed-form charts build each map family on its first read, and check
-then that every image lands in a summand of its target degree.
+are integer matrices between the chosen generator bases, read as a
+`ChartMap`.  The closed-form charts build each map family on its first
+read, and check then that each image lands in a summand of its target degree.
 """
 
 from __future__ import annotations
@@ -177,25 +177,39 @@ class Chart:
         e = self.entries.get(d)
         return e.exact if e is not None else True
 
+    def map(self, name: str) -> "ChartMap":
+        """Multiplication by a named class, as a map of this chart to
+        itself; a family the chart does not hold is the zero map."""
+        if name not in MAP_DEGREES:
+            raise ChartError(f"unknown structure map {name!r}")
+        return ChartMap(self, self, MAP_DEGREES[name], self.maps.get(name, {}))
 
-def mult_map(chart: Chart, name: str, d: Degree) -> IntMatrix:
-    """Matrix of multiplication by a named class out of degree d.
 
-    Out-of-window source or target raises; a missing matrix over valid
-    degrees is the zero map and comes back with the right shape.
-    """
-    if name not in MAP_DEGREES:
-        raise ChartError(f"unknown structure map {name!r}")
-    dx, dy = MAP_DEGREES[name]
-    target = (d[0] + dx, d[1] + dy)
-    if not chart.window.contains(d) or not chart.window.contains(target):
-        raise OutOfWindowError(f"{name}-multiplication at {d} leaves window {chart.window}")
-    per_degree = chart.maps.get(name, {})
-    if d in per_degree:
-        return per_degree[d]
-    src = chart.entries.get(d)
-    dst = chart.entries.get(target)
-    return IntMatrix.zero(len(dst.gens) if dst else 0, len(src.gens) if src else 0)
+class ChartMap:
+    """A map of charts: out of each degree d of source into d + shift of
+    target, by the matrices stored per source degree.  Treated as
+    immutable; its charts compare by identity, so it is not a Record."""
+
+    __slots__ = ("source", "target", "shift", "matrices")
+
+    def __init__(self, source: Chart, target: Chart, shift: Degree,
+                 matrices: Mapping[Degree, IntMatrix]):
+        self.source = source
+        self.target = target
+        self.shift = shift
+        self.matrices = matrices
+
+    def at(self, d: Degree) -> IntMatrix:
+        """The matrix out of d.  Out-of-window source or target raises; a
+        missing matrix over valid degrees is the zero map and comes back
+        with the right shape."""
+        target = (d[0] + self.shift[0], d[1] + self.shift[1])
+        if not self.source.window.contains(d) or not self.target.window.contains(target):
+            raise OutOfWindowError(f"map out of {d} leaves window {self.source.window} "
+                                   f"-> {self.target.window}")
+        if d in self.matrices:
+            return self.matrices[d]
+        return IntMatrix.zero(len(self.target.orders(target)), len(self.source.orders(d)))
 
 
 def reduce_matrix(mat: IntMatrix, dst_orders: tuple[int, ...]) -> IntMatrix:

@@ -1,12 +1,12 @@
 """The Tate-square pipeline.
 
 Starting from a homotopy-fixed-point chart with its a-multiplications:
-invert a column by column (Tate), truncate the integer line to get
-geometric fixed points (phi), and read two charts off the long exact
-sequence of one map: the homotopy orbits as the fibre of hfp -> tate,
-and the genuine chart as the fibre of hfp -> tate/phi, since the Tate
-square is a pullback.  Phi includes isomorphically into the Tate chart
-degree by degree, so tate/phi is the Tate chart off those degrees.
+invert a column by column (the localization hfp -> tate, a `ChartMap`),
+truncate the integer line to get geometric fixed points (phi), and read
+two charts off the long exact sequence of one map: the homotopy orbits
+as the fibre of hfp -> tate, and the genuine chart as the fibre of
+hfp -> tate/phi, since the Tate square is a pullback.  Phi is the Tate
+chart at x >= 0, so tate/phi is the Tate chart's columns x < 0.
 
 Extension handling: an entry assembled from a nonzero kernel and a
 nonzero cokernel is determined exactly when the kernel part is free
@@ -24,8 +24,8 @@ from functools import cache, cached_property
 
 from .exactalg import (IntMatrix, PresentedGroup, image_contains,
                        map_is_iso, presented_cokernel, presented_kernel)
-from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, SQUARE, mult_map, reduce_matrix)
+from .grading import (Chart, ChartEntry, ChartMap, Degree, Generator, Window,
+                      CIRCLE, DOT, SQUARE, reduce_matrix)
 
 
 class TatePipelineError(Exception):
@@ -41,20 +41,18 @@ class NotPeriodicError(TatePipelineError):
 
 
 class TateSquareData:
-    """The charts of the square; the homotopy orbits, which no other chart
-    or check reads, are built on first access."""
+    """The charts of the square, hfp and tate read off loc; the homotopy
+    orbits, which no other chart or check reads, are built on first access."""
 
-    def __init__(self, hfp: Chart, tate: Chart, phi: Chart, genuine: Chart,
-                 loc_maps: dict[Degree, IntMatrix]):
-        self.hfp = hfp
-        self.tate = tate
+    def __init__(self, loc: ChartMap, phi: Chart, genuine: Chart):
+        self.loc = loc
+        self.hfp, self.tate = loc.source, loc.target
         self.phi = phi
         self.genuine = genuine
-        self.loc_maps = loc_maps
 
     @cached_property
     def orbits(self) -> Chart:
-        return homotopy_orbits(self.hfp, self.tate, self.loc_maps)
+        return homotopy_orbits(self.loc)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +63,8 @@ class TateSquareData:
 _STAB_BAND = 2
 
 
-def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
-    """The a-localized chart and the per-degree localization maps.
+def invert_a_with_maps(chart: Chart) -> ChartMap:
+    """The localization map from chart to its a-localized (Tate) chart.
 
     Within each column the colimit along downward a-multiplication is
     taken to be the group at the bottom of the window; that is only
@@ -74,13 +72,14 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
     checked and otherwise raised as an instability error.
     """
     w = chart.window
+    a = chart.map("a")
     columns: dict[int, ChartEntry] = {}
     loc: dict[Degree, IntMatrix] = {}
     for x in range(w.xmin, w.xmax + 1):
         orders = [chart.orders((x, w.ymin + k)) for k in range(_STAB_BAND + 1)]
         for k in range(_STAB_BAND):
             src = (x, w.ymin + k + 1)
-            mat = mult_map(chart, "a", src)
+            mat = a.at(src)
             if not map_is_iso(mat, orders[k + 1], orders[k]):
                 raise StabilizationError(
                     f"a-column at x = {x} does not stabilize at the bottom of {w} "
@@ -95,9 +94,9 @@ def invert_a_with_maps(chart: Chart) -> tuple[Chart, dict[Degree, IntMatrix]]:
         acc = IntMatrix.identity(len(gens))
         for y in range(w.ymin, w.ymax + 1):
             if y > w.ymin:
-                acc = acc.mul(mult_map(chart, "a", (x, y)))
+                acc = acc.mul(a.at((x, y)))
             loc[(x, y)] = reduce_matrix(acc, orders[0])
-    return _periodic_chart(chart.name + "-tate", w, columns), loc
+    return ChartMap(chart, _periodic_chart(chart.name + "-tate", w, columns), (0, 0), loc)
 
 
 def _periodic_chart(name: str, window: Window, columns: dict[int, ChartEntry]) -> Chart:
@@ -166,44 +165,36 @@ def torsion_split_by_a(orders: tuple[int, ...],
         for j in torsion)
 
 
-def _les_chart(source: Chart, into: dict[Degree, IntMatrix], target: Chart,
-               window: Window, name: str) -> Chart:
-    """Chart of the long exact sequence through the map source -> target.
+def _les_chart(f: ChartMap, window: Window, name: str) -> Chart:
+    """Chart of the long exact sequence through f, a map of degree zero.
 
-    At each degree of window the group sits between the cokernel of the
-    map one step to the right (integer direction) and its kernel at the
-    degree itself; a missing map is zero.  Kernel generators are named
-    after the source generator they are a multiple of.  The attached
-    a-multiplications are blockwise along that filtration (the
-    associated-graded action), which is what the local-cohomology
-    vanishing test consumes.
+    At each degree of window the group sits between the cokernel of f
+    one step to the right (integer direction) and its kernel at the
+    degree itself.  Kernel generators are named after the source
+    generator they are a multiple of.  The attached a-multiplications are
+    blockwise along that filtration (the associated-graded action), which
+    is what the local-cohomology vanishing test consumes.
     """
-    @cache
-    def to_target(d: Degree) -> tuple[IntMatrix, tuple[int, ...], tuple[int, ...]]:
-        """The map into target at d, with the source's orders there and
-        the target's."""
-        orders, target_orders = source.orders(d), target.orders(d)
-        mat = into.get(d, IntMatrix.zero(len(target_orders), len(orders)))
-        return mat, orders, target_orders
+    source, target = f.source, f.target
+    source_a, target_a = source.map("a"), target.map("a")
 
     @cache
     def kernel(d: Degree) -> PresentedGroup:
-        return presented_kernel(*to_target(d))
+        return presented_kernel(f.at(d), source.orders(d), target.orders(d))
 
     def a_into_kernel(d: Degree, ker: PresentedGroup) -> IntMatrix | None:
         """a from the kernel one step up into ker, in its generators."""
         up = (d[0], d[1] + 1)
         if not source.window.contains(up):
             return None
-        return ker.induced(mult_map(source, "a", up), kernel(up))
+        return ker.induced(source_a.at(up), kernel(up))
 
     entries: dict[Degree, ChartEntry] = {}
     cokers: dict[Degree, PresentedGroup] = {}
     for d in window.degrees():
         right = (d[0] + 1, d[1])
         ker = kernel(d)
-        mat, _, target_orders = to_target(right)
-        coker = presented_cokernel(mat, target_orders)
+        coker = presented_cokernel(f.at(right), target.orders(right))
         covered = not coker.is_zero() and torsion_split_by_a(
             ker.orders, lambda: a_into_kernel(d, ker))
         src = source.entry(d)
@@ -219,8 +210,8 @@ def _les_chart(source: Chart, into: dict[Degree, IntMatrix], target: Chart,
         if down not in entries:
             continue
         amaps[d] = IntMatrix.block_diag(
-            cokers[down].induced(mult_map(target, "a", (d[0] + 1, d[1])), cokers[d]),
-            kernel(down).induced(mult_map(source, "a", d), kernel(d)))
+            cokers[down].induced(target_a.at((d[0] + 1, d[1])), cokers[d]),
+            kernel(down).induced(source_a.at(d), kernel(d)))
     return Chart(name=name, window=window, entries=entries, maps={"a": amaps})
 
 
@@ -228,27 +219,25 @@ def _les_chart(source: Chart, into: dict[Degree, IntMatrix], target: Chart,
 # homotopy orbits
 # ---------------------------------------------------------------------------
 
-def homotopy_orbits(hfp: Chart, tate: Chart,
-                    loc_maps: dict[Degree, IntMatrix]) -> Chart:
-    """Orbits from the long exact sequence through the localization map."""
-    w = hfp.window
+def homotopy_orbits(loc: ChartMap) -> Chart:
+    """Orbits from the long exact sequence through the localization loc."""
+    w = loc.source.window
     out_w = Window(w.xmin, w.xmax - 1, w.ymin, w.ymax - 1)
-    return _les_chart(hfp, loc_maps, tate, out_w, hfp.name + "-orbits")
+    return _les_chart(loc, out_w, loc.source.name + "-orbits")
 
 
 # ---------------------------------------------------------------------------
 # geometric fixed points
 # ---------------------------------------------------------------------------
 
-def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
-                                     ) -> tuple[Chart, dict[Degree, IntMatrix]]:
+def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool) -> Chart:
     """Connective cover of the Tate chart, spread a-periodically.
 
     The integer line is truncated to non-negative degrees and copied up
     and down each column; this needs the input to really be a-periodic
     and the theory to be non-equivariantly connective (the caller's
-    certificate), both enforced.  Also returns the per-degree inclusion
-    into the Tate chart.
+    certificate), both enforced.  Its entries are the Tate chart's at
+    x >= 0, so it includes isomorphically there.
     """
     if not connective_certificate:
         raise TatePipelineError(
@@ -271,43 +260,36 @@ def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool
         gens = tuple(Generator(f"ph({g.label})", g.annotation, g.order)
                      for g in line.gens)
         columns[x] = ChartEntry(gens)
-    chart = _periodic_chart(tate.name + "-phi", w, columns)
-    return chart, {d: IntMatrix.identity(len(e.gens)) for d, e in chart.entries.items()}
+    return _periodic_chart(tate.name + "-phi", w, columns)
 
 
 # ---------------------------------------------------------------------------
 # the genuine chart
 # ---------------------------------------------------------------------------
 
-def assemble_genuine(hfp: Chart, tate: Chart, loc_maps: dict[Degree, IntMatrix],
-                     phi: Chart, phi_maps: dict[Degree, IntMatrix],
-                     window: Window, name: str) -> Chart:
+def assemble_genuine(loc: ChartMap, window: Window, name: str) -> Chart:
     """The genuine chart as the fibre of hfp -> tate/phi.
 
     The Tate square is a pullback, so the genuine chart is the fibre of
-    the localization map followed by the quotient by phi.  Each inclusion
-    of phi must be an isomorphism onto its degree of the Tate chart, so
-    tate/phi is the Tate chart off those degrees, with its generators.
+    the localization map loc followed by the quotient by phi.  Phi is the
+    Tate chart at x >= 0, so tate/phi is the Tate chart's columns x < 0,
+    with its generators.
     """
+    hfp, tate = loc.source, loc.target
     w = hfp.window
     if not (w.contains((window.xmin, window.ymin))
             and w.contains((window.xmax + 1, window.ymax + 1))):
         raise TatePipelineError("input charts need one degree of margin around the window")
-    for d, inclusion in phi_maps.items():
-        if not map_is_iso(inclusion, phi.orders(d), tate.orders(d)):
-            raise TatePipelineError("phi does not include isomorphically into the "
-                                    f"Tate chart at {d}")
-    kept = {d: e for d, e in tate.entries.items() if d not in phi_maps}
-    quotient = Chart(name=tate.name + "/phi", window=tate.window, entries=kept,
-                     maps={"a": {d: m for d, m in tate.maps["a"].items() if d in kept}})
-    into = {d: m for d, m in loc_maps.items() if d in kept}
-    return _les_chart(hfp, into, quotient, window, name)
+    quotient = Chart(name=tate.name + "/phi", window=tate.window,
+                     entries={d: e for d, e in tate.entries.items() if d[0] < 0},
+                     maps={"a": {d: m for d, m in tate.maps["a"].items() if d[0] < 0}})
+    into = {d: m for d, m in loc.matrices.items() if d[0] < 0}
+    return _les_chart(ChartMap(hfp, quotient, (0, 0), into), window, name)
 
 
 def run_tate_square(hfp: Chart, connective: bool, window: Window,
                     name: str) -> TateSquareData:
     """The square from a homotopy-fixed-point chart, the orbits on demand."""
-    tate, loc = invert_a_with_maps(hfp)
-    phi, phi_maps = geometric_fixed_points_with_maps(tate, connective)
-    genuine = assemble_genuine(hfp, tate, loc, phi, phi_maps, window, name)
-    return TateSquareData(hfp=hfp, tate=tate, phi=phi, genuine=genuine, loc_maps=loc)
+    loc = invert_a_with_maps(hfp)
+    phi = geometric_fixed_points_with_maps(loc.target, connective)
+    return TateSquareData(loc, phi, assemble_genuine(loc, window, name))

@@ -17,7 +17,7 @@ from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, Record,
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       DOT, SQUARE, ChartError, desc_matrix, hz_degree,
                       hz_generator, hz_map_image, hz_order, hz_summands,
-                      hz_support, join_labels, mult_map, power_label)
+                      hz_support, join_labels, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import TateSquareData, run_tate_square, torsion_split_by_a
@@ -483,13 +483,13 @@ def connectivity_check(chart: Chart) -> CheckReport:
         raise ChartError("connectivity check needs a-multiplication data")
     violations = []
     w = chart.window
+    a = chart.map("a")
     for d in w.degrees():
         x, y = d
         if x < 0 and x + y < 0 and not chart.group(d).is_zero():
             violations.append((d, f"nonzero group {chart.group(d)} below the antidiagonal"))
         if x >= 0 and x + y < 0 and w.contains((x, y - 1)):
-            mat = mult_map(chart, "a", d)
-            if not map_is_iso(mat, chart.orders(d), chart.orders((x, y - 1))):
+            if not map_is_iso(a.at(d), chart.orders(d), chart.orders((x, y - 1))):
                 violations.append((d, "a-multiplication not an isomorphism"))
     return CheckReport(not violations, tuple(violations))
 

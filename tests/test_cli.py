@@ -10,7 +10,7 @@ import sys
 import roqcharts
 from roqcharts.chartio import diff as chart_diff, parse
 from roqcharts.cli import _parse_window, _verify_axes, build_parser, main
-from roqcharts.grading import Window, closed_form_hz, closed_form_kr
+from roqcharts.grading import ChartMap, Window, closed_form_hz, closed_form_kr
 from roqcharts.tate import TateSquareData
 from roqcharts.theories import (BocksteinResult, BssClass, hz_seed, inject_class,
                                 kr_seed, run_tate_pipeline)
@@ -249,8 +249,8 @@ def test_axis_check_fails_on_wrong_in_window_group():
     squares = {seed.name: run_tate_pipeline(seed, Window.square(1))
                for seed in (hz_seed(), kr_seed())}
     hz = squares["hz"]
-    squares["hz"] = TateSquareData(inject_class(hz.hfp, (-2, 0)), hz.tate, hz.phi,
-                                   hz.genuine, hz.loc_maps)
+    loc = ChartMap(inject_class(hz.hfp, (-2, 0)), hz.tate, (0, 0), hz.loc.matrices)
+    squares["hz"] = TateSquareData(loc, hz.phi, hz.genuine)
     results = []
     _verify_axes(squares, lambda name, passed, detail: results.append(
         (name, passed, detail)))

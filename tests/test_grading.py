@@ -7,11 +7,12 @@ import pytest
 from roqcharts import grading
 from roqcharts.cli import main
 from roqcharts.exactalg import ExactAlgebraError, FgAbelian, IntMatrix, map_is_iso
-from roqcharts.grading import (CIRCLE, DOT, MAP_DEGREES, SQUARE, ChartEntry, ChartError,
-                               Generator, OutOfWindowError, Window,
+from roqcharts.grading import (CIRCLE, DOT, MAP_DEGREES, SQUARE, Chart, ChartEntry,
+                               ChartError, ChartMap, Generator, OutOfWindowError, Window,
                                closed_form_hz, closed_form_kr, desc_matrix,
                                hz_map_image, hz_summands, hz_support, kr_map_image,
-                               kr_summands, mult_map, reduce_matrix)
+                               kr_summands, reduce_matrix)
+from roqcharts.tate import invert_a_with_maps
 
 
 Z = FgAbelian.free(1)
@@ -73,23 +74,46 @@ def test_kr_negative_blocks(kr12):
     assert kr12.group((-5, 5)) == F2  # tower bottom
 
 
-def test_mult_map_examples(hz12):
-    assert mult_map(hz12, "a", (0, 0)).entries == ((1,),)
-    assert mult_map(hz12, "a", (-2, 2)).is_zero()
-    assert mult_map(hz12, "u", (0, 0)).entries == ((1,),)
-    assert mult_map(hz12, "u", (-2, 2)).entries == ((2,),)  # circle composite
+def test_chart_map_examples(hz12):
+    a, u = hz12.map("a"), hz12.map("u")
+    assert a.at((0, 0)).entries == ((1,),)
+    assert a.at((-2, 2)).is_zero()
+    assert u.at((0, 0)).entries == ((1,),)
+    assert u.at((-2, 2)).entries == ((2,),)  # circle composite
 
 
-def test_mult_map_out_of_window(hz12):
+def test_chart_map_out_of_window(hz12):
     with pytest.raises(OutOfWindowError):
-        mult_map(hz12, "u", (12, -12))
+        hz12.map("u").at((12, -12))
     with pytest.raises(OutOfWindowError):
-        mult_map(hz12, "a", (0, -12))
+        hz12.map("a").at((0, -12))
+
+
+def test_chart_map_contract(hz12):
+    # the zero fill is (target gens) x (source gens), whatever is stored
+    w = Window(0, 1, -1, 1)
+    two = ChartEntry((Generator("s", SQUARE), Generator("t", DOT, 2)))
+    source = Chart("src", w, {(0, 0): two})
+    target = Chart("dst", Window(0, 2, -1, 1),
+                   {(1, 1): ChartEntry((Generator("g", DOT, 2),))})
+    f = ChartMap(source, target, (1, 1), {})
+    assert (f.at((0, 0)).rows, f.at((0, 0)).cols) == (1, 2)
+    assert (f.at((1, -1)).rows, f.at((1, -1)).cols) == (0, 0)
+    # the source degree leaves its window, then only the target degree does
+    with pytest.raises(OutOfWindowError):
+        f.at((0, 2))
+    with pytest.raises(OutOfWindowError):
+        f.at((1, 1))
+    with pytest.raises(ChartError, match="'z'"):
+        hz12.map("z")
+    empty = Chart("empty", w)
+    assert invert_a_with_maps(empty).source is empty
 
 
 def check_square_commutes(chart, name1: str, name2: str) -> list:
     """Degrees where the two multiplications fail to commute (in window)."""
     d1, d2 = MAP_DEGREES[name1], MAP_DEGREES[name2]
+    f1, f2 = chart.map(name1), chart.map(name2)
     bad = []
     w = chart.window
     for d in w.degrees():
@@ -98,8 +122,8 @@ def check_square_commutes(chart, name1: str, name2: str) -> list:
         far = (d[0] + d1[0] + d2[0], d[1] + d1[1] + d2[1])
         if not (w.contains(mid1) and w.contains(mid2) and w.contains(far)):
             continue
-        first = mult_map(chart, name2, mid1).mul(mult_map(chart, name1, d))
-        second = mult_map(chart, name1, mid2).mul(mult_map(chart, name2, d))
+        first = f2.at(mid1).mul(f1.at(d))
+        second = f1.at(mid2).mul(f2.at(d))
         orders = chart.orders(far)
         if reduce_matrix(first, orders) != reduce_matrix(second, orders):
             bad.append(d)
@@ -139,24 +163,25 @@ def test_connectivity_vanishing(hz12, kr12):
 def test_a_iso_below_antidiagonal(hz12, kr12):
     for chart in (hz12, kr12):
         w = chart.window
+        a = chart.map("a")
         for d in w.degrees():
             x, y = d
             if x >= 0 and x + y < 0 and w.contains((x, y - 1)):
-                mat = mult_map(chart, "a", d)
+                mat = a.at(d)
                 assert map_is_iso(mat, chart.orders(d), chart.orders((x, y - 1))), d
 
 
 def test_a_column_periodicity(hz12):
     # every lower-half-plane dot maps isomorphically to the dot below it
     w = hz12.window
+    a = hz12.map("a")
     for d in w.degrees():
         x, y = d
         e = hz12.entry(d)
         if e is None or not (x >= 0 and y < -x and w.contains((x, y - 1))):
             continue
         assert e.group == F2
-        mat = mult_map(hz12, "a", d)
-        assert map_is_iso(mat, e.orders, hz12.orders((x, y - 1)))
+        assert map_is_iso(a.at(d), e.orders, hz12.orders((x, y - 1)))
 
 
 def test_annotation_group_consistency(hz12, kr12):

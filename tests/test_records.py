@@ -249,4 +249,5 @@ def test_tate_square_orbits_are_built_once_on_first_access(monkeypatch):
     first = data.orbits
     assert data.orbits is first
     assert len(calls) == 1
-    assert calls[0][0] is data.hfp and calls[0][1] is data.tate
+    assert calls[0] == (data.loc,)
+    assert data.loc.source is data.hfp and data.loc.target is data.tate

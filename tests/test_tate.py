@@ -1,18 +1,19 @@
 """The Tate square: localization, orbits, fixed points, assembly."""
 
 import functools
+import inspect
 import re
 
 import pytest
 
 from roqcharts.exactalg import (FgAbelian, IntMatrix, presented_cokernel,
                                 presented_kernel)
-from roqcharts.grading import (Chart, ChartEntry, Generator, Window, DOT, SQUARE,
-                               mult_map)
+from roqcharts.grading import (Chart, ChartEntry, ChartMap, Generator, Window, DOT,
+                               SQUARE)
 from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareData,
                             assemble_genuine, geometric_fixed_points_with_maps,
                             homotopy_orbits, invert_a_with_maps, torsion_split_by_a,
-                            _les_entry)
+                            _les_chart, _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
 from roqcharts import cli, exactalg
@@ -38,7 +39,7 @@ def single_class_chart(window=Window(-3, 3, -3, 3)):
 
 def test_invert_a_kills_nilpotent_chart():
     # one Z at the origin with zero a-multiplication inverts to nothing
-    tate = invert_a_with_maps(single_class_chart())[0]
+    tate = invert_a_with_maps(single_class_chart()).target
     assert not tate.entries
 
 
@@ -48,7 +49,7 @@ def test_invert_a_is_a_periodic_and_idempotent():
         base = t.group((x, t.window.ymin))
         for y in range(t.window.ymin, t.window.ymax + 1):
             assert t.group((x, y)) == base
-    again = invert_a_with_maps(t)[0]
+    again = invert_a_with_maps(t).target
     assert all(again.group(d) == t.group(d) for d in again.window.degrees())
 
 
@@ -70,9 +71,9 @@ def test_invert_a_instability_error():
 def test_localization_maps_hit_the_colimit():
     data = square("hz", 6)
     # on the antidiagonal the map is reduction of Z onto Z/2
-    assert data.loc_maps[(0, 0)].entries == ((1,),)
+    assert data.loc.at((0, 0)).entries == ((1,),)
     # above the antidiagonal nothing maps anywhere (source is zero)
-    assert data.loc_maps[(0, 3)].cols == 0
+    assert data.loc.at((0, 3)).cols == 0
 
 
 def test_orbits_patterns_hz():
@@ -98,7 +99,7 @@ def test_orbits_are_built_on_demand(monkeypatch):
     assert cli.main(["compute", "--theory", "hz", "--pipeline", "tate",
                      "--window=-4..4"]) == 0
     assert calls == []
-    eager = homotopy_orbits(data.hfp, data.tate, data.loc_maps)
+    eager = homotopy_orbits(data.loc)
     assert serialize(data.orbits) == serialize(eager)
     assert data.orbits.maps == eager.maps
     assert len(calls) == 1
@@ -108,8 +109,7 @@ def test_orbits_trivial_when_tate_vanishes():
     # with a zero localization target the orbits are just the fixed points
     hfp = single_class_chart()
     tate = Chart(name="zero", window=hfp.window, entries={}, maps={"a": {}})
-    from roqcharts.tate import homotopy_orbits
-    orbits = homotopy_orbits(hfp, tate, {})
+    orbits = homotopy_orbits(ChartMap(hfp, tate, (0, 0), {}))
     assert orbits.group((0, 0)) == Z
 
 
@@ -141,7 +141,7 @@ def test_periodicity_check_compares_groups_where_orders_differ():
     z, two = Generator("z", SQUARE, 0), Generator("t", DOT, 2)
     entries = {(x, y): ChartEntry((z, two) if y else (two, z))
                for x in range(-1, 2) for y in range(-2, 3)}
-    phi, _ = geometric_fixed_points_with_maps(Chart("mixed", w, entries, {"a": {}}), True)
+    phi = geometric_fixed_points_with_maps(Chart("mixed", w, entries, {"a": {}}), True)
     assert phi.group((1, 2)) == FgAbelian(1, (2,))
 
 
@@ -156,13 +156,11 @@ def test_phi_integer_line_connective():
 
 
 def test_degenerate_square_returns_fixed_points():
-    # phi = tate leaves tate/phi = 0, so the fibre is hfp itself
-    data = square("hz", 6)
-    hfp, tate = data.hfp, data.tate
-    ident = {d: IntMatrix.identity(len(tate.orders(d)))
-             for d in tate.window.degrees()}
+    # a map into the empty chart leaves tate/phi = 0, so the fibre is hfp itself
+    hfp = square("hz", 6).hfp
+    empty = Chart(name="empty", window=hfp.window, maps={"a": {}})
     w = Window.square(4)
-    genuine = assemble_genuine(hfp, tate, data.loc_maps, tate, ident, w, "degen")
+    genuine = assemble_genuine(ChartMap(hfp, empty, (0, 0), {}), w, "degen")
     for d in w.degrees():
         assert genuine.group(d) == hfp.group(d), d
 
@@ -186,15 +184,35 @@ def test_genuine_is_fixed_points_where_phi_is_tate(theory):
         assert (mine and mine.gens) == (theirs and theirs.gens), d
 
 
-def test_genuine_refuses_phi_inclusion_that_is_not_iso():
-    data = square("hz", 6)
-    phi, phi_maps = geometric_fixed_points_with_maps(data.tate, True)
-    d = (0, 0)
-    assert phi.orders(d) == (2,)
-    planted = {**phi_maps, d: IntMatrix.zero(1, 1)}
-    with pytest.raises(TatePipelineError, match=r"\(0, 0\)"):
-        assemble_genuine(data.hfp, data.tate, data.loc_maps, phi, planted,
-                         Window.square(4), "planted")
+@pytest.mark.parametrize("theory", ["hz", "kr"])
+@pytest.mark.parametrize("window", [Window.square(8), Window(-12, -9, 5, 9)],
+                         ids=["square8", "offset"])
+def test_phi_is_the_tate_chart_at_nonnegative_x(theory, window):
+    # what makes tate/phi the Tate chart's columns x < 0: phi sits exactly
+    # at the Tate chart's nonzero degrees with x >= 0, with its orders
+    seed = hz_seed() if theory == "hz" else kr_seed()
+    data = run_tate_pipeline(seed, window)
+    tate, phi = data.tate, data.phi
+    right = {d for d, e in tate.entries.items() if d[0] >= 0 and e.gens}
+    assert set(phi.entries) == right
+    assert all(phi.orders(d) == tate.orders(d) for d in right)
+    assert not [d for d in tate.entries if d[0] < 0 and d in phi.entries]
+
+
+def test_tate_square_stage_signatures_are_pinned():
+    # each stage passes maps as one ChartMap: a parameter that grows back
+    # is a test edit
+    stages = {f.__name__: list(inspect.signature(f).parameters)
+              for f in (assemble_genuine, homotopy_orbits, _les_chart,
+                        invert_a_with_maps, geometric_fixed_points_with_maps)}
+    assert stages == {
+        "assemble_genuine": ["loc", "window", "name"],
+        "homotopy_orbits": ["loc"],
+        "_les_chart": ["f", "window", "name"],
+        "invert_a_with_maps": ["chart"],
+        "geometric_fixed_points_with_maps": ["tate", "connective_certificate"],
+    }
+    assert list(inspect.signature(TateSquareData).parameters) == ["loc", "phi", "genuine"]
 
 
 def test_les_entry_flags_unresolvable_extension():
@@ -232,7 +250,7 @@ def test_round_trip_both_theories():
 
 def test_local_cohomology_vanishing():
     for theory in ("hz", "kr"):
-        assert not invert_a_with_maps(square(theory, 8).orbits)[0].entries
+        assert not invert_a_with_maps(square(theory, 8).orbits).target.entries
 
 
 def a_map_mismatches(chart, reference):
@@ -242,13 +260,14 @@ def a_map_mismatches(chart, reference):
     the groups the a-multiplication cuts out are compared.
     """
     bad = []
+    a_maps = [c.map("a") for c in (chart, reference)]
     for d in chart.window.degrees():
         down = (d[0], d[1] - 1)
         if not chart.window.contains(down):
             continue
         groups = []
-        for c in (chart, reference):
-            m = mult_map(c, "a", d)
+        for a in a_maps:
+            c, m = a.source, a.at(d)
             groups.append((presented_kernel(m, c.orders(d), c.orders(down)).group,
                            presented_cokernel(m, c.orders(down)).group))
         if groups[0] != groups[1]:
@@ -273,7 +292,7 @@ def test_genuine_a_maps_match_closed_form(genuine_and_closed_8, theory):
 def test_genuine_a_map_check_reports_corrupted_degree(genuine_and_closed_8):
     genuine, closed = genuine_and_closed_8["hz"]
     d = (0, 0)
-    good = mult_map(genuine, "a", d)
+    good = genuine.map("a").at(d)
     assert not good.is_zero()
     corrupted = Chart(name=genuine.name, window=genuine.window, entries=genuine.entries,
                       maps={"a": {**genuine.maps["a"], d: IntMatrix.zero(good.rows, good.cols)}})
