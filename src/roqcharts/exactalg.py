@@ -422,11 +422,11 @@ class FgAbelian(Record):
     def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
         if rank < 0:
             raise ExactAlgebraError("negative rank")
+        if any(d < 2 for d in torsion):
+            raise ExactAlgebraError("torsion coefficients must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ExactAlgebraError(f"torsion {torsion} is not a divisibility chain")
-        if any(d < 2 for d in torsion):
-            raise ExactAlgebraError("torsion coefficients must be >= 2")
         return tuple.__new__(cls, (rank, torsion))
 
     @staticmethod

@@ -275,7 +275,8 @@ def _survivor_table(window: Window, floors: int,
                     table: _BaseTable) -> dict[Degree, list[BssClass]]:
     """Every surviving class of floors 0..floors whose total degree lies
     in window or one column left of it, keyed by total degree with the
-    floors ascending.
+    floors ascending: in `run_bockstein`, the one scope of both its floor
+    cutoff check and its d_r search.
 
     A floor group depends on its floor only through whether the floor is
     0, so each base degree p with an hz summand (`hz_support`) is computed
@@ -313,23 +314,10 @@ class BocksteinResult:
         self.candidates = candidates
 
 
-# the longest differential d_r searched among the Bockstein survivors
-_BSS_R_CAP = 12
 # the floors read reach _FLOOR_SURPLUS above x_max + y_max, a cutoff
 # certified on the _FLOOR_BAND floors above it
 _FLOOR_SURPLUS = 4
 _FLOOR_BAND = 2
-
-
-def _check_floor_band(window: Window, floors: int, table: _BaseTable) -> None:
-    """No floor of the band above the cutoff holds a class whose total
-    degree lies in window or one column left of it."""
-    for s in range(floors + 1, floors + _FLOOR_BAND + 1):
-        band = Window(window.xmin - 1 - s, window.xmax - s, window.ymin - s, window.ymax - s)
-        for p in hz_support(band):
-            if table.floor_group(s, p).orders:
-                raise TheoryError(f"Bockstein floor {s}, above the cutoff at floor "
-                                  f"{floors}, holds a class at {(p[0] + s, p[1] + s)}")
 
 
 def run_bockstein(window: Window) -> BocksteinResult:
@@ -343,17 +331,23 @@ def run_bockstein(window: Window) -> BocksteinResult:
     extension split by the Tate side's a-divisibility rule.  Higher
     differentials are not assumed away: every surviving class is
     searched against every later differential shape, and any possible
-    hit is reported as a hard error by the caller.  Each base degree is
-    read once, through the run's `_BaseTable`, and a class above the
-    floor cutoff is a `TheoryError` (`_check_floor_band`).
+    hit is reported as a hard error by the caller.  One survivor table,
+    each base degree read once through the run's `_BaseTable`, reaches
+    the _FLOOR_BAND floors above the cutoff: a class there is a
+    `TheoryError`, so the chart and the d_r search read exactly the
+    floors the run certified.
     """
     floors = max(0, window.xmax + window.ymax + _FLOOR_SURPLUS)
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
 
     base_table = _BaseTable()
-    table = _survivor_table(window, floors, base_table)
-    _check_floor_band(window, floors, base_table)
+    table = _survivor_table(window, floors + _FLOOR_BAND, base_table)
+    above = min(((cls.floor, d) for d, classes in table.items()
+                 for cls in classes if cls.floor > floors), default=None)
+    if above is not None:
+        raise TheoryError(f"Bockstein floor {above[0]}, above the cutoff at floor "
+                          f"{floors}, holds a class at {above[1]}")
     # sorted order is window order; the table also holds the column
     # left of the window
     for d, contributions in sorted(table.items()):
@@ -401,7 +395,8 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
 
     A d_r lowers the total degree by (1, 0) and raises the floor by r,
     so the targets of a class at d in window are the classes of the
-    survivor table at d - (1, 0) between 2 and _BSS_R_CAP floors above it.
+    survivor table at d - (1, 0) at least 2 floors above it, however
+    high the table reaches.
     """
     out = []
     for d, sources in sorted(table.items()):  # window order
@@ -411,7 +406,7 @@ def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):
         for cls in sources:
             for tgt in targets:
                 r = tgt.floor - cls.floor
-                if 2 <= r <= _BSS_R_CAP and has_nonzero_hom(
+                if r >= 2 and has_nonzero_hom(
                         FgAbelian.from_orders([cls.order]),
                         FgAbelian.from_orders([tgt.order])):
                     out.append((r, d, cls, tgt))

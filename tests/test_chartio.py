@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roqcharts.cells import cellular_chart_hz
 from roqcharts.chartio import ChartParseError, diff, parse, render, serialize
@@ -81,7 +82,7 @@ def test_parse_errors_carry_line_numbers():
     # torsion must be in invariant-factor normal form: each coefficient at
     # least 2 and dividing the next
     for torsion, gens in (("1", "g:dot"), ("2,3", "g:dot; h:dot"),
-                          ("4,2", "g:dot; h:dot")):
+                          ("4,2", "g:dot; h:dot"), ("0,2", "g:dot; h:dot")):
         with pytest.raises(ChartParseError) as e3:
             parse("roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n\n"
                   f"entry: 0 0 | rank 0 torsion {torsion} | {gens}\n")
@@ -105,6 +106,28 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ChartParseError) as e4:
             parse(doc)
         assert e4.value.line_no == line_no, doc
+
+
+_small_ints = st.integers(min_value=-2, max_value=9)
+
+
+@given(rank=_small_ints, torsion=st.lists(_small_ints, max_size=3),
+       gens=st.lists(st.tuples(st.sampled_from(["g", "2 u", "a:b", "| x", "", "x; y"]),
+                               st.sampled_from([SQUARE, CIRCLE, DOT, "tri"])),
+                     min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_an_entry_line_or_names_its_line(rank, torsion, gens):
+    # any entry line either parses to a chart that serialize writes back
+    # byte for byte, or is refused with a ChartParseError at its line
+    doc = ("roqcharts-chart v1\nname: x\nwindow: 0 1 0 1\n"
+           f"entry: 0 0 | rank {rank} torsion {','.join(map(str, torsion)) or '-'} | "
+           + "; ".join(f"{label}:{glyph}" for label, glyph in gens) + "\n")
+    try:
+        chart = parse(doc)
+    except ChartParseError as e:
+        assert e.line_no == 4
+        return
+    assert serialize(chart) == doc
 
 
 def _one_entry_chart(*labels: str, name: str = "c", at=(0, 0)) -> Chart:

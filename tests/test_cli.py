@@ -196,6 +196,15 @@ def test_bockstein_surviving_candidates_exit_1_without_traceback():
     assert err == ("error: surviving higher differential candidates: [(5, (-5, 16), "
                    "BssClass(floor=0, desc=('utow', 2, 16), index2=False), "
                    "BssClass(floor=5, desc=('utow', 5, 11), index2=False))]\n")
+    # a high window keeps longer ones: the search covers every floor read
+    code, out, err = run_cli("compute", "--theory", "kr", "--pipeline", "bockstein",
+                             "--window=-8..0,32..40")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: surviving higher differential candidates: [(13, (-5, 32), "
+                          "BssClass(floor=0, desc=('utow', 2, 32), index2=False), "
+                          "BssClass(floor=13, desc=('utow', 9, 19), index2=False)), ")
 
 
 def test_verify_cross_names_the_first_bockstein_candidate(monkeypatch, capsys):
@@ -279,6 +288,9 @@ def test_empty_window_in_document_is_parse_error(tmp_path, capsys):
 def test_dot_without_torsion_in_document_is_parse_error(tmp_path, capsys):
     _assert_parse_error(tmp_path, capsys, "roqcharts-chart v1\nname: x\nwindow: -1 1 -1 1\n"
                         "entry: 0 0 | rank 0 torsion 0 | t:dot\n", 4)
+    # a zero coefficient is refused before the divisibility chain divides by it
+    _assert_parse_error(tmp_path, capsys, "roqcharts-chart v1\nname: x\nwindow: -1 1 -1 1\n"
+                        "entry: 0 0 | rank 0 torsion 0,2 | a:dot; b:dot\n", 4)
 
 
 def test_tracked_renders_are_current(tmp_path):

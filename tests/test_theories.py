@@ -335,19 +335,21 @@ def test_bockstein_reads_each_base_degree_once(monkeypatch):
 
 
 def test_higher_candidates_decide_hom_per_pair():
-    # the candidate list is the pairwise Hom test's, in content and order
-    w = Window.square(16)
-    table = theories._survivor_table(w, w.xmax + w.ymax + 4, theories._BaseTable())
-    brute = []
-    for d in w.degrees():
-        for cls in table.get(d, []):
-            for tgt in table.get((d[0] - 1, d[1]), []):
-                r = tgt.floor - cls.floor
-                if 2 <= r <= 12 and has_nonzero_hom(FgAbelian.from_orders([cls.order]),
-                                                    FgAbelian.from_orders([tgt.order])):
-                    brute.append((r, d, cls, tgt))
-    assert brute
-    assert theories.bss_higher_candidates(w, table) == brute
+    # the candidate list is the pairwise Hom test's, in content and order,
+    # over every floor the table holds: no d_r is too long to be searched
+    for radius, count, shapes in ((16, 1, {5}), (40, 40, {5, 9, 13, 17})):
+        w = Window.square(radius)
+        table = theories._survivor_table(w, w.xmax + w.ymax + 4, theories._BaseTable())
+        brute = []
+        for d in w.degrees():
+            for cls in table.get(d, []):
+                for tgt in table.get((d[0] - 1, d[1]), []):
+                    r = tgt.floor - cls.floor
+                    if r >= 2 and has_nonzero_hom(FgAbelian.from_orders([cls.order]),
+                                                  FgAbelian.from_orders([tgt.order])):
+                        brute.append((r, d, cls, tgt))
+        assert len(brute) == count and {r for r, *_ in brute} == shapes, radius
+        assert theories.bss_higher_candidates(w, table) == brute, radius
 
 
 def test_hz_order_is_the_generator_order():
