@@ -3,8 +3,10 @@
 Equivariant cell structures on the sign-representation spheres with
 coefficients in the constant integral Mackey functor for the order-2
 group Q, and the row-by-row Bredon groups computed through exact
-homology.  This pipeline shares no code path with the closed-form
-chart, so agreement between the two is a real check.
+homology.  The groups are computed independently of the closed-form
+chart, so agreement between the two is a real check; only the names are
+borrowed from it (`hz_summands`, `hz_generator`), at degrees where its
+single summand has the computed group.
 """
 
 from __future__ import annotations

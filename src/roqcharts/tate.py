@@ -287,6 +287,17 @@ def assemble_genuine(loc: ChartMap, window: Window, name: str) -> Chart:
     return _les_chart(ChartMap(hfp, quotient, (0, 0), into), window, name)
 
 
+def fixed_point_window(window: Window) -> Window:
+    """The fixed-point window the square over window reads, each margin
+    one this module checks: the one degree `assemble_genuine` needs; the
+    bottom _STAB_BAND + 1 rows strictly below the antidiagonal at the
+    right edge, where a connective theory's a-maps are isomorphisms, for
+    `invert_a_with_maps`; and the integer line, which phi is read from."""
+    xmax = window.xmax + 1
+    return Window(window.xmin - 1, xmax, min(window.ymin - 1, -xmax - 1 - _STAB_BAND, 0),
+                  max(window.ymax + 1, 0))
+
+
 def run_tate_square(hfp: Chart, connective: bool, window: Window,
                     name: str) -> TateSquareData:
     """The square from a homotopy-fixed-point chart, the orbits on demand."""

@@ -20,7 +20,8 @@ from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
                       hz_support, join_labels, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
-from .tate import TateSquareData, run_tate_square, torsion_split_by_a
+from .tate import (TateSquareData, fixed_point_window, run_tate_square,
+                   torsion_split_by_a)
 
 
 class TheoryError(Exception):
@@ -109,22 +110,10 @@ def run_hfpss(seed: TheorySeed, window: Window) -> Chart:
                              label_of=seed.label_of, map_monos=seed.map_monos)
 
 
-_TATE_MARGIN = 4
-
-
 def run_tate_pipeline(seed: TheorySeed, window: Window) -> TateSquareData:
-    """Homotopy fixed points on a wider window, then the Tate square.
-
-    The fixed-point window reaches _TATE_MARGIN degrees past window, and
-    further below the antidiagonal, so that every a-column has room to
-    stabilize before the bottom edge, which the stabilization check
-    certifies.  It always reaches the integer line y = 0, which the
-    geometric fixed points are read from, also for windows off it.
-    """
-    xmin, xmax = window.xmin - _TATE_MARGIN, window.xmax + _TATE_MARGIN
-    ymin = min(window.ymin - _TATE_MARGIN, -xmax - 4, 0)
-    ymax = max(window.ymax + _TATE_MARGIN, 0)
-    hfp = run_hfpss(seed, Window(xmin, xmax, ymin, ymax))
+    """Homotopy fixed points on the window the Tate square over window
+    reads (`tate.fixed_point_window`), then the square."""
+    hfp = run_hfpss(seed, fixed_point_window(window))
     return run_tate_square(hfp, seed.connective, window, f"{seed.name}-tate")
 
 
@@ -275,8 +264,8 @@ def _survivor_table(window: Window, floors: int,
                     table: _BaseTable) -> dict[Degree, list[BssClass]]:
     """Every surviving class of floors 0..floors whose total degree lies
     in window or one column left of it, keyed by total degree with the
-    floors ascending: in `run_bockstein`, the one scope of both its floor
-    cutoff check and its d_r search.
+    floors ascending: in `run_bockstein`, the one scope of both its chart
+    and its d_r search.
 
     A floor group depends on its floor only through whether the floor is
     0, so each base degree p with an hz summand (`hz_support`) is computed
@@ -314,12 +303,6 @@ class BocksteinResult:
         self.candidates = candidates
 
 
-# the floors read reach _FLOOR_SURPLUS above x_max + y_max, a cutoff
-# certified on the _FLOOR_BAND floors above it
-_FLOOR_SURPLUS = 4
-_FLOOR_BAND = 2
-
-
 def run_bockstein(window: Window) -> BocksteinResult:
     """The Real K-theory chart from the integral theory and theta.
 
@@ -332,22 +315,18 @@ def run_bockstein(window: Window) -> BocksteinResult:
     differentials are not assumed away: every surviving class is
     searched against every later differential shape, and any possible
     hit is reported as a hard error by the caller.  One survivor table,
-    each base degree read once through the run's `_BaseTable`, reaches
-    the _FLOOR_BAND floors above the cutoff: a class there is a
-    `TheoryError`, so the chart and the d_r search read exactly the
-    floors the run certified.
+    each base degree read once through the run's `_BaseTable`, is the
+    scope of both the chart and the d_r search.  It reads every floor
+    that can hold a class: hz is zero where x < 0 and x + y < 0, and
+    floor s at total degree (x, y) sits on hz at (x - s, y - s), so it
+    is zero once s > x and 2s > x + y.
     """
-    floors = max(0, window.xmax + window.ymax + _FLOOR_SURPLUS)
+    floors = max(0, window.xmax, (window.xmax + window.ymax) // 2)
     entries: dict[Degree, ChartEntry] = {}
     absorbed: list[tuple[Degree, BssClass]] = []
 
     base_table = _BaseTable()
-    table = _survivor_table(window, floors + _FLOOR_BAND, base_table)
-    above = min(((cls.floor, d) for d, classes in table.items()
-                 for cls in classes if cls.floor > floors), default=None)
-    if above is not None:
-        raise TheoryError(f"Bockstein floor {above[0]}, above the cutoff at floor "
-                          f"{floors}, holds a class at {above[1]}")
+    table = _survivor_table(window, floors, base_table)
     # sorted order is window order; the table also holds the column
     # left of the window
     for d, contributions in sorted(table.items()):

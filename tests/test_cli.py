@@ -265,8 +265,20 @@ def test_axis_check_fails_on_wrong_in_window_group():
         (name, passed, detail)))
     failed = [(name, detail) for name, passed, detail in results if not passed]
     assert failed == [("hz fixed-point negative axis Z,0,Z/2,...",
-                       "x in [0, -1, -2, -3, -4, -5]: "
-                       "['Z', '0', 'Z/2 + Z/2', '0', 'Z/2', '0']")]
+                       "x in [0, -1, -2]: ['Z', '0', 'Z/2 + Z/2']")]
+
+
+def test_axis_check_with_no_axis_degree_says_so(capsys):
+    # the fixed points over [5,9]^2 start at x = 4: no negative axis degree
+    main(["verify", "axes", "--window=5..9,5..9"])
+    marked = [line for line in capsys.readouterr().out.splitlines()
+              if line.endswith(" (no axis degree in the window)")]
+    assert marked == ["ok   hz fixed-point negative axis Z,0,Z/2,... "
+                      "(no axis degree in the window)",
+                      "ok   kr fixed-point negative axis, codegree 4 "
+                      "(no axis degree in the window)"]
+    main(["verify", "axes", "--window=-12..12"])
+    assert "no axis degree" not in capsys.readouterr().out
 
 
 def _assert_parse_error(tmp_path, capsys, text, line_no):
@@ -300,5 +312,6 @@ def test_tracked_renders_are_current(tmp_path):
     tracked = HERE.parent / "out"
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         sorted(p.name for p in tracked.iterdir())
-    for path in tmp_path.iterdir():
-        assert path.read_bytes() == (tracked / path.name).read_bytes(), path.name
+    stale = sorted(path.name for path in tmp_path.iterdir()
+                   if path.read_bytes() != (tracked / path.name).read_bytes())
+    assert stale == [], f"stale renders {stale}: rerun python3 scripts/render_charts.py"

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roqcharts import theories
 from roqcharts.exactalg import FgAbelian, has_nonzero_hom
@@ -17,6 +18,7 @@ from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
                                 run_hfpss, run_tate_pipeline,
                                 sss_entry_e1, sss_entry_einf, sss_to_bss,
                                 THETA_DEGREE, theta_apply)
+from roqcharts.tate import StabilizationError, fixed_point_window, run_tate_square
 
 Z = FgAbelian.free(1)
 F2 = FgAbelian.cyclic(2)
@@ -84,13 +86,26 @@ TATE_SCOPE_WINDOWS = (Window.square(6), Window(-8, -6, -8, -6), Window(-12, -9, 
 
 @pytest.mark.parametrize("margin", (1, 8))
 @pytest.mark.parametrize("seed", (hz_seed(), kr_seed()), ids=("hz", "kr"))
-def test_tate_margin_does_not_change_the_genuine_chart(monkeypatch, seed, margin):
-    # the fixed-point margin is a constant, not an input; the scope of the
-    # committed value: a margin of 1 or 8 gives the same genuine charts
-    want = [serialize(run_tate_pipeline(seed, w).genuine) for w in TATE_SCOPE_WINDOWS]
-    monkeypatch.setattr(theories, "_TATE_MARGIN", margin)
-    assert [serialize(run_tate_pipeline(seed, w).genuine)
-            for w in TATE_SCOPE_WINDOWS] == want
+def test_tate_margin_does_not_change_the_genuine_chart(seed, margin):
+    # the derived fixed-point window is scope enough: one margin degrees
+    # wider on every side gives the same genuine charts
+    for w in TATE_SCOPE_WINDOWS:
+        want = serialize(run_tate_pipeline(seed, w).genuine)
+        f = fixed_point_window(w)
+        hfp = run_hfpss(seed, Window(f.xmin - margin, f.xmax + margin,
+                                     f.ymin - margin, f.ymax + margin))
+        got = run_tate_square(hfp, seed.connective, w, f"{seed.name}-tate").genuine
+        assert serialize(got) == want, w
+
+
+def test_tate_stabilization_room_is_tight():
+    # one row less below the antidiagonal and the right-hand column of
+    # kr's fixed points on [-12,12]^2 has no room to stabilize
+    w = Window.square(12)
+    f = fixed_point_window(w)
+    hfp = run_hfpss(kr_seed(), Window(f.xmin, f.xmax, f.ymin + 1, f.ymax))
+    with pytest.raises(StabilizationError, match=r"^a-column at x = 13 "):
+        run_tate_square(hfp, True, w, "kr-tate")
 
 
 def test_collapse_certificates_empty():
@@ -171,31 +186,43 @@ def test_bockstein_floor_zero_keeps_even_towers():
 
 
 # [4..9]x[-14..-9] is the window whose class (9, -9) lies on floor 1,
-# one above x_max + y_max; square(16) keeps its one d_5 candidate
+# one above x_max + y_max; square(16) reaches its d_5 candidate's floor 5
 FLOOR_SCOPE_WINDOWS = (Window.square(12), Window.square(16), Window(4, 9, -14, -9))
 
 
-def _bockstein_outputs(window):
-    res = run_bockstein(window)
-    return serialize(res.chart), repr(res.candidates), repr(res.absorbed)
+def _floor_cutoff(w):
+    """The top floor run_bockstein reads: hz's connectivity bound."""
+    return max(0, w.xmax, (w.xmax + w.ymax) // 2)
 
 
-@pytest.mark.parametrize("surplus", (1, 8))
-def test_floor_surplus_does_not_change_the_run(monkeypatch, surplus):
-    want = [_bockstein_outputs(w) for w in FLOOR_SCOPE_WINDOWS]
-    assert "BssClass(floor=0, desc=('utow', 2, 16)" in want[1][1]
-    monkeypatch.setattr(theories, "_FLOOR_SURPLUS", surplus)
-    assert [_bockstein_outputs(w) for w in FLOOR_SCOPE_WINDOWS] == want
+def test_hz_is_zero_below_both_connectivity_lines():
+    # the fact the Bockstein floor cutoff is derived from
+    for d in Window.square(80).degrees():
+        if d[0] < 0 and d[0] + d[1] < 0:
+            assert hz_summands(*d) == [], d
 
 
-def test_floor_band_catches_a_cutoff_that_drops_a_class(monkeypatch):
-    # with no surplus the run reads floor 0 only, and the class at (9, -9)
-    # on floor 1 would be missing from the chart without a word
-    w = Window(4, 9, -14, -9)
-    assert run_bockstein(w).chart.entry((9, -9)) is not None
-    monkeypatch.setattr(theories, "_FLOOR_SURPLUS", 0)
-    with pytest.raises(TheoryError, match=r"floor 1, .* at \(9, -9\)$"):
-        run_bockstein(w)
+def test_floor_surplus_does_not_change_the_run():
+    # the 8 floors above the derived cutoff hold no class, and the class
+    # at (9, -9) on floor 1 is in the chart
+    for w in FLOOR_SCOPE_WINDOWS:
+        cutoff = _floor_cutoff(w)
+        table = theories._survivor_table(w, cutoff + 8, theories._BaseTable())
+        assert all(cls.floor <= cutoff for classes in table.values() for cls in classes), w
+    assert run_bockstein(Window(4, 9, -14, -9)).chart.entry((9, -9)) is not None
+
+
+@given(st.integers(-20, 20), st.integers(0, 7), st.integers(0, 7), st.integers(-12, 8))
+@settings(max_examples=200, deadline=None)
+def test_floor_cutoff_holds_every_class(xmin, width, height, top):
+    # windows whose top right corner lies from 12 rows below to 8 rows
+    # above the antidiagonal
+    xmax = xmin + width
+    ymax = -xmax + top
+    w = Window(xmin, xmax, ymax - height, ymax)
+    cutoff = _floor_cutoff(w)
+    table = theories._survivor_table(w, cutoff + 8, theories._BaseTable())
+    assert all(cls.floor <= cutoff for classes in table.values() for cls in classes)
 
 
 def _hand_floor_survivors(floor, p):
