@@ -202,12 +202,15 @@ def test_hz_is_zero_below_both_connectivity_lines():
             assert hz_summands(*d) == [], d
 
 
-def test_floor_surplus_does_not_change_the_run():
-    # the 8 floors above the derived cutoff hold no class, and the class
-    # at (9, -9) on floor 1 is in the chart
+@pytest.mark.parametrize("surplus", (1, 8))
+def test_floor_surplus_does_not_change_the_run(surplus):
+    # reading 1 or 8 floors past the derived cutoff gives the same
+    # survivor table, and the class at (9, -9) on floor 1 is in the chart
     for w in FLOOR_SCOPE_WINDOWS:
         cutoff = _floor_cutoff(w)
-        table = theories._survivor_table(w, cutoff + 8, theories._BaseTable())
+        want = theories._survivor_table(w, cutoff, theories._BaseTable())
+        table = theories._survivor_table(w, cutoff + surplus, theories._BaseTable())
+        assert table == want, w
         assert all(cls.floor <= cutoff for classes in table.values() for cls in classes), w
     assert run_bockstein(Window(4, 9, -14, -9)).chart.entry((9, -9)) is not None
 
