@@ -312,7 +312,7 @@ def render_svg(chart: Chart) -> str:
                      f'y2="{py(0)}" stroke="#8888cc" stroke-width="2"/>')
         parts.append(f'<text x="{px(w.xmax) - 24}" y="{py(0) - 6}" '
                      f'font-size="12" fill="#333399">Z&#183;1</text>')
-    parts.append(f'<text x="8" y="16" font-size="14" fill="#000000">{chart.name}</text>')
+    parts.append(f'<text x="8" y="16" font-size="14" fill="#000000">{_esc(chart.name)}</text>')
     for d in sorted(chart.entries):
         e = chart.entries[d]
         cx, cy = px(d[0]), py(d[1])

@@ -2,11 +2,11 @@
 
 Starting from a homotopy-fixed-point chart with its a-multiplications:
 invert a column by column (the localization hfp -> tate, a `ChartMap`),
-truncate the integer line to get geometric fixed points (phi), and read
-two charts off the long exact sequence of one map: the homotopy orbits
-as the fibre of hfp -> tate, and the genuine chart as the fibre of
-hfp -> tate/phi, since the Tate square is a pullback.  Phi is the Tate
-chart at x >= 0, so tate/phi is the Tate chart's columns x < 0.
+take the Tate chart's columns x >= 0 as geometric fixed points (phi), and
+read two charts off the long exact sequence of one map: the homotopy
+orbits as the fibre of hfp -> tate, and the genuine chart as the fibre of
+hfp -> tate/phi, since the Tate square is a pullback; tate/phi is the
+Tate chart's columns x < 0.
 
 Extension handling: an entry assembled from a nonzero kernel and a
 nonzero cokernel is determined exactly when the kernel part is free
@@ -34,10 +34,6 @@ class TatePipelineError(Exception):
 
 class StabilizationError(TatePipelineError):
     """An a-column failed to stabilize inside the chart window."""
-
-
-class NotPeriodicError(TatePipelineError):
-    """Geometric fixed points need an a-periodic input chart."""
 
 
 class TateSquareData:
@@ -87,24 +83,27 @@ def invert_a_with_maps(chart: Chart) -> ChartMap:
         bottom = chart.entry((x, w.ymin))
         if bottom is None:
             continue
-        gens = tuple(Generator(f"loc({g.label})", g.annotation, g.order)
-                     for g in bottom.gens)
-        columns[x] = ChartEntry(gens)
+        columns[x] = bottom
         # localization map at (x, y): compose a-multiplications down
-        acc = IntMatrix.identity(len(gens))
+        acc = IntMatrix.identity(len(bottom.gens))
         for y in range(w.ymin, w.ymax + 1):
             if y > w.ymin:
                 acc = acc.mul(a.at((x, y)))
             loc[(x, y)] = reduce_matrix(acc, orders[0])
-    return ChartMap(chart, _periodic_chart(chart.name + "-tate", w, columns), (0, 0), loc)
+    return ChartMap(chart, _periodic_chart(chart.name + "-tate", w, columns, "loc"),
+                    (0, 0), loc)
 
 
-def _periodic_chart(name: str, window: Window, columns: dict[int, ChartEntry]) -> Chart:
-    """Each column's entry copied over every row of window, with a acting
-    as the identity between neighbouring rows."""
+def _periodic_chart(name: str, window: Window, columns: dict[int, ChartEntry],
+                    tag: str) -> Chart:
+    """Each column's entry, its generators relabelled tag(...), copied over
+    every row of window, with a acting as the identity between
+    neighbouring rows."""
     entries: dict[Degree, ChartEntry] = {}
     amaps: dict[Degree, IntMatrix] = {}
-    for x, e in columns.items():
+    for x, col in columns.items():
+        e = ChartEntry(tuple(Generator(f"{tag}({g.label})", g.annotation, g.order)
+                             for g in col.gens))
         for y in range(window.ymin, window.ymax + 1):
             entries[(x, y)] = e
             if y > window.ymin:
@@ -230,37 +229,15 @@ def homotopy_orbits(loc: ChartMap) -> Chart:
 # geometric fixed points
 # ---------------------------------------------------------------------------
 
-def geometric_fixed_points_with_maps(tate: Chart, connective_certificate: bool) -> Chart:
-    """Connective cover of the Tate chart, spread a-periodically.
+def geometric_fixed_points_with_maps(tate: Chart) -> Chart:
+    """Phi: the Tate chart's columns x >= 0, relabelled ph(...).
 
-    The integer line is truncated to non-negative degrees and copied up
-    and down each column; this needs the input to really be a-periodic
-    and the theory to be non-equivariantly connective (the caller's
-    certificate), both enforced.  Its entries are the Tate chart's at
-    x >= 0, so it includes isomorphically there.
-    """
-    if not connective_certificate:
-        raise TatePipelineError(
-            "geometric fixed points need a connectivity certificate for the theory")
+    That is the connective cover of the Tate chart for a non-equivariantly
+    connective theory, as both seeds are.  Each column is read off the
+    bottom row, since `invert_a_with_maps` builds the chart a-periodic."""
     w = tate.window
-    if not (w.ymin <= 0 <= w.ymax):
-        raise NotPeriodicError("window must contain the integer line")
-    for x in range(w.xmin, w.xmax + 1):
-        bottom = (x, w.ymin)
-        base = tate.orders(bottom)
-        for y in range(w.ymin, w.ymax + 1):
-            # equal orders give equal groups; only others build them
-            if tate.orders((x, y)) != base and tate.group((x, y)) != tate.group(bottom):
-                raise NotPeriodicError(f"input chart is not a-periodic at x = {x}")
-    columns: dict[int, ChartEntry] = {}
-    for x in range(max(0, w.xmin), w.xmax + 1):
-        line = tate.entry((x, 0))
-        if line is None:
-            continue
-        gens = tuple(Generator(f"ph({g.label})", g.annotation, g.order)
-                     for g in line.gens)
-        columns[x] = ChartEntry(gens)
-    return _periodic_chart(tate.name + "-phi", w, columns)
+    columns = {x: e for (x, y), e in tate.entries.items() if x >= 0 and y == w.ymin}
+    return _periodic_chart(tate.name + "-phi", w, columns, "ph")
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +269,15 @@ def fixed_point_window(window: Window) -> Window:
     one this module checks: the one degree `assemble_genuine` needs; the
     bottom _STAB_BAND + 1 rows strictly below the antidiagonal at the
     right edge, where a connective theory's a-maps are isomorphisms, for
-    `invert_a_with_maps`; and the integer line, which phi is read from."""
+    `invert_a_with_maps`; and the integer line, whose fixed-point groups
+    `verify axes` reads."""
     xmax = window.xmax + 1
     return Window(window.xmin - 1, xmax, min(window.ymin - 1, -xmax - 1 - _STAB_BAND, 0),
                   max(window.ymax + 1, 0))
 
 
-def run_tate_square(hfp: Chart, connective: bool, window: Window,
-                    name: str) -> TateSquareData:
+def run_tate_square(hfp: Chart, window: Window, name: str) -> TateSquareData:
     """The square from a homotopy-fixed-point chart, the orbits on demand."""
     loc = invert_a_with_maps(hfp)
-    phi = geometric_fixed_points_with_maps(loc.target, connective)
+    phi = geometric_fixed_points_with_maps(loc.target)
     return TateSquareData(loc, phi, assemble_genuine(loc, window, name))

@@ -2,12 +2,12 @@
 
 Two theories are wired up: the integral Eilenberg-MacLane theory (hz)
 and connective Real K-theory (kr).  Each seed is declared here in code:
-the fixed-point page presentation with its differential rounds, a
-connectivity certificate, and the page monomials of the structure maps;
-the label conventions are per theory too.  On top of the page engine and
-the Tate square this module adds the vbar-Bockstein spectral sequence with
-its degree -(2,1) operation, the slice re-indexing, and the structural
-chart checkers (gap and connectivity).
+the fixed-point page presentation with its differential rounds and the
+page monomials of the structure maps; the label conventions are per
+theory too.  On top of the page engine and the Tate square this module
+adds the vbar-Bockstein spectral sequence with its degree -(2,1)
+operation, the slice re-indexing, and the structural chart checkers (gap
+and connectivity).
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ class TheoryError(Exception):
 
 class TheorySeed(Record):
     __slots__ = ()
-    _fields = ("name", "presentation", "rules", "connective", "map_monos")
+    _fields = ("name", "presentation", "rules", "map_monos")
 
     def __new__(cls, name: str, presentation: Presentation,
-                rules: tuple[DifferentialRule, ...], connective: bool,
-                map_monos: dict[str, dict[str, int]]):
-        return tuple.__new__(cls, (name, presentation, rules, connective, map_monos))
+                rules: tuple[DifferentialRule, ...], map_monos: dict[str, dict[str, int]]):
+        return tuple.__new__(cls, (name, presentation, rules, map_monos))
 
     def label_of(self, mono, coeff: int) -> str:
         return _class_label(self.name, self.presentation, mono, coeff)
@@ -47,14 +46,14 @@ _D1 = DifferentialRule((("lam", 1),), 2, (("a", 1),))
 
 
 def hz_seed() -> TheorySeed:
-    return TheorySeed("hz", Presentation((_A, _LAM)), (_D1,), True,
+    return TheorySeed("hz", Presentation((_A, _LAM)), (_D1,),
                       {"a": {"a": 1}, "u": {"lam": 2}, "U": {"lam": 4}})
 
 
 def kr_seed() -> TheorySeed:
     vb = PageGenerator("vb", (0, 1, 1))
     d2 = DifferentialRule((("lam", 2),), 1, (("a", 3), ("vb", 1)))
-    return TheorySeed("kr", Presentation((_A, vb, _LAM)), (_D1, d2), True,
+    return TheorySeed("kr", Presentation((_A, vb, _LAM)), (_D1, d2),
                       {"a": {"a": 1}, "vbar": {"vb": 1}, "U": {"lam": 4}})
 
 
@@ -114,7 +113,7 @@ def run_tate_pipeline(seed: TheorySeed, window: Window) -> TateSquareData:
     """Homotopy fixed points on the window the Tate square over window
     reads (`tate.fixed_point_window`), then the square."""
     hfp = run_hfpss(seed, fixed_point_window(window))
-    return run_tate_square(hfp, seed.connective, window, f"{seed.name}-tate")
+    return run_tate_square(hfp, window, f"{seed.name}-tate")
 
 
 # ---------------------------------------------------------------------------

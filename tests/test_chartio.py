@@ -1,6 +1,7 @@
 """Serialization round trips, parse errors, rendering, diff laws."""
 
 import random
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,18 @@ def test_text_render_glyphs():
     assert "□" in row0  # the unit square sits on the axis row
     assert "○" in text  # a circle
     assert "·" in text  # dots
+
+
+def test_svg_escapes_name_and_labels():
+    # markup characters in the chart name and a generator label come back
+    # out of a strict XML parser unchanged
+    name, label = "hz <cells> & more", "a<b> & c"
+    chart = Chart(name, Window.square(1),
+                  {(0, 0): ChartEntry((Generator(label, SQUARE, 0),))}, {})
+    root = ElementTree.fromstring(render(chart, "svg"))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert name in [t.text for t in root.iter(ns + "text")]
+    assert [t.text for t in root.iter(ns + "title")] == [label]
 
 
 def test_svg_has_legend_glyphs():

@@ -264,21 +264,28 @@ def test_axis_check_fails_on_wrong_in_window_group():
     _verify_axes(squares, lambda name, passed, detail: results.append(
         (name, passed, detail)))
     failed = [(name, detail) for name, passed, detail in results if not passed]
-    assert failed == [("hz fixed-point negative axis Z,0,Z/2,...",
+    assert failed == [("hz fixed-point negative axis Z,0,Z/2,... "
+                       "(3 of 7 axis degrees in the window)",
                        "x in [0, -1, -2]: ['Z', '0', 'Z/2 + Z/2']")]
 
 
 def test_axis_check_with_no_axis_degree_says_so(capsys):
-    # the fixed points over [5,9]^2 start at x = 4: no negative axis degree
-    main(["verify", "axes", "--window=5..9,5..9"])
-    marked = [line for line in capsys.readouterr().out.splitlines()
-              if line.endswith(" (no axis degree in the window)")]
-    assert marked == ["ok   hz fixed-point negative axis Z,0,Z/2,... "
-                      "(no axis degree in the window)",
-                      "ok   kr fixed-point negative axis, codegree 4 "
-                      "(no axis degree in the window)"]
-    main(["verify", "axes", "--window=-12..12"])
-    assert "no axis degree" not in capsys.readouterr().out
+    # an axis check that compares k of its n axis degrees, k < n, names the
+    # count: the fixed points over [-2,2]^2 span x in [-3,3], those over
+    # [5,9]^2 start at x = 4, and those over [-12,12]^2 hold every degree
+    names = ("hz fixed-point negative axis Z,0,Z/2,...",
+             "kr fixed-point positive axis = ko",
+             "kr fixed-point negative axis, codegree 4")
+    for spec, counts in (("-2..2", ("4 of 7", "4 of 9", "4 of 9")),
+                         ("5..9,5..9", ("0 of 7", "5 of 9", "0 of 9")),
+                         ("-12..12", None)):
+        main(["verify", "axes", f"--window={spec}"])
+        lines = capsys.readouterr().out.splitlines()[:3]
+        if counts is None:
+            assert lines == [f"ok   {n}" for n in names]
+        else:
+            assert lines == [f"ok   {n} ({c} axis degrees in the window)"
+                             for n, c in zip(names, counts)], spec
 
 
 def _assert_parse_error(tmp_path, capsys, text, line_no):

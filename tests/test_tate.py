@@ -12,8 +12,8 @@ from roqcharts.grading import (Chart, ChartEntry, ChartMap, Generator, Window, D
                                SQUARE)
 from roqcharts.tate import (StabilizationError, TatePipelineError, TateSquareData,
                             assemble_genuine, geometric_fixed_points_with_maps,
-                            homotopy_orbits, invert_a_with_maps, torsion_split_by_a,
-                            _les_chart, _les_entry)
+                            homotopy_orbits, invert_a_with_maps, run_tate_square,
+                            torsion_split_by_a, _les_chart, _les_entry)
 from roqcharts.exactalg import PresentedGroup
 from roqcharts.theories import hz_seed, kr_seed, run_tate_pipeline
 from roqcharts import cli, exactalg
@@ -113,38 +113,6 @@ def test_orbits_trivial_when_tate_vanishes():
     assert orbits.group((0, 0)) == Z
 
 
-def test_geometric_fixed_points_requires_certificate():
-    with pytest.raises(TatePipelineError):
-        geometric_fixed_points_with_maps(square("hz", 4).tate, False)
-
-
-def test_geometric_fixed_points_requires_periodicity():
-    from roqcharts.tate import NotPeriodicError
-    with pytest.raises(NotPeriodicError):
-        geometric_fixed_points_with_maps(single_class_chart(), True)
-
-
-def test_periodicity_check_compares_groups_where_orders_differ():
-    # a planted entry breaks a-periodicity at its own column, the first
-    # such column named; a column holding Z + Z/2 in either generator
-    # order has different orders but equal groups, so it is periodic
-    from roqcharts.tate import NotPeriodicError
-    tate = square("kr", 6).tate
-    w = tate.window
-    planted = {**tate.entries, (2, w.ymax): ChartEntry((Generator("p", DOT, 3),)),
-               (4, 0): ChartEntry((Generator("p", DOT, 3),))}
-    chart = Chart(name="planted", window=w, entries=planted, maps=tate.maps)
-    with pytest.raises(NotPeriodicError, match=re.escape("not a-periodic at x = 2")):
-        geometric_fixed_points_with_maps(chart, True)
-
-    w = Window(-1, 1, -2, 2)
-    z, two = Generator("z", SQUARE, 0), Generator("t", DOT, 2)
-    entries = {(x, y): ChartEntry((z, two) if y else (two, z))
-               for x in range(-1, 2) for y in range(-2, 3)}
-    phi = geometric_fixed_points_with_maps(Chart("mixed", w, entries, {"a": {}}), True)
-    assert phi.group((1, 2)) == FgAbelian(1, (2,))
-
-
 def test_phi_integer_line_connective():
     for theory, step in (("hz", 2), ("kr", 4)):
         p = square(theory, 8).phi
@@ -163,6 +131,14 @@ def test_degenerate_square_returns_fixed_points():
     genuine = assemble_genuine(ChartMap(hfp, empty, (0, 0), {}), w, "degen")
     for d in w.degrees():
         assert genuine.group(d) == hfp.group(d), d
+
+
+def test_genuine_needs_one_degree_of_margin():
+    # the fixed points over [-4,4]^2 reach x = y = 5, one short for [-5,5]^2
+    loc = square("hz", 4).loc
+    assert assemble_genuine(loc, Window.square(4), "hz-tate").entries
+    with pytest.raises(TatePipelineError, match="one degree of margin"):
+        assemble_genuine(loc, Window.square(5), "hz-tate")
 
 
 @pytest.mark.parametrize("theory", ["hz", "kr"])
@@ -189,13 +165,18 @@ def test_genuine_is_fixed_points_where_phi_is_tate(theory):
                          ids=["square8", "offset"])
 def test_phi_is_the_tate_chart_at_nonnegative_x(theory, window):
     # what makes tate/phi the Tate chart's columns x < 0: phi sits exactly
-    # at the Tate chart's nonzero degrees with x >= 0, with its orders
+    # at the Tate chart's nonzero degrees with x >= 0, with its generators
+    # (labels prefixed ph(...), glyphs, orders) and its a-multiplications
     seed = hz_seed() if theory == "hz" else kr_seed()
     data = run_tate_pipeline(seed, window)
     tate, phi = data.tate, data.phi
     right = {d for d, e in tate.entries.items() if d[0] >= 0 and e.gens}
     assert set(phi.entries) == right
-    assert all(phi.orders(d) == tate.orders(d) for d in right)
+    for d in right:
+        assert phi.entry(d).gens == tuple(
+            Generator(f"ph({g.label})", g.annotation, g.order)
+            for g in tate.entry(d).gens), d
+    assert phi.maps["a"] == {d: m for d, m in tate.maps["a"].items() if d[0] >= 0}
     assert not [d for d in tate.entries if d[0] < 0 and d in phi.entries]
 
 
@@ -204,13 +185,15 @@ def test_tate_square_stage_signatures_are_pinned():
     # is a test edit
     stages = {f.__name__: list(inspect.signature(f).parameters)
               for f in (assemble_genuine, homotopy_orbits, _les_chart,
-                        invert_a_with_maps, geometric_fixed_points_with_maps)}
+                        invert_a_with_maps, geometric_fixed_points_with_maps,
+                        run_tate_square)}
     assert stages == {
         "assemble_genuine": ["loc", "window", "name"],
         "homotopy_orbits": ["loc"],
         "_les_chart": ["f", "window", "name"],
         "invert_a_with_maps": ["chart"],
-        "geometric_fixed_points_with_maps": ["tate", "connective_certificate"],
+        "geometric_fixed_points_with_maps": ["tate"],
+        "run_tate_square": ["hfp", "window", "name"],
     }
     assert list(inspect.signature(TateSquareData).parameters) == ["loc", "phi", "genuine"]
 

@@ -30,7 +30,7 @@ F2 = FgAbelian.cyclic(2)
 
 def test_seeds_parse_from_declarative_text():
     hz = hz_seed()
-    assert hz.name == "hz" and hz.connective
+    assert hz.name == "hz"
     assert [g.name for g in hz.presentation.generators] == ["a", "lam"]
     kr = kr_seed()
     assert len(kr.rules) == 2
@@ -73,7 +73,7 @@ def test_declared_maps_are_classes_of_the_last_page():
     assert list(run_hfpss(hz_seed(), Window.square(4)).maps) == ["a", "u", "U"]
     assert list(run_hfpss(kr_seed(), Window.square(4)).maps) == ["a", "vbar", "U"]
     seed = kr_seed()
-    broken = TheorySeed(seed.name, seed.presentation, seed.rules, seed.connective,
+    broken = TheorySeed(seed.name, seed.presentation, seed.rules,
                         {**seed.map_monos, "u": {"lam": 2}})
     with pytest.raises(TheoryError, match="structure maps u are not"):
         run_hfpss(broken, Window.square(4))
@@ -94,7 +94,7 @@ def test_tate_margin_does_not_change_the_genuine_chart(seed, margin):
         f = fixed_point_window(w)
         hfp = run_hfpss(seed, Window(f.xmin - margin, f.xmax + margin,
                                      f.ymin - margin, f.ymax + margin))
-        got = run_tate_square(hfp, seed.connective, w, f"{seed.name}-tate").genuine
+        got = run_tate_square(hfp, w, f"{seed.name}-tate").genuine
         assert serialize(got) == want, w
 
 
@@ -105,7 +105,7 @@ def test_tate_stabilization_room_is_tight():
     f = fixed_point_window(w)
     hfp = run_hfpss(kr_seed(), Window(f.xmin, f.xmax, f.ymin + 1, f.ymax))
     with pytest.raises(StabilizationError, match=r"^a-column at x = 13 "):
-        run_tate_square(hfp, True, w, "kr-tate")
+        run_tate_square(hfp, w, "kr-tate")
 
 
 def test_collapse_certificates_empty():
