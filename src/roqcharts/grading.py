@@ -284,20 +284,6 @@ def hz_support(window: Window) -> Iterator[Degree]:
             yield (x, y)
 
 
-def hz_degree(desc: tuple) -> Degree:
-    kind = desc[0]
-    if kind == "usq":
-        return (2 * desc[1], -2 * desc[1])
-    if kind == "ucol":
-        k, j = desc[1], desc[2]
-        return (2 * j, -2 * j - k)
-    if kind == "ucirc":
-        return (-2 * desc[1], 2 * desc[1])
-    if kind == "utow":
-        return (-2 * desc[1] - 1, desc[2])
-    raise ChartError(f"unknown descriptor {desc!r}")
-
-
 def hz_order(desc: tuple) -> int:
     """Order of an integral generator: 2 on the a-columns and the dual
     towers, 0 (infinite cyclic) on the squares and circles."""

@@ -12,12 +12,12 @@ and connectivity).
 
 from __future__ import annotations
 
-from .exactalg import (FgAbelian, IntMatrix, PresentedGroup, Record,
-                       has_nonzero_hom, map_is_iso, presented_homology)
+from .exactalg import (FgAbelian, IntMatrix, NotInLatticeError, PresentedGroup,
+                       Record, has_nonzero_hom, map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, SQUARE, ChartError, desc_matrix, hz_degree,
-                      hz_generator, hz_map_image, hz_order, hz_summands,
-                      hz_support, join_labels, power_label)
+                      DOT, SQUARE, ChartError, desc_matrix, hz_generator,
+                      hz_map_image, hz_order, hz_summands, hz_support,
+                      join_labels, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import (TateSquareData, fixed_point_window, run_tate_square,
@@ -157,8 +157,9 @@ def _is_stub_top(desc: tuple) -> bool:
 class _BaseTable:
     """What one Bockstein run reads at each base degree p, each worked out
     once: the hz summands with their orders, theta out of p (theta into p
-    is theta out of p - theta), checked against theta's laws as it is
-    built, and the floor group on floor 0 and on the floors above it."""
+    is theta out of p - theta) and the floor group on floor 0 and on the
+    floors above it.  Theta is certified where it is read: its degree and
+    nonzero target by `theta_out`, its square by `floor_group`."""
 
     __slots__ = ("_summands", "_out", "_floors")
 
@@ -177,15 +178,17 @@ class _BaseTable:
         return got
 
     def theta_out(self, p: Degree) -> IntMatrix:
+        """Theta out of p in hz coordinates; an image that is no summand at
+        p + THETA_DEGREE is a `TheoryError` naming p and both descriptors."""
         mat = self._out.get(p)
         if mat is None:
-            descs = self.summands(p)[0]
-            bad = _theta_laws(self, descs)
-            if bad:
-                raise TheoryError(f"theta law violations: {bad[:3]}")
             dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[0]
-            mat = self._out[p] = desc_matrix(
-                descs, dst, lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+            try:
+                mat = self._out[p] = desc_matrix(
+                    self.summands(p)[0], dst,
+                    lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+            except ChartError as err:
+                raise TheoryError(f"theta out of base degree {p}: {err}") from None
         return mat
 
     def floor_group(self, floor: int, p: Degree) -> PresentedGroup:
@@ -193,7 +196,10 @@ class _BaseTable:
 
         The first differential is theta pushed up one floor, so floor 0
         keeps ker(theta out of p) and every higher floor also divides by
-        im(theta into p).  Generators are in the hz coordinates at p.
+        im(theta into p), which checks theta o theta = 0 through p (a
+        `TheoryError` naming p if not): the only place a result depends on
+        it, floor 0 being ker theta alone.  Generators are in the hz
+        coordinates at p.
         """
         groups = self._floors[floor > 0]
         group = groups.get(p)
@@ -202,7 +208,10 @@ class _BaseTable:
             dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[1]
             into = (self.theta_out((p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1]))
                     if floor else IntMatrix.zero(len(orders), 0))
-            group = groups[p] = presented_homology(self.theta_out(p), dst, into, orders)
+            try:
+                group = groups[p] = presented_homology(self.theta_out(p), dst, into, orders)
+            except NotInLatticeError:
+                raise TheoryError(f"theta o theta != 0 at base degree {p}") from None
         return group
 
 
@@ -230,13 +239,10 @@ class BssClass(Record):
         return join_labels(two, power_label("vh", self.floor), "" if base == "1" else base)
 
 
-def bss_floor_survivors(floor: int, p: Degree,
-                        table: _BaseTable | None = None) -> list[BssClass]:
+def bss_floor_survivors(floor: int, p: Degree, table: _BaseTable) -> list[BssClass]:
     """Classes of the collapsed Bockstein page on one floor at one base
     degree: one per generator of the theta-homology there, named by the
-    hz generator it is a multiple of, read through table (a fresh one if
-    none is given)."""
-    table = _BaseTable() if table is None else table
+    hz generator it is a multiple of, read through table."""
     descs = table.summands(p)[0]
     group = table.floor_group(floor, p)
     out = []
@@ -307,7 +313,8 @@ def run_bockstein(window: Window) -> BocksteinResult:
 
     Floors are copies of the integral chart shifted along the diagonal;
     the first differential is theta pushed up one floor, and each floor
-    is its theta-homology.  The collapsed floors are assembled by total
+    is its theta-homology, whose algebra certifies theta's laws wherever
+    the run reads theta.  The collapsed floors are assembled by total
     degree, with the top class of each odd stub absorbed into the
     infinite cyclic class one floor up (its index-2 partner), and every
     extension split by the Tate side's a-divisibility rule.  Higher
@@ -348,24 +355,6 @@ def run_bockstein(window: Window) -> BocksteinResult:
     chart = Chart(name="kr-bockstein", window=window, entries=entries, maps={})
     candidates = bss_higher_candidates(window, table)
     return BocksteinResult(chart=chart, absorbed=absorbed, candidates=candidates)
-
-
-def _theta_laws(table: _BaseTable, descs: list[tuple]) -> list[str]:
-    """Where theta breaks its laws on descs: it must have exact degree
-    -(2,1), land in a nonzero group and square to zero."""
-    bad = []
-    for desc in descs:
-        img = theta_apply(desc)
-        if img is None:
-            continue
-        src, dst = hz_degree(desc), hz_degree(img)
-        if (dst[0] - src[0], dst[1] - src[1]) != THETA_DEGREE:
-            bad.append(f"theta degree wrong on {desc}")
-        if not table.summands(dst)[0]:
-            bad.append(f"theta image of {desc} lands in a zero group")
-        if theta_apply(img) is not None:
-            bad.append(f"theta squared nonzero on {desc}")
-    return bad
 
 
 def bss_higher_candidates(window: Window, table: dict[Degree, list[BssClass]]):

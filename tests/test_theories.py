@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from roqcharts import theories
 from roqcharts.exactalg import FgAbelian, has_nonzero_hom
 from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_kr,
-                               hz_degree, hz_generator, hz_order, hz_summands)
+                               hz_generator, hz_order, hz_summands)
 from roqcharts.chartio import diff, serialize
 from roqcharts.specseq import find_candidates
 from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
@@ -129,15 +129,12 @@ def test_theta_values():
 
 
 def test_theta_degree_and_square():
-    w = Window.square(12)
-    for d in w.degrees():
-        from roqcharts.grading import hz_summands
-        for desc in hz_summands(d[0], d[1]):
+    for x, y in Window.square(12).degrees():
+        for desc in hz_summands(x, y):
             img = theta_apply(desc)
             if img is None:
                 continue
-            src, dst = hz_degree(desc), hz_degree(img)
-            assert (dst[0] - src[0], dst[1] - src[1]) == (-2, -1)
+            assert img in hz_summands(x - 2, y - 1)
             assert theta_apply(img) is None
 
 
@@ -179,9 +176,10 @@ def test_bockstein_absorbs_stub_tops():
 
 
 def test_bockstein_floor_zero_keeps_even_towers():
-    full = [c.desc for c in bss_floor_survivors(0, (-5, 9))]
+    table = theories._BaseTable()
+    full = [c.desc for c in bss_floor_survivors(0, (-5, 9), table)]
     assert ("utow", 2, 9) in full
-    gone = [c.desc for c in bss_floor_survivors(1, (-5, 9))]
+    gone = [c.desc for c in bss_floor_survivors(1, (-5, 9), table)]
     assert ("utow", 2, 9) not in gone
 
 
@@ -256,10 +254,11 @@ def _hand_floor_survivors(floor, p):
 
 def test_floor_homology_matches_hand_rules():
     w = Window.square(40)
+    table = theories._BaseTable()
     for floor in range(0, 31):
         for p in w.degrees():
             got = [(c.desc, c.index2, c.order)
-                   for c in bss_floor_survivors(floor, p)]
+                   for c in bss_floor_survivors(floor, p, table)]
             assert got == _hand_floor_survivors(floor, p), (floor, p)
 
 
@@ -267,14 +266,16 @@ def test_floors_follow_theta(monkeypatch):
     # make the odd tower class t(1,7) a cycle: it must survive at its base
     # degree on every floor, and the chart must stop matching the closed form
     w = Window.square(8)
-    p = hz_degree(("utow", 1, 7))
-    assert not bss_floor_survivors(0, p)
+    p = (-3, 7)  # the degree of t(1,7)
+    assert not bss_floor_survivors(0, p, theories._BaseTable())
     assert diff(run_bockstein(w).chart, closed_form_kr(w)).clean
     real = theories.theta_apply
     monkeypatch.setattr(theories, "theta_apply",
                         lambda desc: None if desc == ("utow", 1, 7) else real(desc))
+    # a table built after the patch: a table caches theta as it reads it
+    table = theories._BaseTable()
     for floor in (0, 1, 5):
-        assert [c.desc for c in bss_floor_survivors(floor, p)] == [("utow", 1, 7)]
+        assert [c.desc for c in bss_floor_survivors(floor, p, table)] == [("utow", 1, 7)]
     assert not diff(run_bockstein(w).chart, closed_form_kr(w)).clean
 
 
@@ -282,10 +283,10 @@ def test_survivor_table_holds_only_survivors():
     w = Window(-8, 8, -8, 6)
     floors = w.xmax + w.ymax + 4
     table = theories._survivor_table(w, floors, theories._BaseTable())
-    brute = {}
+    brute, brute_table = {}, theories._BaseTable()
     for d in Window(w.xmin - 1, w.xmax, w.ymin, w.ymax).degrees():
         for s in range(floors + 1):
-            classes = bss_floor_survivors(s, (d[0] - s, d[1] - s))
+            classes = bss_floor_survivors(s, (d[0] - s, d[1] - s), brute_table)
             if classes:
                 brute.setdefault(d, []).extend(classes)
     assert table == brute
@@ -302,22 +303,36 @@ def _plant_theta(monkeypatch, desc, img):
 
 
 def test_theta_laws_hold_in_the_window(monkeypatch):
+    # a^2 u^2 -> a^5 u, which theta sends on to a^8: theta o theta != 0
+    # through (2, -7), where the floors above 0 divide by theta's image
     _plant_theta(monkeypatch, ("ucol", 2, 2), ("ucol", 5, 1))
     with pytest.raises(TheoryError) as err:
         run_bockstein(Window.square(8))
-    assert str(err.value) == ("theta law violations: "
-                              "[\"theta squared nonzero on ('ucol', 2, 2)\"]")
+    assert str(err.value) == "theta o theta != 0 at base degree (2, -7)"
 
 
 def test_theta_laws_hold_wherever_the_run_reads_theta(monkeypatch):
-    # (4, -10) lies below the window, but the floors above it reach into it
+    # (4, -10), the degree of a^6 u^2, lies below the window, but the
+    # floors above it reach into it
     w = Window.square(8)
-    assert not w.contains(hz_degree(("ucol", 6, 2)))
+    assert not w.contains((4, -10))
     _plant_theta(monkeypatch, ("ucol", 6, 2), ("ucol", 9, 1))
     with pytest.raises(TheoryError) as err:
         run_bockstein(w)
-    assert str(err.value) == ("theta law violations: "
-                              "[\"theta squared nonzero on ('ucol', 6, 2)\"]")
+    assert str(err.value) == "theta o theta != 0 at base degree (2, -11)"
+
+
+@pytest.mark.parametrize("desc, img, p", [
+    (("ucol", 2, 2), ("ucol", 6, 1), (4, -6)),    # wrong degree
+    (("utow", 1, 5), ("utow", 2, 4), (-3, 5)),    # into the zero group at (-5, 4)
+])
+def test_theta_lands_in_a_target_summand(monkeypatch, desc, img, p):
+    assert img not in hz_summands(p[0] - 2, p[1] - 1)
+    _plant_theta(monkeypatch, desc, img)
+    with pytest.raises(TheoryError) as err:
+        run_bockstein(Window.square(8))
+    assert str(err.value) == (f"theta out of base degree {p}: "
+                              f"{desc!r} maps to {img!r}, not a target summand")
 
 
 def test_bockstein_reads_each_base_degree_once(monkeypatch):
