@@ -115,7 +115,7 @@ _CONTROL_WINDOW = Window.square(4)
 def _verify_connectivity(hz: TheorySeed, closed: dict[str, Chart], report) -> None:
     _verify_closed("connectivity", connectivity_check, closed, report)
     # negative control: an a-periodic chart must fail the first clause; on
-    # its own fixed window, whose Tate chart spans [-3,3]x[-6,3]
+    # its own fixed window, whose Tate chart spans [-2,3]x[-6,3]
     tate = run_tate_pipeline(hz, Window.square(2)).tate
     rep = connectivity_check(tate)
     report("connectivity negative control (tate chart fails)", not rep.passed, "")

@@ -3,10 +3,11 @@
 A degree x + y*sigma is stored as the integer pair (x, y) and displayed
 at cartesian (x, y).  Charts associate finitely generated abelian groups
 with named generators to degrees inside a finite window; absent degrees
-are the zero group.  Structure maps (multiplication by a, u, U, vbar)
-are integer matrices between the chosen generator bases, read as a
-`ChartMap`.  The closed-form charts build each map family on its first
-read, and check then that each image lands in a summand of its target degree.
+are the zero group.  Structure maps (multiplication by a, u, U, vbar,
+and hz's stable operation theta) are integer matrices between the
+chosen generator bases, read as a `ChartMap`.  The closed-form charts
+build each map family on its first read, and check then that each image
+lands in a summand of its target degree.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from .exactalg import ExactAlgebraError, FgAbelian, IntMatrix, Record
 
 Degree = tuple[int, int]
 
-# degrees of the multiplication operators in (x, y) coordinates
+# degrees of the structure maps in (x, y) coordinates: multiplication by
+# a, u, U and vbar, and hz's stable operation theta, HZ -> S^(2+sigma) HZ
 MAP_DEGREES: dict[str, Degree] = {
     "a": (0, -1),
     "u": (2, -2),
     "U": (4, -4),
     "vbar": (1, 1),
+    "theta": (-2, -1),
 }
 
 SQUARE = "square"
@@ -331,6 +334,19 @@ def hz_map_image(name: str, desc: tuple) -> list[tuple[tuple, int]]:
         if kind == "utow":
             j, yy = desc[1], desc[2]
             return [(("utow", j - 1, yy - 2), 1)] if j >= 2 else []
+    if name == "theta":
+        # a^3 times one step of u-division, nonzero on odd u-powers; the
+        # circles go to zero; on the dual towers one tower left and one
+        # step down, nonzero on odd towers wherever the target exists
+        if kind == "usq":
+            return [(("ucol", 3, desc[1] - 1), 1)] if desc[1] % 2 else []
+        if kind == "ucol":
+            return [(("ucol", desc[1] + 3, desc[2] - 1), 1)] if desc[2] % 2 else []
+        if kind == "ucirc":
+            return []
+        if kind == "utow":
+            j, yy = desc[1], desc[2]
+            return [(("utow", j + 1, yy - 1), 1)] if j % 2 and yy >= 2 * j + 4 else []
     raise ChartError(f"no {name}-multiplication on {desc!r}")
 
 

@@ -172,7 +172,8 @@ def _les_chart(f: ChartMap, window: Window, name: str) -> Chart:
     degree itself.  Kernel generators are named after the source
     generator they are a multiple of.  The attached a-multiplications are
     blockwise along that filtration (the associated-graded action), which
-    is what the local-cohomology vanishing test consumes.
+    `test_tate.py::test_genuine_a_maps_match_closed_form` compares with
+    the closed form.
     """
     source, target = f.source, f.target
     source_a, target_a = source.map("a"), target.map("a")
@@ -256,7 +257,7 @@ def assemble_genuine(loc: ChartMap, window: Window, name: str) -> Chart:
     w = hfp.window
     if not (w.contains((window.xmin, window.ymin))
             and w.contains((window.xmax + 1, window.ymax + 1))):
-        raise TatePipelineError("input charts need one degree of margin around the window")
+        raise TatePipelineError("input charts need one degree of margin up and to the right")
     quotient = Chart(name=tate.name + "/phi", window=tate.window,
                      entries={d: e for d, e in tate.entries.items() if d[0] < 0},
                      maps={"a": {d: m for d, m in tate.maps["a"].items() if d[0] < 0}})
@@ -266,13 +267,13 @@ def assemble_genuine(loc: ChartMap, window: Window, name: str) -> Chart:
 
 def fixed_point_window(window: Window) -> Window:
     """The fixed-point window the square over window reads, each margin
-    one this module checks: the one degree `assemble_genuine` needs; the
-    bottom _STAB_BAND + 1 rows strictly below the antidiagonal at the
-    right edge, where a connective theory's a-maps are isomorphisms, for
-    `invert_a_with_maps`; and the integer line, whose fixed-point groups
-    `verify axes` reads."""
+    one this module checks: the column right of and the row above window,
+    which `assemble_genuine` needs; the bottom _STAB_BAND + 1 rows strictly
+    below the antidiagonal at the right edge, where a connective theory's
+    a-maps are isomorphisms, for `invert_a_with_maps`; and the integer
+    line, whose fixed-point groups `verify axes` reads."""
     xmax = window.xmax + 1
-    return Window(window.xmin - 1, xmax, min(window.ymin - 1, -xmax - 1 - _STAB_BAND, 0),
+    return Window(window.xmin, xmax, min(window.ymin, -xmax - 1 - _STAB_BAND, 0),
                   max(window.ymax + 1, 0))
 
 

@@ -5,9 +5,9 @@ and connective Real K-theory (kr).  Each seed is declared here in code:
 the fixed-point page presentation with its differential rounds and the
 page monomials of the structure maps; the label conventions are per
 theory too.  On top of the page engine and the Tate square this module
-adds the vbar-Bockstein spectral sequence with its degree -(2,1)
-operation, the slice re-indexing, and the structural chart checkers (gap
-and connectivity).
+adds the vbar-Bockstein spectral sequence, which reads hz's theta and a
+maps (`grading.hz_map_image`) through one per-run table, the slice
+re-indexing, and the structural chart checkers (gap and connectivity).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 from .exactalg import (FgAbelian, IntMatrix, NotInLatticeError, PresentedGroup,
                        Record, has_nonzero_hom, map_is_iso, presented_homology)
 from .grading import (Chart, ChartEntry, Degree, Generator, Window, CIRCLE,
-                      DOT, SQUARE, ChartError, desc_matrix, hz_generator,
-                      hz_map_image, hz_order, hz_summands, hz_support,
-                      join_labels, power_label)
+                      DOT, MAP_DEGREES, SQUARE, ChartError, desc_matrix,
+                      hz_generator, hz_map_image, hz_order, hz_summands,
+                      hz_support, join_labels, power_label)
 from .specseq import (DifferentialRule, Page, PageGenerator, Presentation,
                       collapse_to_chart)
 from .tate import (TateSquareData, fixed_point_window, run_tate_square,
@@ -120,34 +120,6 @@ def run_tate_pipeline(seed: TheorySeed, window: Window) -> TateSquareData:
 # the vbar-Bockstein spectral sequence
 # ---------------------------------------------------------------------------
 
-THETA_DEGREE: Degree = (-2, -1)
-
-
-def theta_apply(desc: tuple) -> tuple | None:
-    """The degree -(2+sigma) operation on closed-form generators.
-
-    On the lower half-plane it is a^3-multiplication combined with one
-    step of u-division, nonzero exactly on odd u-powers; the circles map
-    to zero; on the dual towers it shifts one tower left and one step
-    down, nonzero on odd towers wherever the target exists.
-    """
-    kind = desc[0]
-    if kind == "usq":
-        j = desc[1]
-        return ("ucol", 3, j - 1) if j % 2 == 1 else None
-    if kind == "ucol":
-        k, j = desc[1], desc[2]
-        return ("ucol", k + 3, j - 1) if j % 2 == 1 else None
-    if kind == "ucirc":
-        return None
-    if kind == "utow":
-        j, y = desc[1], desc[2]
-        if j % 2 == 1 and y >= 2 * j + 4:
-            return ("utow", j + 1, y - 1)
-        return None
-    raise TheoryError(f"unknown generator {desc!r}")
-
-
 def _is_stub_top(desc: tuple) -> bool:
     """The top of an odd stub: absorbed into its index-2 partner one floor
     up, a hidden extension that the floor homology cannot see."""
@@ -156,16 +128,17 @@ def _is_stub_top(desc: tuple) -> bool:
 
 class _BaseTable:
     """What one Bockstein run reads at each base degree p, each worked out
-    once: the hz summands with their orders, theta out of p (theta into p
-    is theta out of p - theta) and the floor group on floor 0 and on the
-    floors above it.  Theta is certified where it is read: its degree and
-    nonzero target by `theta_out`, its square by `floor_group`."""
+    once: the hz summands with their orders, the hz maps out of p (theta,
+    and a for the splitting rule; theta into p is theta out of p - theta)
+    and the floor group on floor 0 and on the floors above it.  Theta is
+    certified where it is read: its degree and nonzero target by
+    `map_out`, its square by `floor_group`."""
 
     __slots__ = ("_summands", "_out", "_floors")
 
     def __init__(self):
         self._summands: dict[Degree, tuple[list[tuple], tuple[int, ...]]] = {}
-        self._out: dict[Degree, IntMatrix] = {}
+        self._out: dict[tuple[str, Degree], IntMatrix] = {}
         # floor 0, and the floors above it
         self._floors: tuple[dict[Degree, PresentedGroup], ...] = ({}, {})
 
@@ -177,18 +150,19 @@ class _BaseTable:
             got = self._summands[p] = (descs, tuple(map(hz_order, descs)))
         return got
 
-    def theta_out(self, p: Degree) -> IntMatrix:
-        """Theta out of p in hz coordinates; an image that is no summand at
-        p + THETA_DEGREE is a `TheoryError` naming p and both descriptors."""
-        mat = self._out.get(p)
+    def map_out(self, name: str, p: Degree) -> IntMatrix:
+        """The hz map name (`hz_map_image`) out of p in hz coordinates; an
+        image that is no summand at p + its degree is a `TheoryError`
+        naming the map, p and both descriptors."""
+        mat = self._out.get((name, p))
         if mat is None:
-            dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[0]
+            dx, dy = MAP_DEGREES[name]
             try:
-                mat = self._out[p] = desc_matrix(
-                    self.summands(p)[0], dst,
-                    lambda desc: [(img, 1) for img in [theta_apply(desc)] if img])
+                mat = self._out[name, p] = desc_matrix(
+                    self.summands(p)[0], self.summands((p[0] + dx, p[1] + dy))[0],
+                    lambda desc: hz_map_image(name, desc))
             except ChartError as err:
-                raise TheoryError(f"theta out of base degree {p}: {err}") from None
+                raise TheoryError(f"{name} out of base degree {p}: {err}") from None
         return mat
 
     def floor_group(self, floor: int, p: Degree) -> PresentedGroup:
@@ -196,20 +170,21 @@ class _BaseTable:
 
         The first differential is theta pushed up one floor, so floor 0
         keeps ker(theta out of p) and every higher floor also divides by
-        im(theta into p), which checks theta o theta = 0 through p (a
-        `TheoryError` naming p if not): the only place a result depends on
-        it, floor 0 being ker theta alone.  Generators are in the hz
-        coordinates at p.
+        im(theta into p), both read through `map_out`; that quotient checks
+        theta o theta = 0 through p (a `TheoryError` naming p if not): the
+        only place a result depends on it, floor 0 being ker theta alone.
+        Generators are in the hz coordinates at p.
         """
         groups = self._floors[floor > 0]
         group = groups.get(p)
         if group is None:
+            dx, dy = MAP_DEGREES["theta"]
             orders = self.summands(p)[1]
-            dst = self.summands((p[0] + THETA_DEGREE[0], p[1] + THETA_DEGREE[1]))[1]
-            into = (self.theta_out((p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1]))
+            dst = self.summands((p[0] + dx, p[1] + dy))[1]
+            into = (self.map_out("theta", (p[0] - dx, p[1] - dy))
                     if floor else IntMatrix.zero(len(orders), 0))
             try:
-                group = groups[p] = presented_homology(self.theta_out(p), dst, into, orders)
+                group = groups[p] = presented_homology(self.map_out("theta", p), dst, into, orders)
             except NotInLatticeError:
                 raise TheoryError(f"theta o theta != 0 at base degree {p}") from None
         return group
@@ -259,9 +234,7 @@ def _splits_on_floor(table: _BaseTable, floor: int, p: Degree) -> bool:
     up = (p[0], p[1] + 1)
 
     def induced_a() -> IntMatrix:
-        amat = desc_matrix(table.summands(up)[0], table.summands(p)[0],
-                           lambda desc: hz_map_image("a", desc))
-        return here.induced(amat, table.floor_group(floor, up))
+        return here.induced(table.map_out("a", up), table.floor_group(floor, up))
     return torsion_split_by_a(here.orders, induced_a)
 
 

@@ -16,13 +16,13 @@ from roqcharts import exactalg, theories
 from roqcharts.exactalg import FgAbelian
 from roqcharts.grading import (Chart, ChartEntry, Generator, Window, CIRCLE,
                                DOT, SQUARE, closed_form_hz, closed_form_kr,
-                               hz_generator, hz_summands, kr_generator,
-                               kr_summands)
+                               hz_generator, hz_map_image, hz_summands,
+                               kr_generator, kr_summands)
 from roqcharts.theories import (bss_floor_survivors, bss_to_sss,
                                 connectivity_check, gap_check, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
                                 run_tate_pipeline, sss_entry_e1,
-                                sss_entry_einf, sss_to_bss, theta_apply)
+                                sss_entry_einf, sss_to_bss)
 from roqcharts.theories import build_pages
 from roqcharts.specseq import collapse_to_chart, find_candidates
 from roqcharts.tate import TateSquareData
@@ -155,10 +155,9 @@ def test_criterion_08_theta_laws():
     for x, y in WINDOW.degrees():
         for desc in hz_summands(x, y):
             total += 1
-            img = theta_apply(desc)
-            if img is not None:
+            for img, _ in hz_map_image("theta", desc):
                 assert img in hz_summands(x - 2, y - 1)
-                assert theta_apply(img) is None
+                assert hz_map_image("theta", img) == []
                 count += 1
     # 85 window generators in all; the 31 with nonzero image are the
     # columns under the three odd powers plus two odd tower ranges

@@ -7,13 +7,16 @@ import runpy
 import subprocess
 import sys
 
+import pytest
+
 import roqcharts
+from roqcharts import cells, cli
 from roqcharts.chartio import diff as chart_diff, parse
 from roqcharts.cli import _parse_window, _verify_axes, build_parser, main
 from roqcharts.grading import ChartMap, Window, closed_form_hz, closed_form_kr
 from roqcharts.tate import TateSquareData
-from roqcharts.theories import (BocksteinResult, BssClass, hz_seed, inject_class,
-                                kr_seed, run_tate_pipeline)
+from roqcharts.theories import (BocksteinResult, BssClass, CheckReport, hz_seed,
+                                inject_class, kr_seed, run_tate_pipeline)
 
 HERE = pathlib.Path(__file__).parent
 
@@ -255,7 +258,7 @@ def test_verify_all_on_a_window_off_the_axes(tmp_path):
 
 
 def test_axis_check_fails_on_wrong_in_window_group():
-    squares = {seed.name: run_tate_pipeline(seed, Window.square(1))
+    squares = {seed.name: run_tate_pipeline(seed, Window.square(2))
                for seed in (hz_seed(), kr_seed())}
     hz = squares["hz"]
     loc = ChartMap(inject_class(hz.hfp, (-2, 0)), hz.tate, (0, 0), hz.loc.matrices)
@@ -271,13 +274,13 @@ def test_axis_check_fails_on_wrong_in_window_group():
 
 def test_axis_check_with_no_axis_degree_says_so(capsys):
     # an axis check that compares k of its n axis degrees, k < n, names the
-    # count: the fixed points over [-2,2]^2 span x in [-3,3], those over
-    # [5,9]^2 start at x = 4, and those over [-12,12]^2 hold every degree
+    # count: the fixed points over [-2,2]^2 span x in [-2,3], those over
+    # [5,9]^2 start at x = 5, and those over [-12,12]^2 hold every degree
     names = ("hz fixed-point negative axis Z,0,Z/2,...",
              "kr fixed-point positive axis = ko",
              "kr fixed-point negative axis, codegree 4")
-    for spec, counts in (("-2..2", ("4 of 7", "4 of 9", "4 of 9")),
-                         ("5..9,5..9", ("0 of 7", "5 of 9", "0 of 9")),
+    for spec, counts in (("-2..2", ("3 of 7", "4 of 9", "3 of 9")),
+                         ("5..9,5..9", ("0 of 7", "4 of 9", "0 of 9")),
                          ("-12..12", None)):
         main(["verify", "axes", f"--window={spec}"])
         lines = capsys.readouterr().out.splitlines()[:3]
@@ -286,6 +289,67 @@ def test_axis_check_with_no_axis_degree_says_so(capsys):
         else:
             assert lines == [f"ok   {n} ({c} axis degrees in the window)"
                              for n, c in zip(names, counts)], spec
+
+
+def _plant_closed(monkeypatch, theory, d):
+    """verify's closed-form chart of theory with a spurious class at d."""
+    name = f"closed_form_{theory}"
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda window: inject_class(real(window), d))
+
+
+def _plant_square(monkeypatch, theory, stage, d):
+    """verify's Tate square of theory with a spurious class at d in the
+    chart of one stage: hfp, tate, phi or genuine."""
+    real = cli.run_tate_pipeline
+
+    def planted(seed, window):
+        data = real(seed, window)
+        if seed.name == theory:
+            setattr(data, stage, inject_class(getattr(data, stage), d))
+        return data
+    monkeypatch.setattr(cli, "run_tate_pipeline", planted)
+
+
+# each verify line not driven to FAIL elsewhere, with its narrowest scope
+# and one fault that only it catches
+VERIFY_PLANTS = [
+    ("gap", "gap hz", lambda mp: _plant_closed(mp, "hz", (-1, 1))),
+    ("gap", "gap kr", lambda mp: _plant_closed(mp, "kr", (-1, 1))),
+    ("connectivity", "connectivity hz", lambda mp: _plant_closed(mp, "hz", (-6, 2))),
+    ("connectivity", "connectivity kr", lambda mp: _plant_closed(mp, "kr", (-6, 2))),
+    ("connectivity", "connectivity negative control (tate chart fails)",
+     lambda mp: mp.setattr(cli, "connectivity_check", lambda chart: CheckReport(True, ()))),
+    ("cross", "hz cells == closed", lambda mp: mp.setattr(
+        cli, "cellular_chart_hz",
+        lambda window: inject_class(cells.cellular_chart_hz(window), (0, 0)))),
+    ("cross", "hz tate == closed", lambda mp: _plant_square(mp, "hz", "genuine", (0, 0))),
+    ("cross", "kr tate == closed", lambda mp: _plant_square(mp, "kr", "genuine", (0, 0))),
+    ("cross", "hz quotient rows", lambda mp: mp.setattr(cells, "rp_cohomology", lambda n: {})),
+    ("axes", "kr fixed-point positive axis = ko",
+     lambda mp: _plant_square(mp, "kr", "hfp", (1, 0))),
+    ("axes", "kr fixed-point negative axis, codegree 4",
+     lambda mp: _plant_square(mp, "kr", "hfp", (-1, 0))),
+    ("axes", "hz tate periodic pattern", lambda mp: _plant_square(mp, "hz", "tate", (1, 0))),
+    ("axes", "kr tate periodic pattern", lambda mp: _plant_square(mp, "kr", "tate", (1, 0))),
+    ("axes", "hz geometric fixed points pattern",
+     lambda mp: _plant_square(mp, "hz", "phi", (1, 0))),
+    ("axes", "kr geometric fixed points pattern",
+     lambda mp: _plant_square(mp, "kr", "phi", (1, 0))),
+    ("all", "mutation control (gap check catches (-1,1))",
+     lambda mp: mp.setattr(cli, "inject_class", lambda chart, d: chart)),
+]
+
+
+@pytest.mark.parametrize("scope, line, plant", VERIFY_PLANTS,
+                         ids=[line for _, line, _ in VERIFY_PLANTS])
+def test_every_verify_line_fails_on_its_planted_fault(monkeypatch, capsys, scope, line, plant):
+    assert main(["verify", scope, "--window=-8..8"]) == 0
+    assert f"ok   {line}" in capsys.readouterr().out.splitlines()
+    plant(monkeypatch)
+    assert main(["verify", scope, "--window=-8..8"]) == 1
+    fails = [out for out in capsys.readouterr().out.splitlines() if out.startswith("FAIL ")]
+    assert [out.partition(": ")[0] for out in fails] == [f"FAIL {line}"]
 
 
 def _assert_parse_error(tmp_path, capsys, text, line_no):

@@ -1,10 +1,12 @@
-"""Every definition in the package has a reader in the package.
+"""Every definition in the package has a reader in the package, and every
+import a reader in its module.
 
 A name check, not a call graph: a def or class, or a name a module binds
 at top level by assignment (a constant, or an alias such as `Degree`),
 counts as used when some expression, attribute or import anywhere in
 src/roqcharts reads it (its own definition does not), so it only catches
-names that nothing in src/ reads.
+names that nothing in src/ reads.  An imported name counts as used when
+an expression of the importing module reads it.
 """
 
 import ast
@@ -58,3 +60,20 @@ def test_every_module_level_name_is_read():
     assert "Degree" in bound
     read = _read_names(trees.values())
     assert {name: where for name, where in bound.items() if name not in read} == {}
+
+
+def test_every_import_is_read_in_its_module():
+    # a name a module imports and never reads is left over from a reader
+    # that went; `from __future__` imports bind nothing to read
+    stale = {}
+    for module, tree in _trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        stale[name] = f"{module}:{node.lineno}"
+    assert stale == {}

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from roqcharts import theories
 from roqcharts.exactalg import FgAbelian, has_nonzero_hom
-from roqcharts.grading import (ChartError, Window, closed_form_hz, closed_form_kr,
-                               hz_generator, hz_order, hz_summands)
+from roqcharts.grading import (MAP_DEGREES, ChartError, Window, closed_form_hz,
+                               closed_form_kr, hz_generator, hz_map_image, hz_order,
+                               hz_summands)
 from roqcharts.chartio import diff, serialize
 from roqcharts.specseq import find_candidates
 from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
@@ -16,8 +17,7 @@ from roqcharts.theories import (TheoryError, TheorySeed, bss_floor_survivors,
                                 gap_check, hz_seed,
                                 inject_class, kr_seed, run_bockstein,
                                 run_hfpss, run_tate_pipeline,
-                                sss_entry_e1, sss_entry_einf, sss_to_bss,
-                                THETA_DEGREE, theta_apply)
+                                sss_entry_e1, sss_entry_einf, sss_to_bss)
 from roqcharts.tate import StabilizationError, fixed_point_window, run_tate_square
 
 Z = FgAbelian.free(1)
@@ -118,29 +118,33 @@ def test_collapse_certificates_empty():
 # theta
 # ---------------------------------------------------------------------------
 
+def _theta(desc):
+    return hz_map_image("theta", desc)
+
+
 def test_theta_values():
-    assert theta_apply(("usq", 1)) == ("ucol", 3, 0)          # u -> a^3
-    assert theta_apply(("usq", 2)) is None                     # u^2 -> 0
-    assert theta_apply(("ucol", 2, 3)) == ("ucol", 5, 2)       # a^2 u^3 -> a^5 u^2
-    assert theta_apply(("ucirc", 1)) is None                   # 2u^-1 -> 0
-    assert theta_apply(("utow", 1, 6)) == ("utow", 2, 5)
-    assert theta_apply(("utow", 1, 5)) is None                 # stub survives
-    assert theta_apply(("utow", 2, 9)) is None                 # even towers are cycles
+    assert _theta(("usq", 1)) == [(("ucol", 3, 0), 1)]          # u -> a^3
+    assert _theta(("usq", 2)) == []                             # u^2 -> 0
+    assert _theta(("ucol", 2, 3)) == [(("ucol", 5, 2), 1)]      # a^2 u^3 -> a^5 u^2
+    assert _theta(("ucirc", 1)) == []                           # 2u^-1 -> 0
+    assert _theta(("utow", 1, 6)) == [(("utow", 2, 5), 1)]
+    assert _theta(("utow", 1, 5)) == []                         # stub survives
+    assert _theta(("utow", 2, 9)) == []                         # even towers are cycles
 
 
 def test_theta_degree_and_square():
+    assert MAP_DEGREES["theta"] == (-2, -1)
     for x, y in Window.square(12).degrees():
         for desc in hz_summands(x, y):
-            img = theta_apply(desc)
-            if img is None:
-                continue
-            assert img in hz_summands(x - 2, y - 1)
-            assert theta_apply(img) is None
+            for img, coeff in _theta(desc):
+                assert coeff == 1
+                assert img in hz_summands(x - 2, y - 1)
+                assert _theta(img) == []
 
 
 def test_theta_unknown_generator_rejected():
-    with pytest.raises(TheoryError):
-        theta_apply(("mystery", 1))
+    with pytest.raises(ChartError):
+        _theta(("mystery", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +273,9 @@ def test_floors_follow_theta(monkeypatch):
     p = (-3, 7)  # the degree of t(1,7)
     assert not bss_floor_survivors(0, p, theories._BaseTable())
     assert diff(run_bockstein(w).chart, closed_form_kr(w)).clean
-    real = theories.theta_apply
-    monkeypatch.setattr(theories, "theta_apply",
-                        lambda desc: None if desc == ("utow", 1, 7) else real(desc))
+    real = theories.hz_map_image
+    monkeypatch.setattr(theories, "hz_map_image", lambda name, desc: (
+        [] if (name, desc) == ("theta", ("utow", 1, 7)) else real(name, desc)))
     # a table built after the patch: a table caches theta as it reads it
     table = theories._BaseTable()
     for floor in (0, 1, 5):
@@ -297,9 +301,9 @@ def test_survivor_table_holds_only_survivors():
 
 
 def _plant_theta(monkeypatch, desc, img):
-    real = theories.theta_apply
-    monkeypatch.setattr(theories, "theta_apply",
-                        lambda d: img if d == desc else real(d))
+    real = theories.hz_map_image
+    monkeypatch.setattr(theories, "hz_map_image", lambda name, d: (
+        [(img, 1)] if (name, d) == ("theta", desc) else real(name, d)))
 
 
 def test_theta_laws_hold_in_the_window(monkeypatch):
@@ -336,16 +340,18 @@ def test_theta_lands_in_a_target_summand(monkeypatch, desc, img, p):
 
 
 def test_bockstein_reads_each_base_degree_once(monkeypatch):
-    # one run asks for the summands of a degree once, builds theta out of
-    # a degree once, and computes each floor group (floor 0, or the floors
-    # above, at one base degree) once
+    # one run asks for the summands of a degree once, builds each hz map
+    # (theta, and a for the splitting rule) out of a degree once, and
+    # computes each floor group (floor 0, or the floors above, at one base
+    # degree) once
     class At(list):
         """A summand list that remembers its degree."""
 
     real_summands = theories.hz_summands
     real_matrix = theories.desc_matrix
     real_homology = theories.presented_homology
-    asked, theta_out, groups = Counter(), Counter(), Counter()
+    THETA = MAP_DEGREES["theta"]
+    asked, maps_out, groups = Counter(), Counter(), Counter()
     built = {}  # id of each theta matrix -> (degree, matrix), which keeps the id
 
     def summands(x, y):
@@ -356,8 +362,9 @@ def test_bockstein_reads_each_base_degree_once(monkeypatch):
 
     def matrix(src, dst, image):
         mat = real_matrix(src, dst, image)
-        if (dst.degree[0] - src.degree[0], dst.degree[1] - src.degree[1]) == THETA_DEGREE:
-            theta_out[src.degree] += 1
+        shift = (dst.degree[0] - src.degree[0], dst.degree[1] - src.degree[1])
+        maps_out[shift, src.degree] += 1
+        if shift == THETA:
             built[id(mat)] = (src.degree, mat)
         return mat
 
@@ -365,7 +372,7 @@ def test_bockstein_reads_each_base_degree_once(monkeypatch):
         p = built[id(out)][0]
         upper = id(into) in built
         if upper:
-            assert built[id(into)][0] == (p[0] - THETA_DEGREE[0], p[1] - THETA_DEGREE[1])
+            assert built[id(into)][0] == (p[0] - THETA[0], p[1] - THETA[1])
         groups[upper, p] += 1
         return real_homology(out, out_orders, into, orders)
 
@@ -373,9 +380,9 @@ def test_bockstein_reads_each_base_degree_once(monkeypatch):
     monkeypatch.setattr(theories, "desc_matrix", matrix)
     monkeypatch.setattr(theories, "presented_homology", homology)
     run_bockstein(Window(-40, 40, -40, 12))
-    assert theta_out and groups
+    assert {shift for shift, _ in maps_out} == {THETA, MAP_DEGREES["a"]} and groups
     assert max(asked.values()) == 1
-    assert max(theta_out.values()) == 1
+    assert max(maps_out.values()) == 1
     assert max(groups.values()) == 1
 
 
